@@ -4,6 +4,7 @@ Floats are rendered with %.12g so identical runs produce identical bytes.
 """
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -11,28 +12,66 @@ from dataclasses import dataclass
 COLUMNS = ("scenario", "seed", "sweep", "algorithm", "metric", "value")
 AGG_COLUMNS = ("scenario", "sweep", "algorithm", "metric", "n", "mean", "ci95")
 
-# two-sided 95% Student-t critical values by degrees of freedom
-_T_TABLE = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-    6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-    11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
-    16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-    21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
-    26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
-    40: 2.021, 60: 2.000, 120: 1.980,
-}
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta function,
+    evaluated by the modified Lentz method; converges fast for
+    x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
+def _beta_regularized(a: float, b: float, x: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+@functools.lru_cache(maxsize=256)
 def t_critical(df: int) -> float:
-    """95% two-sided Student-t critical value (normal limit above df 120)."""
+    """95% two-sided Student-t critical value: the t with P(|T| > t) = 0.05.
+
+    Bisects the two-sided tail I_{df/(df+t^2)}(df/2, 1/2), which falls
+    monotonically in t, to double precision.
+    """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if df in _T_TABLE:
-        return _T_TABLE[df]
-    for cut in (40, 60, 120):
-        if df <= cut:
-            return _T_TABLE[cut]
-    return 1.96
+
+    def tail(t):
+        return _beta_regularized(df / 2.0, 0.5, df / (df + t * t))
+
+    lo, hi = 0.0, 2.0
+    while tail(hi) > 0.05:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if tail(mid) > 0.05:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

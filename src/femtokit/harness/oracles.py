@@ -216,14 +216,3 @@ def markov_busy_fraction(p01: float, p10: float) -> float:
         raise ValueError("absorbing chain has no unique stationary law")
     return p01 / denom
 
-
-def mean_confidence(values, t_value: "float | None" = None):
-    """Sample mean and 95% half-width (normal critical value by default)."""
-    values = list(values)
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    t = 1.96 if t_value is None else t_value
-    return mean, t * math.sqrt(var / n)

@@ -97,44 +97,6 @@ class ScheduleSolution:
     trace: "list | None" = None
 
 
-def _scalar_share(pbar: float, price: float, w: float, rate: float) -> float:
-    """argmax of pbar*log(w + rho*rate) - price*rho over rho in [0, 1].
-
-    The whole-slot bound stays inside the per-user subproblem: it is a valid
-    constraint on its own, it keeps the relaxation tight, and it bounds how
-    much the load can jump when a user switches branches. The interior
-    stationary point is pbar/price - w/rate, clipped to the box.
-    """
-    if rate <= 0.0:
-        return 0.0
-    if price <= 0.0:
-        return 1.0
-    return min(max(pbar / price - w / rate, 0.0), 1.0)
-
-
-def user_subproblem(user: int, prices, problem: SlotProblem, gi=None):
-    """Closed-form best response of one user to the current prices.
-
-    Evaluates both branches with their waterfilling shares and keeps the one
-    with the larger Lagrangian contribution; ties go to the macro station.
-    Returns (connect_mbs, rho_mbs, rho_fbs) with the losing share zeroed.
-    """
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    w = float(problem.w_minus[user])
-    i = int(problem.assoc[user])
-    r0 = float(problem.rate_mbs[user])
-    rf = float(problem.rate_fbs[user] * gi[i - 1])
-    pb0 = float(problem.pbar_mbs[user])
-    pbf = float(problem.pbar_fbs[user])
-    rho0 = _scalar_share(pb0, prices[0], w, r0)
-    rhof = _scalar_share(pbf, prices[i], w, rf)
-    v0 = pb0 * math.log(w + rho0 * r0) - prices[0] * rho0
-    vf = pbf * math.log(w + rhof * rf) - prices[i] * rhof
-    if v0 >= vf:
-        return True, rho0, 0.0
-    return False, 0.0, rhof
-
-
 def dual_update(prices, load, step: float):
     """Projected gradient step on the prices: [lam - step*(1 - load)]^+."""
     if step <= 0:
@@ -142,63 +104,99 @@ def dual_update(prices, load, step: float):
     return np.maximum(np.asarray(prices, dtype=float) - step * (1.0 - np.asarray(load, dtype=float)), 0.0)
 
 
-def objective_value(problem: SlotProblem, connect_mbs, rho_mbs, rho_fbs, gi=None) -> float:
-    """Expected log-quality sum of a feasible schedule."""
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    connect_mbs = np.asarray(connect_mbs, dtype=bool)
-    g_user = gi[problem.assoc - 1]
+def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs):
+    """Expected log-quality sum along the last (user) axis of stacked schedules."""
     arg = np.where(
         connect_mbs,
-        problem.w_minus + np.asarray(rho_mbs, dtype=float) * problem.rate_mbs,
-        problem.w_minus + np.asarray(rho_fbs, dtype=float) * g_user * problem.rate_fbs,
+        problem.w_minus + rho_mbs * problem.rate_mbs,
+        problem.w_minus + rho_fbs * g_user * problem.rate_fbs,
     )
     if np.any(arg <= 0):
         raise ValueError("log argument must stay positive")
     weight = np.where(connect_mbs, problem.pbar_mbs, problem.pbar_fbs)
-    return float(np.sum(weight * np.log(arg)))
+    return np.sum(weight * np.log(arg), axis=-1)
 
 
-def _vector_share(pbar, price_user, w, rate):
-    rho = np.zeros_like(w)
-    pos = rate > 0
-    priced = pos & (price_user > 0)
-    rho[priced] = np.minimum(
-        np.maximum(pbar[priced] / price_user[priced] - w[priced] / rate[priced], 0.0), 1.0
+def objective_value(problem: SlotProblem, connect_mbs, rho_mbs, rho_fbs, gi=None) -> float:
+    """Expected log-quality sum of a feasible schedule."""
+    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
+    return float(
+        _objective(
+            problem,
+            gi[problem.assoc - 1],
+            np.asarray(connect_mbs, dtype=bool),
+            np.asarray(rho_mbs, dtype=float),
+            np.asarray(rho_fbs, dtype=float),
+        )
     )
-    rho[pos & (price_user == 0)] = 1.0
-    return rho
 
 
-def _best_responses(problem: SlotProblem, g_user, prices):
-    """All users' best responses at once. Returns branch, shares, values."""
-    w = problem.w_minus
-    price0 = np.full(problem.num_users, prices[0])
-    pricef = prices[problem.assoc]
-    rf = problem.rate_fbs * g_user
-    rho0 = _vector_share(problem.pbar_mbs, price0, w, problem.rate_mbs)
-    rhof = _vector_share(problem.pbar_fbs, pricef, w, rf)
-    v0 = problem.pbar_mbs * np.log(w + rho0 * problem.rate_mbs) - price0 * rho0
-    vf = problem.pbar_fbs * np.log(w + rhof * rf) - pricef * rhof
-    connect = v0 >= vf
-    rho0 = np.where(connect, rho0, 0.0)
-    rhof = np.where(connect, 0.0, rhof)
-    values = np.where(connect, v0, vf)
-    return connect, rho0, rhof, values
+class _Responder:
+    """Every user's best response to a stack of price rows, for fixed
+    per-user expected channel counts g_user with one row per price row.
 
+    Each user weighs its macro branch against its femto branch. A branch's
+    share is the argmax of pbar*log(w + rho*rate) - price*rho over rho in
+    [0, 1]: the interior stationary point pbar/price - w/rate clipped to the
+    box, the whole slot at a zero price, nothing at a zero rate. The
+    whole-slot bound stays inside the per-user subproblem: it is a valid
+    constraint on its own, it keeps the relaxation tight, and it bounds how
+    much the load can jump when a user switches branches. Both branches sit
+    side by side on the last axis (macro first), so the price-independent
+    terms are computed once per stack.
+    """
 
-def _load(problem: SlotProblem, rho_mbs, rho_fbs):
-    load = np.zeros(problem.n_fbs + 1)
-    load[0] = rho_mbs.sum()
-    load[1:] = np.bincount(problem.assoc, weights=rho_fbs, minlength=problem.n_fbs + 1)[1:]
-    return load
+    def __init__(self, problem: SlotProblem, g_user):
+        rows, k = g_user.shape
+        n1 = problem.n_fbs + 1
+        self.k = k
+        self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
+        self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
+        self.w = np.concatenate([problem.w_minus, problem.w_minus])
+        self.rate = np.concatenate(
+            np.broadcast_arrays(problem.rate_mbs, problem.rate_fbs * g_user), axis=-1
+        )
+        with np.errstate(divide="ignore", over="ignore"):
+            self.offset = self.w / self.rate
+        self.paid = self.rate > 0
+        # each row's femto loads fill their own n1 bincount slots, row-major
+        self.bins = (problem.assoc + n1 * np.arange(rows)[:, None]).ravel()
+        self.n_bins = rows * n1
+
+    def __call__(self, prices):
+        """Branch, shares with the losing one zeroed, and Lagrangian values,
+        each of shape (B, K), for prices of shape (B, n_fbs + 1). Ties go to
+        the macro station."""
+        # take, unlike [:, index], returns C order: row sums then run along
+        # the contiguous user axis with the same rounding as a lone row
+        price = prices.take(self.price_index, axis=1)
+        priced = price > 0
+        interior = np.minimum(
+            np.maximum(self.pbar / np.where(priced, price, 1.0) - self.offset, 0.0), 1.0
+        )
+        rho = np.where(self.paid, np.where(priced, interior, 1.0), 0.0)
+        value = self.pbar * np.log(self.w + rho * self.rate) - price * rho
+        k = self.k
+        connect = value[:, :k] >= value[:, k:]
+        return (
+            connect,
+            np.where(connect, rho[:, :k], 0.0),
+            np.where(connect, 0.0, rho[:, k:]),
+            np.where(connect, value[:, :k], value[:, k:]),
+        )
+
+    def load(self, rho_mbs, rho_fbs):
+        """Time load per transmitter, shape (B, n_fbs + 1), of stacked shares."""
+        load = np.bincount(self.bins, weights=rho_fbs.ravel(), minlength=self.n_bins)
+        load = load.reshape(len(rho_fbs), -1)
+        load[:, 0] = rho_mbs.sum(axis=1)
+        return load
 
 
 def _repaired(rho_mbs, rho_fbs, load, assoc, tol: float = 1e-6):
     """Scale any transmitter's shares down when their sum exceeds the slot."""
-    scale = np.ones_like(load)
-    over = load > 1.0 + tol
-    scale[over] = 1.0 / load[over]
-    return rho_mbs * scale[0], rho_fbs * scale[assoc]
+    scale = np.divide(1.0, load, out=np.ones_like(load), where=load > 1.0 + tol)
+    return rho_mbs * scale[:, :1], rho_fbs * np.take(scale, assoc, axis=1)
 
 
 def _pool_shares(pbar, w, rate, iters: int = 60):
@@ -227,23 +225,24 @@ def _pool_shares(pbar, w, rate, iters: int = 60):
     return shares
 
 
-def _refill_pattern(problem: SlotProblem, g_user, connect):
+def _refill_pattern(problem: SlotProblem, g_user, connect, memo: dict):
     """Best feasible shares for a fixed branch pattern: waterfill each
-    transmitter's pool independently."""
+    transmitter's pool independently. memo keeps each pool's shares by
+    transmitter, members and their rates, so patterns and channel vectors
+    that share a pool fill it once."""
     connect = np.asarray(connect, dtype=bool)
     rho0 = np.zeros(problem.num_users)
     rhof = np.zeros(problem.num_users)
-    if np.any(connect):
-        rho0[connect] = _pool_shares(
-            problem.pbar_mbs[connect], problem.w_minus[connect], problem.rate_mbs[connect]
-        )
     rf = problem.rate_fbs * g_user
+    pools = [(0, connect, problem.pbar_mbs, problem.rate_mbs, rho0)]
     for i in range(1, problem.n_fbs + 1):
-        pool = (~connect) & (problem.assoc == i)
+        pools.append((i, (~connect) & (problem.assoc == i), problem.pbar_fbs, rf, rhof))
+    for station, pool, pbar, rate, shares in pools:
         if np.any(pool):
-            rhof[pool] = _pool_shares(
-                problem.pbar_fbs[pool], problem.w_minus[pool], rf[pool]
-            )
+            key = (station, pool.tobytes(), rate[pool].tobytes())
+            if key not in memo:
+                memo[key] = _pool_shares(pbar[pool], problem.w_minus[pool], rate[pool])
+            shares[pool] = memo[key]
     return rho0, rhof
 
 
@@ -271,78 +270,104 @@ def init_prices(problem: SlotProblem, gi=None) -> np.ndarray:
     return prices
 
 
-def solve_noninterfering(
+# distinct branch patterns refilled per solve; iterates after the cap is
+# reached are tracked through their feasibility repair instead
+_PATTERN_CAP = 128
+
+
+def _iterate(
     problem: SlotProblem,
-    gi=None,
-    prices_init=None,
-    step: float = 0.01,
-    phi: float = 1e-6,
-    max_iters: int = 10000,
-    record_trace: bool = False,
-) -> ScheduleSolution:
-    """Price iteration for one slot with a fixed per-femto channel vector.
+    g_user,
+    start,
+    step: float,
+    phi: float,
+    max_iters: int,
+    keep_iterates: bool,
+):
+    """Projected gradient price iteration on every row of a stack at once.
 
-    Stops when the squared price movement drops to phi. On convergence the
-    final iterate (after the feasibility repair) is returned; otherwise the
-    best feasible iterate seen, flagged converged=False. A warm start from
-    the previous slot's prices goes through prices_init.
+    A row leaves the stack once its squared price movement drops to phi.
+    Returns per-row iteration counts, converged flags, last prices and
+    lowest dual values; per row, its branch patterns mapped to the
+    iteration that first met them, in order of appearance; and, with
+    keep_iterates, per row its (iteration, prices) at every iterate.
     """
-    if phi < 0:
-        raise ValueError("phi cannot be negative")
-    if max_iters < 1:
-        raise ValueError("need at least one iteration")
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    g_user = gi[problem.assoc - 1]
-    prices = (
-        np.ones(problem.n_fbs + 1)
-        if prices_init is None
-        else np.array(prices_init, dtype=float)
-    )
-    if prices.shape != (problem.n_fbs + 1,) or np.any(prices < 0):
-        raise ValueError("prices_init must be a nonnegative price per transmitter")
-
-    trace = [] if record_trace else None
-    best = None
-    best_dual = math.inf
-    patterns = {}
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        connect, rho0, rhof, values = _best_responses(problem, g_user, prices)
-        best_dual = min(best_dual, float(values.sum() + prices.sum()))
-        overflow = len(patterns) >= 128
-        if not overflow:
-            patterns.setdefault(connect.tobytes(), connect)
-        load = _load(problem, rho0, rhof)
-        if record_trace or overflow:
-            # refilling a visited pattern dominates any repaired iterate of
-            # it, so iterates only matter for the trace and for patterns
-            # beyond the bookkeeping cap
-            r0, rf = _repaired(rho0, rhof, load, problem.assoc)
-            obj = objective_value(problem, connect, r0, rf, gi)
-            if best is None or obj > best[0]:
-                best = (obj, connect, r0, rf)
-            if record_trace:
-                trace.append((iterations, prices.copy(), obj))
-        new_prices = dual_update(prices, load, step)
-        moved = float(((new_prices - prices) ** 2).sum())
+    n_rows = len(g_user)
+    iterations = np.full(n_rows, max_iters)
+    converged = np.zeros(n_rows, dtype=bool)
+    last_prices = np.empty((n_rows, len(start)))
+    best_dual = np.empty(n_rows)
+    first_seen = [{} for _ in range(n_rows)]
+    iterates = [[] for _ in range(n_rows)]
+    # the active stack: rows still iterating, their prices and lowest dual
+    # values so far, and the branch patterns of their previous iterate
+    rows = np.arange(n_rows)
+    respond = _Responder(problem, g_user)
+    prices = np.tile(start, (n_rows, 1))
+    dual = np.full(n_rows, math.inf)
+    last, last_code = None, b""
+    for it in range(1, max_iters + 1):
+        connect, rho0, rhof, values = respond(prices)
+        dual = np.minimum(dual, values.sum(axis=1) + prices.sum(axis=1))
+        # most iterates repeat the previous patterns; only changes can be new
+        code = connect.tobytes()
+        if code != last_code:
+            if last is None:
+                changed = np.ones(len(rows), dtype=bool)
+            else:
+                changed = np.any(connect != last, axis=1)
+            for i in np.flatnonzero(changed):
+                first_seen[rows[i]].setdefault(connect[i].tobytes(), it)
+        if keep_iterates:
+            for i, r in enumerate(rows):
+                iterates[r].append((it, prices[i]))
+        last, last_code = connect, code
+        new_prices = dual_update(prices, respond.load(rho0, rhof), step)
+        moved = ((new_prices - prices) ** 2).sum(axis=1)
         prices = new_prices
-        if moved <= phi:
-            converged = True
-            break
+        done = moved <= phi
+        if done.any():
+            finished = rows[done]
+            converged[finished] = True
+            iterations[finished] = it
+            last_prices[finished] = prices[done]
+            best_dual[finished] = dual[done]
+            live = ~done
+            rows, prices, dual, last = rows[live], prices[live], dual[live], last[live]
+            if not rows.size:
+                break
+            respond = _Responder(problem, g_user[rows])
+            last_code = last.tobytes()
+    last_prices[rows] = prices
+    best_dual[rows] = dual
+    return iterations, converged, last_prices, best_dual, first_seen, iterates
 
-    connect, rho0, rhof, values = _best_responses(problem, g_user, prices)
-    dual = min(best_dual, float(values.sum() + prices.sum()))
-    patterns.setdefault(connect.tobytes(), connect)
-    chosen = best
+
+def _best_feasible(problem: SlotProblem, g_user, gi, patterns, iterate_prices, memo: dict):
+    """Best feasible schedule known for one channel vector, first wins ties.
+
+    Candidates, in order: the repaired iterates at iterate_prices, each
+    branch pattern in patterns refilled exactly, and the two heuristics.
+    Returns (objective, connect, rho_mbs, rho_fbs) and the iterates'
+    objectives.
+    """
+    chosen = None
+    objs = np.empty(0)
+    if len(iterate_prices):
+        replay = _Responder(problem, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
+        connect, rho0, rhof, _ = replay(iterate_prices)
+        rho0, rhof = _repaired(rho0, rhof, replay.load(rho0, rhof), problem.assoc)
+        objs = _objective(problem, g_user, connect, rho0, rhof)
+        k = int(np.argmax(objs))
+        chosen = (float(objs[k]), connect[k], rho0[k], rhof[k])
     # primal recovery: the dual iteration fixes each visited branch pattern,
     # and the continuous inner problem for a fixed pattern splits into
     # independent per-transmitter waterfilling problems solved exactly
-    for pattern in patterns.values():
-        r0, rf = _refill_pattern(problem, g_user, pattern)
-        obj = objective_value(problem, pattern, r0, rf, gi)
+    for pattern in patterns:
+        rho0, rhof = _refill_pattern(problem, g_user, pattern, memo)
+        obj = objective_value(problem, pattern, rho0, rhof, gi)
         if chosen is None or obj > chosen[0]:
-            chosen = (obj, pattern, r0, rf)
+            chosen = (obj, pattern, rho0, rhof)
     # primal polish: the returned point is the best feasible point known,
     # so a finite stopping tolerance never leaves it below a baseline
     for candidate in (heuristic_equal(problem, gi), heuristic_diversity(problem, gi)):
@@ -353,26 +378,113 @@ def solve_noninterfering(
                 candidate.rho_mbs,
                 candidate.rho_fbs,
             )
-    gap = abs(dual - chosen[0]) / max(abs(dual), 1e-12)
-    return ScheduleSolution(
-        connect_mbs=chosen[1],
-        rho_mbs=chosen[2],
-        rho_fbs=chosen[3],
-        objective=chosen[0],
-        dual_value=dual,
-        duality_gap=gap,
-        iterations=iterations,
-        converged=converged,
-        prices=prices,
-        trace=trace,
+    return chosen, objs
+
+
+def solve_noninterfering_batch(
+    problem: SlotProblem,
+    gis,
+    prices_init=None,
+    step: float = 0.01,
+    phi: float = 1e-6,
+    max_iters: int = 10000,
+    record_trace: bool = False,
+) -> list:
+    """Price iteration for one slot under each row of a (B, n_fbs) stack of
+    per-femto channel vectors; returns one ScheduleSolution per row.
+
+    Every row starts from prices_init (all ones by default; a warm start
+    from an earlier solve goes here) and follows its own projected gradient
+    iterates until its squared price movement drops to phi. Row sums run
+    along the contiguous user axis, so each row's numbers are exactly those
+    of solving it alone. The returned schedule is the best feasible point
+    known: each visited branch pattern refilled exactly, the repaired
+    iterates beyond the pattern cap (all of them when tracing), and the two
+    heuristics. Rows that hit max_iters are flagged converged=False.
+    """
+    if phi < 0:
+        raise ValueError("phi cannot be negative")
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
+    gis = np.asarray(gis, dtype=float)
+    if gis.ndim != 2 or gis.shape[1] != problem.n_fbs:
+        raise ValueError("gis must hold one channel vector per femto station in each row")
+    start = (
+        np.ones(problem.n_fbs + 1)
+        if prices_init is None
+        else np.array(prices_init, dtype=float)
     )
+    if start.shape != (problem.n_fbs + 1,) or np.any(start < 0):
+        raise ValueError("prices_init must be a nonnegative price per transmitter")
+    g_user = np.take(gis, problem.assoc - 1, axis=1)
+
+    iterations, converged, last_prices, best_dual, first_seen, iterates = _iterate(
+        problem, g_user, start, step, phi, max_iters, keep_iterates=record_trace
+    )
+    connect, _, _, values = _Responder(problem, g_user)(last_prices)
+    dual = np.minimum(best_dual, values.sum(axis=1) + last_prices.sum(axis=1))
+
+    memo = {}
+    solutions = []
+    for r, seen in enumerate(first_seen):
+        codes = list(seen)[:_PATTERN_CAP]
+        if connect[r].tobytes() not in codes:
+            codes.append(connect[r].tobytes())
+        patterns = [np.frombuffer(code, dtype=bool) for code in codes]
+        tracked = iterates[r]
+        if not record_trace and len(seen) >= _PATTERN_CAP:
+            # refilling a visited pattern dominates any repaired iterate of
+            # it, so iterates only matter past the bookkeeping cap; the row
+            # replayed alone repeats its iterates bit for bit
+            cap_iter = list(seen.values())[_PATTERN_CAP - 1]
+            replay = _iterate(
+                problem, g_user[r : r + 1], start, step, phi, max_iters, keep_iterates=True
+            )[-1][0]
+            tracked = [(i, p) for i, p in replay if i > cap_iter]
+        tracked_prices = np.array([p for _, p in tracked]).reshape(-1, len(start))
+        chosen, objs = _best_feasible(problem, g_user[r], gis[r], patterns, tracked_prices, memo)
+        trace = None
+        if record_trace:
+            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(tracked, objs)]
+        d = float(dual[r])
+        solutions.append(
+            ScheduleSolution(
+                connect_mbs=np.array(chosen[1]),
+                rho_mbs=np.array(chosen[2]),
+                rho_fbs=np.array(chosen[3]),
+                objective=chosen[0],
+                dual_value=d,
+                duality_gap=abs(d - chosen[0]) / max(abs(d), 1e-12),
+                iterations=int(iterations[r]),
+                converged=bool(converged[r]),
+                prices=last_prices[r].copy(),
+                trace=trace,
+            )
+        )
+    return solutions
 
 
-def solve_single_fbs(problem: SlotProblem, **solver_opts) -> ScheduleSolution:
-    """Special case of one femto station sharing all licensed channels."""
-    if problem.n_fbs != 1:
-        raise ValueError("single-femto solver needs exactly one femto station")
-    return solve_noninterfering(problem, **solver_opts)
+def solve_noninterfering(
+    problem: SlotProblem,
+    gi=None,
+    prices_init=None,
+    step: float = 0.01,
+    phi: float = 1e-6,
+    max_iters: int = 10000,
+    record_trace: bool = False,
+) -> ScheduleSolution:
+    """Price iteration for one slot with a fixed per-femto channel vector
+    (problem.fbs_gi by default): the batch of one."""
+    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
+    return solve_noninterfering_batch(
+        problem,
+        gi[None, :],
+        prices_init=prices_init,
+        step=step,
+        phi=phi,
+        max_iters=max_iters,
+        record_trace=record_trace,
+    )[0]
 
 
 def _preferred_mbs(problem: SlotProblem, g_user) -> np.ndarray:
@@ -520,9 +632,11 @@ class AllocationValue:
 
     Evaluations run the price iteration at a configurable budget and are
     memoized by the per-femto expected-channel vector; candidate solves warm
-    start from the allocation they extend. A custom solver callable
+    start from the allocation they extend, and a batch of candidates is
+    solved as one stack. A custom solver callable
     (problem, gi, prices_init) -> (objective, prices_or_None) replaces the
-    price iteration, e.g. with an exact enumeration on tiny instances.
+    price iteration, e.g. with an exact enumeration on tiny instances, and
+    is called once per fresh vector.
     """
 
     def __init__(
@@ -540,33 +654,38 @@ class AllocationValue:
         self._solver = solver
         self._cache = {}
         zero = np.zeros(problem.n_fbs)
-        self.baseline, prices = self._solve(zero, None)
+        [(self.baseline, prices)] = self._solve(zero[None, :], None)
         self._cache[tuple(zero)] = (0.0, prices)
 
-    def _solve(self, gi, prices_init):
+    def _solve(self, gis, prices_init):
+        """(objective, prices) for each row of gis."""
         if self._solver is not None:
-            return self._solver(self.problem, gi, prices_init)
-        sol = solve_noninterfering(
+            return [self._solver(self.problem, gi, prices_init) for gi in gis]
+        sols = solve_noninterfering_batch(
             self.problem,
-            gi=gi,
+            gis,
             prices_init=prices_init,
             step=self.step,
             phi=self.phi,
             max_iters=self.max_iters,
         )
-        return sol.objective, sol.prices
+        return [(sol.objective, sol.prices) for sol in sols]
+
+    def improvements(self, gis, warm_key=None) -> list:
+        """Improvement of each expected-channel vector in gis; the vectors
+        not yet cached are solved together from the prices cached at
+        warm_key."""
+        keys = [tuple(float(g) for g in gi) for gi in gis]
+        fresh = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        if fresh:
+            warm = self._cache.get(warm_key) if warm_key is not None else None
+            solved = self._solve(np.array(fresh, dtype=float), None if warm is None else warm[1])
+            for key, (objective, prices) in zip(fresh, solved):
+                self._cache[key] = (objective - self.baseline, prices)
+        return [self._cache[key][0] for key in keys]
 
     def improvement(self, gi, warm_key=None) -> float:
-        key = tuple(float(g) for g in gi)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[0]
-        warm = self._cache.get(warm_key) if warm_key is not None else None
-        objective, prices = self._solve(
-            np.asarray(gi, dtype=float), None if warm is None else warm[1]
-        )
-        self._cache[key] = (objective - self.baseline, prices)
-        return objective - self.baseline
+        return self.improvements([gi], warm_key=warm_key)[0]
 
 
 def greedy_alloc(
@@ -600,12 +719,15 @@ def greedy_alloc(
     current_value = 0.0
     current_key = tuple(assigned @ p_idle)
     while candidates:
-        best_pair = None
-        best_value = -math.inf
-        for i, m in sorted(candidates):
+        pairs = sorted(candidates)
+        gis = []
+        for i, m in pairs:
             trial = assigned.copy()
             trial[i - 1, m] = 1
-            v = value.improvement(trial @ p_idle, warm_key=current_key)
+            gis.append(trial @ p_idle)
+        best_pair = None
+        best_value = -math.inf
+        for (i, m), v in zip(pairs, value.improvements(gis, warm_key=current_key)):
             if v > best_value:
                 best_value = v
                 best_pair = (i, m)

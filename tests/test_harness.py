@@ -28,7 +28,7 @@ from femtokit.harness.csvio import (
     write_aggregate,
     write_rows,
 )
-from femtokit.harness.oracles import markov_busy_fraction, mean_confidence
+from femtokit.harness.oracles import markov_busy_fraction
 from femtokit.harness.runners import multicast_instance, run_multicast, run_streaming
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -219,7 +219,7 @@ class TestCsv:
         ((scenario, sweep, algorithm, metric, n, mean, ci),) = aggregate(rows)
         assert (scenario, algorithm, metric, n) == ("s", "a", "m", 5)
         assert mean == pytest.approx(3.0)
-        assert ci == pytest.approx(2.776 * math.sqrt(2.5 / 5.0), rel=1e-12)
+        assert ci == pytest.approx(2.7764451 * math.sqrt(2.5 / 5.0), rel=1e-7)
 
     def test_single_sample_has_empty_interval(self):
         ((*_, n, mean, ci),) = aggregate([ResultRow("s", 0, "", "a", "m", 7.0)])
@@ -241,16 +241,13 @@ class TestCsv:
         assert header == "scenario,sweep,algorithm,metric,n,mean,ci95"
 
     def test_t_table(self):
-        assert t_critical(4) == 2.776
-        assert t_critical(35) == 2.021
-        assert t_critical(1000) == 1.96
+        # closed forms at df 1 and 2: tan(0.475 pi) and 0.95 / sqrt(2 * 0.975 * 0.025)
+        assert t_critical(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-12)
+        assert t_critical(2) == pytest.approx(0.95 / math.sqrt(0.04875), rel=1e-12)
+        for df, value in ((4, 2.776), (35, 2.030), (50, 2.009), (1000, 1.962)):
+            assert t_critical(df) == pytest.approx(value, abs=1e-3)
         with pytest.raises(ValueError):
             t_critical(0)
-
-    def test_confidence_helper_matches_aggregate(self):
-        mean, half = mean_confidence([1.0, 2.0, 3.0, 4.0, 5.0], t_value=2.776)
-        assert mean == pytest.approx(3.0)
-        assert half == pytest.approx(2.776 * math.sqrt(2.5 / 5.0), rel=1e-12)
 
 
 class TestRunners:

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from femtokit import scheduler
 from femtokit.netmodel import make_rng
 from femtokit.scheduler import (
     AllocationValue,
     ChannelAllocation,
+    GreedyStep,
+    GreedyTrace,
     InterferenceGraph,
     SlotProblem,
     brute_force_alloc,
@@ -20,8 +25,7 @@ from femtokit.scheduler import (
     objective_value,
     optbound_upper,
     solve_noninterfering,
-    solve_single_fbs,
-    user_subproblem,
+    solve_noninterfering_batch,
 )
 from femtokit.harness.oracles import (
     diminishing_gains_margin,
@@ -79,34 +83,41 @@ class TestProblemValidation:
             SlotProblem([1.0], [1.0, 1.0], [1.0], [1.0], [1.0], [1], 1, [1.0])
 
 
-class TestUserSubproblem:
+def best_response(prob, prices):
+    """Branch and shares of every user from the vector best response."""
+    g_user = prob.fbs_gi[prob.assoc - 1][None, :]
+    connect, rho0, rhof, _ = scheduler._Responder(prob, g_user)(np.array([prices], dtype=float))
+    return connect[0], rho0[0], rhof[0]
+
+
+class TestBestResponse:
     def test_interior_share(self):
         prob = one_user_problem(w=1.0, rate0=2.0, pbarf=0.0)
-        connect, rho0, rhof = user_subproblem(0, [0.8, 1.0], prob)
-        assert connect
+        connect, rho0, rhof = best_response(prob, [0.8, 1.0])
+        assert connect[0]
         # stationary point 1/0.8 - 1/2
-        assert rho0 == pytest.approx(0.75, abs=1e-12)
-        assert rhof == 0.0
+        assert rho0[0] == pytest.approx(0.75, abs=1e-12)
+        assert rhof[0] == 0.0
 
     def test_share_capped_at_whole_slot(self):
         prob = one_user_problem(w=1.0, rate0=2.0, pbarf=0.0)
-        _, rho0, _ = user_subproblem(0, [0.4, 1.0], prob)
-        assert rho0 == 1.0
+        _, rho0, _ = best_response(prob, [0.4, 1.0])
+        assert rho0[0] == 1.0
 
     def test_free_transmitter_gets_everything(self):
         prob = one_user_problem(pbarf=0.0)
-        _, rho0, _ = user_subproblem(0, [0.0, 1.0], prob)
-        assert rho0 == 1.0
+        _, rho0, _ = best_response(prob, [0.0, 1.0])
+        assert rho0[0] == 1.0
 
     def test_zero_rate_takes_no_time(self):
         prob = one_user_problem(rate0=0.0, ratef=0.0)
-        connect, rho0, rhof = user_subproblem(0, [0.5, 0.5], prob)
-        assert rho0 == 0.0 and rhof == 0.0
+        connect, rho0, rhof = best_response(prob, [0.5, 0.5])
+        assert rho0[0] == 0.0 and rhof[0] == 0.0
 
     def test_identical_branches_tie_to_macro(self):
         prob = one_user_problem(rate0=2.0, ratef=2.0, gi=1.0)
-        connect, rho0, rhof = user_subproblem(0, [0.7, 0.7], prob)
-        assert connect and rhof == 0.0
+        connect, rho0, rhof = best_response(prob, [0.7, 0.7])
+        assert connect[0] and rhof[0] == 0.0
 
 
 class TestDualUpdate:
@@ -224,13 +235,136 @@ class TestPriceIteration:
         with pytest.raises(ValueError):
             solve_noninterfering(prob, max_iters=0)
         with pytest.raises(ValueError):
-            solve_single_fbs(random_problem(make_rng(0, 86), n_fbs=2))
+            solve_noninterfering_batch(prob, [1.0])
 
     def test_cold_start_prices_sit_on_the_demand_scale(self):
         prob = one_user_problem(w=3.0, pbar0=0.5, pbarf=0.25, rate0=1.0, ratef=2.0, gi=1.0)
         prices = init_prices(prob)
         assert prices[0] == pytest.approx(0.5 * 1.0 / 4.0)
         assert prices[1] == pytest.approx(0.25 * 2.0 / 5.0)
+
+
+def assert_same_solution(a, b):
+    """Bit-for-bit equality of two schedule solutions."""
+    assert a.objective == b.objective
+    assert a.dual_value == b.dual_value
+    assert a.duality_gap == b.duality_gap
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+    assert np.array_equal(a.prices, b.prices)
+    assert np.array_equal(a.connect_mbs, b.connect_mbs)
+    assert np.array_equal(a.rho_mbs, b.rho_mbs)
+    assert np.array_equal(a.rho_fbs, b.rho_fbs)
+    assert (a.trace is None) == (b.trace is None)
+    if a.trace is not None:
+        assert len(a.trace) == len(b.trace)
+        for (ia, pa, oa), (ib, pb, ob) in zip(a.trace, b.trace):
+            assert ia == ib and oa == ob and np.array_equal(pa, pb)
+
+
+@st.composite
+def slot_problems(draw, min_users=1, max_users=9, max_fbs=3):
+    n_fbs = draw(st.integers(1, max_fbs))
+    k = draw(st.integers(min_users, max_users))
+
+    def per_user(values):
+        return draw(st.lists(values, min_size=k, max_size=k))
+
+    rates = st.just(0.0) | st.floats(1e-3, 120.0)
+    return SlotProblem(
+        w_minus=per_user(st.floats(25.0, 45.0)),
+        pbar_mbs=per_user(st.floats(0.3, 1.0)),
+        pbar_fbs=per_user(st.floats(0.3, 1.0)),
+        rate_mbs=per_user(rates),
+        rate_fbs=per_user(rates),
+        assoc=draw(st.lists(st.integers(1, n_fbs), min_size=k, max_size=k)),
+        n_fbs=n_fbs,
+        fbs_gi=np.zeros(n_fbs),
+    )
+
+
+@st.composite
+def channel_stacks(draw, n_fbs):
+    """Rows of per-femto channel counts with a zero row and a duplicate."""
+    row = st.lists(
+        st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.6, 2.4]) | st.floats(0.01, 3.0),
+        min_size=n_fbs,
+        max_size=n_fbs,
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return rows + [[0.0] * n_fbs, rows[0]]
+
+
+class TestBatchedPriceIteration:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_row_matches_its_lone_solve(self, data):
+        prob = data.draw(slot_problems())
+        gis = data.draw(channel_stacks(prob.n_fbs))
+        opts = dict(
+            step=data.draw(st.sampled_from([0.005, 0.01, 0.05])),
+            phi=data.draw(st.sampled_from([0.0, 1e-10, 1e-6])),
+            max_iters=data.draw(st.integers(1, 150)),
+            record_trace=data.draw(st.booleans()),
+        )
+        if data.draw(st.booleans()):
+            opts["prices_init"] = init_prices(prob, gi=gis[0])
+        batch = solve_noninterfering_batch(prob, gis, **opts)
+        assert len(batch) == len(gis)
+        for gi, got in zip(gis, batch):
+            assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
+
+    def test_rows_stop_at_their_own_iteration(self):
+        prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
+        gis = [[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [2.5, 0.2], [1.0, 0.0], [3.0, 3.0]]
+        opts = dict(step=0.01, phi=1e-6, max_iters=150)
+        batch = solve_noninterfering_batch(prob, gis, **opts)
+        iterations = [sol.iterations for sol in batch]
+        # some rows converge, at different iterations, and some hit the cap
+        assert len(set(iterations)) >= 3
+        assert any(sol.converged for sol in batch)
+        assert any(not sol.converged and sol.iterations == 150 for sol in batch)
+        for gi, got in zip(gis, batch):
+            assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
+
+    def test_pattern_cap_overflow_per_row(self, monkeypatch):
+        # near-tied branches make the iteration wander over many branch
+        # patterns; the cap is lowered so every row overflows it
+        rng = make_rng(41, 96)
+        k = 9
+        prob = SlotProblem(
+            w_minus=30.0 * (1 + 1e-3 * rng.normal(size=k)),
+            pbar_mbs=0.8 * (1 + 1e-3 * rng.normal(size=k)),
+            pbar_fbs=np.full(k, 0.8),
+            rate_mbs=60.0 * (1 + 1e-3 * rng.normal(size=k)),
+            rate_fbs=np.full(k, 60.0),
+            assoc=1 + np.arange(k) % 3,
+            n_fbs=3,
+            fbs_gi=np.ones(3),
+        )
+        cap = 3
+        monkeypatch.setattr(scheduler, "_PATTERN_CAP", cap)
+        gis = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.02], [0.98, 1.0, 1.0]]
+        opts = dict(step=0.01, phi=0.0, max_iters=200)
+        for gi in gis:
+            g_user = np.asarray(gi)[prob.assoc - 1][None, :]
+            respond = scheduler._Responder(prob, g_user)
+            prices, patterns = np.ones((1, 4)), set()
+            for _ in range(opts["max_iters"]):
+                connect, rho0, rhof, _ = respond(prices)
+                patterns.add(connect.tobytes())
+                prices = dual_update(prices, respond.load(rho0, rhof), opts["step"])
+            assert len(patterns) > cap
+        batch = solve_noninterfering_batch(prob, gis, **opts)
+        for gi, got in zip(gis, batch):
+            assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
+
+    def test_rejects_malformed_stacks(self):
+        prob = random_problem(make_rng(42, 97), n_fbs=2)
+        with pytest.raises(ValueError):
+            solve_noninterfering_batch(prob, [[1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError):
+            solve_noninterfering_batch(prob, [[1.0, 1.0]], prices_init=[1.0, -1.0, 1.0])
 
 
 class TestHeuristics:
@@ -317,6 +451,34 @@ class TestChannelAllocation:
             alloc.validate(graph)
 
 
+def one_solve_per_candidate_greedy(problem, channels, p_idle, graph, value):
+    """Reference greedy rule: every candidate scored by its own
+    improvement call, in (femto, channel position) order."""
+    p_idle = np.asarray(p_idle, dtype=float)
+    n = problem.n_fbs
+    assigned = np.zeros((n, len(channels)), dtype=int)
+    candidates = {(i, m) for i in range(1, n + 1) for m in range(len(channels))}
+    steps = []
+    current = 0.0
+    while candidates:
+        key = tuple(assigned @ p_idle)
+        best_pair, best_value = None, -math.inf
+        for i, m in sorted(candidates):
+            trial = assigned.copy()
+            trial[i - 1, m] = 1
+            v = value.improvement(trial @ p_idle, warm_key=key)
+            if v > best_value:
+                best_pair, best_value = (i, m), v
+        i, m = best_pair
+        steps.append(GreedyStep(i, channels[m], best_value - current, graph.degree(i)))
+        assigned[i - 1, m] = 1
+        current = best_value
+        candidates.discard((i, m))
+        for nbr in graph.neighbors(i):
+            candidates.discard((nbr, m))
+    return assigned, GreedyTrace(steps=steps, value=current, baseline=value.baseline)
+
+
 class TestGreedyAllocation:
     def make_problem(self, rng, n_fbs, n_users):
         return random_problem(rng, n_users=n_users, n_fbs=n_fbs)
@@ -368,6 +530,48 @@ class TestGreedyAllocation:
         value.improvement([0.0])
         assert len(calls) == 2  # baseline + the single fresh point
         assert value.improvement([0.0]) == 0.0
+
+    def test_custom_solver_runs_once_per_distinct_vector(self):
+        rng = make_rng(34, 98)
+        prob = self.make_problem(rng, 2, 3)
+        calls = []
+
+        def counting_solver(problem, gi, prices_init):
+            calls.append(tuple(gi))
+            return exact_allocation_solver(problem, gi, prices_init)
+
+        value = AllocationValue(prob, solver=counting_solver)
+        got = value.improvements([[0.5, 0.0], [0.2, 0.7], [0.5, 0.0], [0.0, 0.0]])
+        assert calls == [(0.0, 0.0), (0.5, 0.0), (0.2, 0.7)]
+        assert got[0] == got[2] == value.improvement([0.5, 0.0])
+        assert got[3] == 0.0
+        assert len(calls) == 3
+
+        calls.clear()
+        graph = InterferenceGraph(2, ((1, 2),))
+        greedy_alloc(prob, (0, 1, 2), [0.7, 0.4, 0.9], graph, value=value)
+        assert len(calls) == len(set(calls))
+        assert not {(0.0, 0.0), (0.5, 0.0), (0.2, 0.7)} & set(calls)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_batched_greedy_matches_one_solve_per_candidate(self, data):
+        prob = data.draw(slot_problems(min_users=2, max_users=6))
+        n_ch = data.draw(st.integers(1, 4))
+        p_idle = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_ch, max_size=n_ch))
+        pairs = [(i, j) for i in range(1, prob.n_fbs + 1) for j in range(i + 1, prob.n_fbs + 1)]
+        edges = tuple(e for e in pairs if data.draw(st.booleans()))
+        graph = InterferenceGraph(prob.n_fbs, edges)
+        opts = dict(step=0.01, phi=1e-8, max_iters=data.draw(st.integers(1, 120)))
+        channels = tuple(range(10, 10 + n_ch))
+        alloc, trace = greedy_alloc(
+            prob, channels, p_idle, graph, value=AllocationValue(prob, **opts)
+        )
+        assigned, expected = one_solve_per_candidate_greedy(
+            prob, channels, p_idle, graph, AllocationValue(prob, **opts)
+        )
+        assert trace == expected
+        assert np.array_equal(alloc.assigned, assigned)
 
     def test_exhaustive_search_refuses_oversized_grids(self):
         rng = make_rng(30, 91)
