@@ -1,4 +1,4 @@
-"""Shared network primitives: stations, users, block-fading gains, unit helpers.
+"""Shared network primitives: block-fading gains and unit helpers.
 
 Channel gains are redrawn independently every slot (block fading). Sampling is
 a pure function of (seed, slot_index), so sweep points and Monte-Carlo seeds
@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-MBS_ID = 0
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
@@ -25,60 +23,6 @@ def watts_to_dbm(power_w: float) -> float:
     if power_w <= 0:
         raise ValueError(f"power must be positive to express in dBm, got {power_w}")
     return 10.0 * math.log10(power_w / 1e-3)
-
-
-def dbm_to_watts(power_dbm: float) -> float:
-    return 1e-3 * 10.0 ** (power_dbm / 10.0)
-
-
-@dataclass(frozen=True)
-class BaseStation:
-    """One transmitter. Station 0 is the macro station, 1..M are femto stations."""
-
-    ident: int
-    bandwidth_hz: float
-
-    def __post_init__(self):
-        if self.ident < 0:
-            raise ValueError("station ids start at 0")
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-
-    @property
-    def is_macro(self) -> bool:
-        return self.ident == MBS_ID
-
-
-def validate_stations(stations) -> None:
-    """Stations must be ids 0..M in order: one macro station, then the femtos."""
-    ids = [s.ident for s in stations]
-    if ids != list(range(len(stations))):
-        raise ValueError(f"station ids must be 0..{len(stations) - 1} in order, got {ids}")
-
-
-@dataclass(frozen=True)
-class UserPopulation:
-    """Users 0..count-1; coverage[k] is the femto station covering user k (0 = macro only).
-
-    Every user is always reachable from the macro station; at most one femto
-    covers any given user.
-    """
-
-    count: int
-    coverage: tuple
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("need at least one user")
-        if len(self.coverage) != self.count:
-            raise ValueError("coverage must list one femto id (or 0) per user")
-        if any(c < 0 for c in self.coverage):
-            raise ValueError("coverage entries must be >= 0")
-
-    def validate_against(self, n_stations: int) -> None:
-        bad = [c for c in self.coverage if c >= n_stations]
-        if bad:
-            raise ValueError(f"coverage refers to unknown stations {bad}")
 
 
 @dataclass(frozen=True)

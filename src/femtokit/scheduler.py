@@ -291,6 +291,13 @@ def _iterate(
     lowest dual values; per row, its branch patterns mapped to the
     iteration that first met them, in order of appearance; and, with
     keep_iterates, per row its (iteration, prices) at every iterate.
+
+    A row's prices are its whole state, so once they repeat an earlier
+    iterate bit for bit every later iterate repeats with that period: its
+    lowest dual value and branch patterns are final and it never converges.
+    Without keep_iterates such a row runs on only to the iteration whose
+    prices equal those after max_iters, and leaves the stack there. Repeats
+    are found Brent-style against a snapshot taken at powers of two.
     """
     n_rows = len(g_user)
     iterations = np.full(n_rows, max_iters)
@@ -300,12 +307,17 @@ def _iterate(
     first_seen = [{} for _ in range(n_rows)]
     iterates = [[] for _ in range(n_rows)]
     # the active stack: rows still iterating, their prices and lowest dual
-    # values so far, and the branch patterns of their previous iterate
+    # values so far, the branch patterns of their previous iterate, and the
+    # iteration at which a cycling row leaves (0 until it repeats)
     rows = np.arange(n_rows)
     respond = _Responder(problem, g_user)
     prices = np.tile(start, (n_rows, 1))
     dual = np.full(n_rows, math.inf)
     last, last_code = None, b""
+    due = np.zeros(n_rows, dtype=int)
+    next_due = max_iters + 1
+    # prices of iterate snap_it, compared as integers so -0.0 differs from 0.0
+    snapshot, snap_it = prices.view(np.int64), 1
     for it in range(1, max_iters + 1):
         connect, rho0, rhof, values = respond(prices)
         dual = np.minimum(dual, values.sum(axis=1) + prices.sum(axis=1))
@@ -326,14 +338,33 @@ def _iterate(
         moved = ((new_prices - prices) ** 2).sum(axis=1)
         prices = new_prices
         done = moved <= phi
-        if done.any():
+        leave = done
+        if not keep_iterates:
+            bits = prices.view(np.int64)
+            repeat = (bits == snapshot).all(axis=1)
+            if repeat.any():
+                # iterate it + 1 equals iterate snap_it: leave at the first
+                # iteration whose next prices are those after max_iters
+                period = it + 1 - snap_it
+                leave_at = it + (max_iters - it) % period
+                due[repeat] = leave_at
+                next_due = min(next_due, leave_at)
+            if it == next_due:
+                leave = done | (due == it)
+                pending = due[due > it]
+                next_due = pending.min() if pending.size else max_iters + 1
+            if not it & (it + 1):
+                snapshot, snap_it = bits, it + 1
+        if leave.any():
             finished = rows[done]
             converged[finished] = True
             iterations[finished] = it
-            last_prices[finished] = prices[done]
-            best_dual[finished] = dual[done]
-            live = ~done
+            finished = rows[leave]
+            last_prices[finished] = prices[leave]
+            best_dual[finished] = dual[leave]
+            live = ~leave
             rows, prices, dual, last = rows[live], prices[live], dual[live], last[live]
+            due, snapshot = due[live], snapshot[live]
             if not rows.size:
                 break
             respond = _Responder(problem, g_user[rows])

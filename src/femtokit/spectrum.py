@@ -148,21 +148,6 @@ def fuse_beliefs_batch(busy_prior: float, observations, profiles) -> float:
     return like_idle / denom
 
 
-@dataclass(frozen=True)
-class AvailabilityBelief:
-    """Fused idle posterior for one channel plus the reports behind it."""
-
-    p_idle: float
-    observations: tuple
-
-    @classmethod
-    def fuse(cls, busy_prior: float, observations, profiles) -> "AvailabilityBelief":
-        return cls(
-            p_idle=fuse_beliefs(busy_prior, observations, profiles),
-            observations=tuple(observations),
-        )
-
-
 def access_probability(p_idle: float, gamma: float) -> float:
     """min(gamma / P(busy), 1): the largest access rate keeping expected
     collisions per slot at or below gamma."""

@@ -14,42 +14,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class VideoSequence:
-    """Rate-quality description of one encoded sequence.
-
-    alpha_db is the base-layer PSNR, beta_db_per_bps the enhancement slope.
-    max_rate_bps optionally caps the encoded rate: delivering more than the
-    encoding holds cannot raise quality past alpha + beta*max_rate.
-    """
-
-    name: str
-    alpha_db: float
-    beta_db_per_bps: float
-    max_rate_bps: "float | None" = None
-
-    def __post_init__(self):
-        if self.alpha_db <= 0:
-            raise ValueError("base-layer PSNR must be positive")
-        if self.beta_db_per_bps < 0:
-            raise ValueError("rate-quality slope cannot be negative")
-        if self.max_rate_bps is not None and self.max_rate_bps <= 0:
-            raise ValueError("max encoded rate must be positive when given")
-
-    @property
-    def max_psnr_db(self) -> "float | None":
-        if self.max_rate_bps is None:
-            return None
-        return self.alpha_db + self.beta_db_per_bps * self.max_rate_bps
-
-
-def psnr_of_rate(sequence: VideoSequence, rate_bps: float) -> float:
-    """Affine rate-quality map alpha + beta*R (uncapped)."""
-    if rate_bps < 0:
-        raise ValueError("rate must be non-negative")
-    return sequence.alpha_db + sequence.beta_db_per_bps * rate_bps
-
-
-@dataclass(frozen=True)
 class LossModel:
     """Bernoulli slot-loss probabilities from an exponential SINR law.
 

@@ -1,4 +1,4 @@
-"""Units, station bookkeeping, and seeded fading draws."""
+"""Units, seeded random streams, and fading draws."""
 
 import math
 
@@ -8,15 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from femtokit.netmodel import (
-    MBS_ID,
-    BaseStation,
     FadingSpec,
-    UserPopulation,
-    dbm_to_watts,
     footprint_volume,
     make_rng,
     sample_gains,
-    validate_stations,
     watts_to_dbm,
 )
 
@@ -36,7 +31,7 @@ class TestUnits:
 
     @given(st.floats(min_value=-80.0, max_value=80.0))
     def test_round_trip(self, dbm):
-        assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-9)
+        assert watts_to_dbm(1e-3 * 10.0 ** (dbm / 10.0)) == pytest.approx(dbm, abs=1e-9)
 
     @given(st.floats(min_value=1e-12, max_value=1e6), st.integers(min_value=1, max_value=1000))
     def test_power_ratio_is_decibel_difference(self, watts, ratio):
@@ -58,36 +53,6 @@ class TestRngStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             make_rng(-1)
-
-
-class TestStations:
-    def test_macro_flag(self):
-        assert BaseStation(MBS_ID, 1e6).is_macro
-        assert not BaseStation(1, 1e6).is_macro
-
-    def test_invalid_station_rejected(self):
-        with pytest.raises(ValueError):
-            BaseStation(-1, 1e6)
-        with pytest.raises(ValueError):
-            BaseStation(0, 0.0)
-
-    def test_station_list_must_be_ordered_from_macro(self):
-        good = [BaseStation(0, 2e6), BaseStation(1, 1e6), BaseStation(2, 1e6)]
-        validate_stations(good)
-        with pytest.raises(ValueError):
-            validate_stations(good[1:])
-        with pytest.raises(ValueError):
-            validate_stations([good[0], good[2]])
-
-    def test_population_coverage_bounds(self):
-        pop = UserPopulation(3, (0, 1, 2))
-        pop.validate_against(3)
-        with pytest.raises(ValueError):
-            pop.validate_against(2)
-        with pytest.raises(ValueError):
-            UserPopulation(2, (0, 1, 2))
-        with pytest.raises(ValueError):
-            UserPopulation(2, (0, -1))
 
 
 class TestFading:

@@ -367,6 +367,172 @@ class TestBatchedPriceIteration:
             solve_noninterfering_batch(prob, [[1.0, 1.0]], prices_init=[1.0, -1.0, 1.0])
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def plain_price_iteration(prob, gi, start, step, phi, max_iters):
+    """Reference for one row: the price iteration run alone, every iterate.
+
+    Returns, for each iteration cap m in 1..max_iters, the (prices,
+    iterations, converged, dual_value) that a solve capped at m reports,
+    and the (iterate, period) at which the prices first repeat an earlier
+    iterate bit for bit, or None.
+    """
+    g_user = np.asarray(gi, dtype=float)[prob.assoc - 1][None, :]
+    respond = scheduler._Responder(prob, g_user)
+
+    def lagrangian(prices):
+        _, rho0, rhof, values = respond(prices)
+        return respond.load(rho0, rhof), values.sum(axis=1)[0] + prices.sum(axis=1)[0]
+
+    prices = np.array(start, dtype=float)[None, :]
+    load, here = lagrangian(prices)
+    low = math.inf
+    seen, first_repeat = {prices.tobytes(): 1}, None
+    per_cap = []
+    for it in range(1, max_iters + 1):
+        low = min(low, here)
+        new_prices = dual_update(prices, load, step)
+        moved = ((new_prices - prices) ** 2).sum(axis=1)[0]
+        prices = new_prices
+        load, here = lagrangian(prices)
+        result = (prices[0], it, bool(moved <= phi), min(low, here))
+        if moved <= phi:
+            per_cap += [result] * (max_iters + 1 - it)
+            break
+        per_cap.append(result)
+        key = prices.tobytes()
+        if first_repeat is None and key in seen:
+            first_repeat = (it + 1, it + 1 - seen[key])
+        seen.setdefault(key, it + 1)
+    return per_cap, first_repeat
+
+
+def assert_matches_plain(batch, plain, cap):
+    for sol, (per_cap, _) in zip(batch, plain):
+        prices, iterations, converged, dual = per_cap[cap - 1]
+        assert bits(sol.prices) == bits(prices)
+        assert sol.iterations == iterations
+        assert sol.converged == converged
+        assert bits(sol.dual_value) == bits(dual)
+
+
+def phase_caps(first_repeat, horizon):
+    """Caps over two full periods from the first repeat, and over two more
+    from where a power-of-two snapshot has surely caught the cycle."""
+    first, period = first_repeat
+    late = 2 * first + period
+    caps = set(range(first, first + 2 * period + 1)) | set(range(late, late + 2 * period + 1))
+    return {cap for cap in caps if cap <= horizon}
+
+
+@st.composite
+def kink_problems(draw):
+    """fig10-like slots: a few users with equal quality rates on one or two
+    femtos, where the price iteration often falls into an exact cycle."""
+    n_fbs = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 5))
+
+    def per_user(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+
+    return SlotProblem(
+        w_minus=per_user(30.0, 42.0),
+        pbar_mbs=per_user(0.55, 0.65),
+        pbar_fbs=per_user(0.7, 0.85),
+        rate_mbs=np.full(k, 5.0),
+        rate_fbs=np.full(k, 5.0),
+        assoc=draw(st.lists(st.integers(1, n_fbs), min_size=k, max_size=k)),
+        n_fbs=n_fbs,
+        fbs_gi=np.zeros(n_fbs),
+    )
+
+
+# a fig10 slot at eta 0.7 (3 users, one femto); the macro price rests at 0
+FIG10_SLOT = SlotProblem(
+    w_minus=[33.470803760008714, 36.37955214748384, 38.23435897261816],
+    pbar_mbs=[0.6065306597126334] * 3,
+    pbar_fbs=[0.7165313105737893, 0.7788007830714049, 0.8187307530779818],
+    rate_mbs=[5.0] * 3,
+    rate_fbs=[5.0] * 3,
+    assoc=[1, 1, 1],
+    n_fbs=1,
+    fbs_gi=[0.3103448275862069],
+)
+FIG10_START = [0.0, 0.05916348741607141]
+
+
+class TestCycleExit:
+    """Rows whose prices repeat stop early; every output stays that of the
+    plain iteration run to the cap."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_row_matches_the_plain_iteration(self, data):
+        prob = data.draw(kink_problems())
+        # fig10's expected channel counts stay below about 1.5
+        gis = [[0.5 * g for g in row] for row in data.draw(channel_stacks(prob.n_fbs))]
+        step = data.draw(st.sampled_from([0.01, 0.02, 0.05]))
+        phi = data.draw(st.sampled_from([0.0, 1e-6]))
+        warm = data.draw(st.sampled_from(["ones", "demand", "drawn"]))
+        if warm == "ones":
+            start = np.ones(prob.n_fbs + 1)
+        elif warm == "demand":
+            start = init_prices(prob, gi=gis[0])
+        else:
+            n = prob.n_fbs + 1
+            start = data.draw(st.lists(st.floats(0.0, 0.2), min_size=n, max_size=n))
+        horizon = 120
+        plain = [plain_price_iteration(prob, gi, start, step, phi, horizon) for gi in gis]
+        caps = {horizon} | set(data.draw(st.lists(st.integers(1, horizon), max_size=3)))
+        for _, first_repeat in plain:
+            if first_repeat is not None:
+                caps |= phase_caps(first_repeat, horizon)
+        for cap in sorted(caps):
+            batch = solve_noninterfering_batch(
+                prob, gis, prices_init=start, step=step, phi=phi, max_iters=cap
+            )
+            assert_matches_plain(batch, plain, cap)
+
+    def test_fig10_slot_stack_mixes_all_three_row_kinds(self):
+        # channel counts whose rows converge, cycle from iterate 5 with
+        # period 3, never repeat, and converge
+        gis = [[0.0], [0.3103448275862069], [0.7], [1.2]]
+        opts = dict(step=0.01, phi=1e-6)
+        horizon = 2000
+        plain = [
+            plain_price_iteration(FIG10_SLOT, gi, FIG10_START, max_iters=horizon, **opts)
+            for gi in gis
+        ]
+        assert [first_repeat for _, first_repeat in plain] == [None, (5, 3), None, None]
+        assert [per_cap[-1][2] for per_cap, _ in plain] == [True, False, False, True]
+        for cap in sorted(phase_caps((5, 3), horizon) | {1, 4, 100, horizon - 1, horizon}):
+            batch = solve_noninterfering_batch(
+                FIG10_SLOT, gis, prices_init=FIG10_START, max_iters=cap, **opts
+            )
+            assert_matches_plain(batch, plain, cap)
+
+    def test_trace_keeps_every_iterate_of_a_cycling_row(self):
+        max_iters = 200
+        sol = solve_noninterfering(
+            FIG10_SLOT, prices_init=FIG10_START, step=0.01, phi=1e-6, max_iters=max_iters,
+            record_trace=True,
+        )
+        assert not sol.converged and sol.iterations == max_iters
+        assert [it for it, _, _ in sol.trace] == list(range(1, max_iters + 1))
+        # iterate 5 repeats iterate 2, and so on with period 3
+        prices = [p for _, p, _ in sol.trace]
+        assert all(bits(prices[i]) == bits(prices[i + 3]) for i in range(1, max_iters - 3))
+        assert bits(prices[0]) != bits(prices[3])
+        untraced = solve_noninterfering(
+            FIG10_SLOT, prices_init=FIG10_START, step=0.01, phi=1e-6, max_iters=max_iters
+        )
+        assert bits(untraced.prices) == bits(sol.prices)
+        assert bits(untraced.dual_value) == bits(sol.dual_value)
+        assert untraced.objective == sol.objective
+
+
 class TestHeuristics:
     def test_equal_split_within_each_pool(self):
         prob = SlotProblem(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from femtokit.netmodel import make_rng
 from femtokit.spectrum import (
     AccessPolicy,
-    AvailabilityBelief,
     PrimaryChannel,
     SensorProfile,
     access_probability,
@@ -132,11 +131,6 @@ class TestFusion:
             fuse_beliefs(0.5, [2], [SensorProfile(0.3, 0.3)])
         with pytest.raises(ValueError):
             fuse_beliefs(1.2, [0], [SensorProfile(0.3, 0.3)])
-
-    def test_belief_wrapper_carries_reports(self):
-        belief = AvailabilityBelief.fuse(0.5, [0], [SensorProfile(0.3, 0.3)])
-        assert belief.p_idle == pytest.approx(0.7, abs=1e-12)
-        assert belief.observations == (0,)
 
 
 class TestAccess:

@@ -10,33 +10,21 @@ from hypothesis import strategies as st
 from femtokit.video import (
     LossModel,
     StreamState,
-    VideoSequence,
     loss_probability,
-    psnr_of_rate,
     success_probability,
     update_psnr,
 )
 
 
 class TestRateQuality:
-    def test_affine_hand_value(self):
-        seq = VideoSequence("clip", alpha_db=30.0, beta_db_per_bps=5e-5)
-        assert psnr_of_rate(seq, 2e5) == pytest.approx(40.0, abs=1e-12)
-
-    def test_quality_cap_at_encoded_rate(self):
-        seq = VideoSequence("clip", 30.0, 5e-5, max_rate_bps=1.2e5)
-        assert seq.max_psnr_db == pytest.approx(36.0)
-        assert VideoSequence("clip", 30.0, 5e-5).max_psnr_db is None
-
     def test_validation(self):
+        # base-layer quality alpha and the per-share quality rates of W = alpha + beta*R
         with pytest.raises(ValueError):
-            VideoSequence("clip", 0.0, 5e-5)
+            StreamState(np.zeros(2), np.ones(2), np.ones(2), np.full(2, np.inf))
         with pytest.raises(ValueError):
-            VideoSequence("clip", 30.0, -1e-6)
+            StreamState(np.full(2, 30.0), np.array([1.0, -1e-6]), np.ones(2), np.full(2, np.inf))
         with pytest.raises(ValueError):
-            VideoSequence("clip", 30.0, 5e-5, max_rate_bps=0.0)
-        with pytest.raises(ValueError):
-            psnr_of_rate(VideoSequence("clip", 30.0, 5e-5), -1.0)
+            StreamState(np.full(2, 30.0), np.ones(2), np.array([-1e-6, 1.0]), np.full(2, np.inf))
 
 
 class TestLossModel:
