@@ -2,122 +2,3 @@
 stochastic scheduling of scalable video over sensed licensed spectrum."""
 
 __version__ = "0.1.0"
-
-from .multicast import (
-    LevelAssignment,
-    LevelDemand,
-    PowerAllocation,
-    PowerBounds,
-    bounds,
-    brute_force_multicast,
-    f_step,
-    folded_total,
-    heuristic_assign,
-    snr_threshold,
-    snr_thresholds,
-    solve_case1,
-    solve_case2,
-    solve_case3,
-    total_power,
-    verify_feasible,
-)
-from .netmodel import (
-    FadingSpec,
-    footprint_volume,
-    make_rng,
-    sample_gains,
-    watts_to_dbm,
-)
-from .scheduler import (
-    AllocationValue,
-    ChannelAllocation,
-    GreedyStep,
-    GreedyTrace,
-    InterferenceGraph,
-    ScheduleSolution,
-    SlotProblem,
-    brute_force_alloc,
-    dual_update,
-    greedy_alloc,
-    heuristic_diversity,
-    heuristic_equal,
-    init_prices,
-    objective_value,
-    optbound_upper,
-    solve_noninterfering,
-)
-from .spectrum import (
-    AccessDecision,
-    AccessPolicy,
-    PrimaryChannel,
-    SensorProfile,
-    access_probability,
-    decide_access,
-    fuse_beliefs,
-    fuse_beliefs_batch,
-    sense,
-    step_primary,
-)
-from .video import (
-    LossModel,
-    StreamState,
-    loss_probability,
-    success_probability,
-    update_psnr,
-)
-
-__all__ = [
-    "__version__",
-    "FadingSpec",
-    "footprint_volume",
-    "make_rng",
-    "sample_gains",
-    "watts_to_dbm",
-    "LevelAssignment",
-    "LevelDemand",
-    "PowerAllocation",
-    "PowerBounds",
-    "bounds",
-    "brute_force_multicast",
-    "f_step",
-    "folded_total",
-    "heuristic_assign",
-    "snr_threshold",
-    "snr_thresholds",
-    "solve_case1",
-    "solve_case2",
-    "solve_case3",
-    "total_power",
-    "verify_feasible",
-    "AccessDecision",
-    "AccessPolicy",
-    "PrimaryChannel",
-    "SensorProfile",
-    "access_probability",
-    "decide_access",
-    "fuse_beliefs",
-    "fuse_beliefs_batch",
-    "sense",
-    "step_primary",
-    "LossModel",
-    "StreamState",
-    "loss_probability",
-    "success_probability",
-    "update_psnr",
-    "AllocationValue",
-    "ChannelAllocation",
-    "GreedyStep",
-    "GreedyTrace",
-    "InterferenceGraph",
-    "ScheduleSolution",
-    "SlotProblem",
-    "brute_force_alloc",
-    "dual_update",
-    "greedy_alloc",
-    "heuristic_diversity",
-    "heuristic_equal",
-    "init_prices",
-    "objective_value",
-    "optbound_upper",
-    "solve_noninterfering",
-]

@@ -1,19 +1,2 @@
 """Batch experiment harness: JSON scenario configs, Monte-Carlo runners,
 deterministic CSV output, and self-checking oracles."""
-
-from .config import ConfigError, MulticastConfig, StreamConfig, load_config
-from .csvio import COLUMNS, ResultRow, aggregate, format_sweep, read_rows, write_aggregate, write_rows
-
-__all__ = [
-    "ConfigError",
-    "MulticastConfig",
-    "StreamConfig",
-    "load_config",
-    "COLUMNS",
-    "ResultRow",
-    "aggregate",
-    "format_sweep",
-    "read_rows",
-    "write_aggregate",
-    "write_rows",
-]

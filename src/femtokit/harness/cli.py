@@ -9,23 +9,31 @@ import sys
 
 from .config import ConfigError, MulticastConfig, StreamConfig, load_config
 from .csvio import write_aggregate, write_rows
-from .runners import HarnessError, oracle_check, run_multicast, run_streaming
+from .oracles import oracle_check
+from .runners import HarnessError, run_multicast, run_streaming
 
 
 def parse_seeds(spec: str) -> list:
-    """'4' -> [4]; '0..9' -> [0..9] inclusive; '1,5,9' -> [1, 5, 9]."""
+    """'4' -> [4]; '0..9' -> [0..9] inclusive; '1,5,9' -> [1, 5, 9].
+
+    Seeds are nonnegative integers.
+    """
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        if "," in spec:
-            return [int(s) for s in spec.split(",")]
-        return [int(spec)]
+            seeds = list(range(lo, hi + 1))
+        elif "," in spec:
+            seeds = [int(s) for s in spec.split(",")]
+        else:
+            seeds = [int(spec)]
     except ValueError:
         raise ConfigError(f"cannot parse seed spec {spec!r}; use 'a', 'a..b', or 'a,b,c'") from None
+    if min(seeds) < 0:
+        raise ConfigError(f"seed spec {spec!r} has a negative seed")
+    return seeds
 
 
 def _add_run_args(sub, with_budget: bool):
@@ -62,6 +70,8 @@ def _emit(rows, args) -> None:
 def _run(args) -> int:
     cfg = load_config(args.config)
     seeds = parse_seeds(args.seeds)
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
     if args.command == "multicast":
         if not isinstance(cfg, MulticastConfig):
             raise ConfigError(f"{args.config} is not a multicast scenario")

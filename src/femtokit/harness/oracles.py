@@ -1,11 +1,39 @@
-"""Independent reference solvers used to cross-check the fast algorithms."""
+"""Independent reference solvers, the random instances they are checked
+on, and the cross-check battery that `oracle-check` and the acceptance
+suite both run."""
 
 import itertools
 import math
+import os
+import traceback
 
 import numpy as np
 
-from ..scheduler import SlotProblem
+from ..multicast import (
+    LevelAssignment,
+    LevelDemand,
+    bounds,
+    brute_force_multicast,
+    folded_total,
+    heuristic_assign,
+    solve_case1,
+    solve_case2,
+    solve_case3,
+    total_power,
+    verify_feasible,
+)
+from ..netmodel import make_rng
+from ..scheduler import (
+    AllocationValue,
+    InterferenceGraph,
+    SlotProblem,
+    brute_force_alloc,
+    greedy_alloc,
+    optbound_upper,
+    solve_noninterfering,
+)
+from ..spectrum import PrimaryChannel, SensorProfile, fuse_beliefs, fuse_beliefs_batch, step_primary
+from ..video import StreamState, update_psnr
 
 
 def waterfill_pool(pbar, w, rate, iters: int = 200):
@@ -157,8 +185,6 @@ def diminishing_gains_margin(problem, channels, p_idle, graph, value=None, max_p
     instance where an extra channel flips a user onto a different
     transmitter pool, producing increasing returns that void both bounds.
     """
-    from ..scheduler import AllocationValue
-
     p_idle = np.asarray(p_idle, dtype=float)
     n = problem.n_fbs
     pairs = [(i, m) for i in range(1, n + 1) for m in range(len(channels))]
@@ -216,3 +242,281 @@ def markov_busy_fraction(p01: float, p10: float) -> float:
         raise ValueError("absorbing chain has no unique stationary law")
     return p01 / denom
 
+
+def random_multicast(rng, n_users, n_fbs, levels, full_overlap=False):
+    """Random demand, gains and SNR thresholds for one multicast instance.
+
+    Each user wants a uniform layer and is covered by the macro plus a
+    uniform choice among no femto and the n_fbs femtos (femto 1 for every
+    user with full_overlap). Gains are unit exponential plus 1e-3,
+    thresholds uniform in [0.2, 4].
+    """
+    user_level = tuple(int(v) for v in 1 + rng.integers(0, levels, n_users))
+    if n_fbs == 0:
+        coverage = (0,) * n_users
+    elif full_overlap:
+        coverage = (1,) * n_users
+    else:
+        coverage = tuple(int(v) for v in rng.integers(0, n_fbs + 1, n_users))
+    demand = LevelDemand(num_levels=levels, user_level=user_level, coverage=coverage)
+    gains = rng.exponential(1.0, (n_fbs + 1, n_users)) + 1e-3
+    thresholds = rng.uniform(0.2, 4.0, n_fbs + 1)
+    return demand, gains, thresholds
+
+
+def random_slot_problem(rng, n_users, n_fbs=1):
+    """Well-conditioned slot: rates comparable to the current quality keep
+    the binding prices large enough for the constant-step iteration."""
+    return SlotProblem(
+        w_minus=rng.uniform(25.0, 45.0, n_users),
+        pbar_mbs=rng.uniform(0.3, 1.0, n_users),
+        pbar_fbs=rng.uniform(0.3, 1.0, n_users),
+        rate_mbs=rng.uniform(30.0, 120.0, n_users),
+        rate_fbs=rng.uniform(30.0, 120.0, n_users),
+        assoc=1 + rng.integers(0, n_fbs, n_users),
+        n_fbs=n_fbs,
+        fbs_gi=rng.uniform(0.5, 3.0, n_fbs),
+    )
+
+
+# Cross-checks between independent implementations. Each check_*(rng,
+# count) runs `count` random instances drawn from rng and returns its detail
+# line, or raises AssertionError on the first disagreement.
+
+
+def check_recursion_vs_folded(rng, count):
+    """The backward power recursion equals the folded closed-form sum."""
+    worst = 0.0
+    for _ in range(count):
+        demand, gains, thresholds = random_multicast(
+            rng, int(rng.integers(1, 7)), int(rng.integers(0, 3)), int(rng.integers(1, 5))
+        )
+        assignment = heuristic_assign(demand, gains)
+        a = total_power(assignment, gains, thresholds, 1.0)
+        f = folded_total(assignment, gains, thresholds, 1.0)
+        rel = abs(a.total - f) / max(a.total, 1e-300)
+        worst = max(worst, rel)
+        assert rel <= 1e-9, f"recursion {a.total} vs folded {f} (rel {rel})"
+    return f"{count} instances, worst relative difference {worst:.3g}"
+
+
+def check_single_station_closed_form(rng, count):
+    """The one-station closed form, the backward recursion and the folded
+    sum give the same totals; the two-layer worst-unit-gain case costs 15
+    with every post-cancellation SNR exactly at threshold 3."""
+    worst = 0.0
+    for _ in range(count):
+        n_users, levels = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        demand, gains, thresholds = random_multicast(rng, n_users, 0, levels)
+        closed = solve_case1(demand, gains, thresholds, noise=1.0).total
+        assignment = LevelAssignment(demand, (0,) * n_users)
+        recursed = total_power(assignment, gains, thresholds, noise=1.0).total
+        folded = folded_total(assignment, gains, thresholds, noise=1.0)
+        assert abs(closed - recursed) <= 1e-9 * recursed, (
+            f"recursion {recursed} vs closed form {closed}"
+        )
+        scale = max(1.0, abs(recursed))
+        worst = max(worst, abs(closed - recursed) / scale, abs(folded - recursed) / scale)
+        assert worst <= 1e-9, f"recursion {recursed}, closed form {closed}, folded {folded}"
+
+    demand = LevelDemand(2, (1, 2), (0, 0))
+    alloc = solve_case1(demand, np.ones((1, 2)), [3.0], noise=1.0)
+    report = verify_feasible(alloc, LevelAssignment(demand, (0, 0)), np.ones((1, 2)), [3.0])
+    slack = float(np.max(np.abs(report.snr_slack)))
+    assert abs(alloc.total - 15.0) <= 1e-9, f"hand case total {alloc.total}, expected 15"
+    assert slack <= 1e-9, f"hand case SNR off threshold by {slack}"
+    return (
+        f"{count} instances, worst relative spread {worst:.2e} (tol 1e-9); "
+        f"hand case total {alloc.total:.12g}, max SNR slack {slack:.2e}"
+    )
+
+
+def check_solvers_and_bounds(rng, count):
+    """The closed-form bounds bracket the exhaustive optimum in order, and
+    every whole-layer solver that applies is feasible and never below it."""
+    gaps = []
+    for _ in range(count):
+        n_users, n_fbs, levels = (
+            int(rng.integers(1, 9)), int(rng.integers(0, 3)), int(rng.integers(1, 5))
+        )
+        # full overlap exercises the two-station solver
+        demand, gains, thresholds = random_multicast(
+            rng, n_users, n_fbs, levels, full_overlap=n_fbs == 1
+        )
+        _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
+        b = bounds(demand, gains, thresholds, noise=1.0)
+        assert b.lower_loose <= b.lower_tight * (1 + 1e-12), "loose lower above tight lower"
+        assert b.lower_tight <= best.total * (1 + 1e-9), (
+            f"lower bound {b.lower_tight} above optimum {best.total}"
+        )
+        assert best.total <= b.upper_tight * (1 + 1e-9), (
+            f"optimum {best.total} above tight upper bound {b.upper_tight}"
+        )
+        assert b.upper_tight <= b.upper_loose * (1 + 1e-12), "tight upper above loose upper"
+
+        solved = []
+        if n_fbs == 0:
+            solved.append((LevelAssignment(demand, (0,) * n_users),
+                           solve_case1(demand, gains, thresholds, noise=1.0)))
+        else:
+            if n_fbs == 1:
+                solved.append(solve_case2(demand, gains, thresholds, noise=1.0))
+            solved.append(solve_case3(demand, gains, thresholds, noise=1.0))
+        for assignment, alloc in solved:
+            assert verify_feasible(alloc, assignment, gains, thresholds).feasible, (
+                "solver allocation violates an SNR constraint"
+            )
+            assert alloc.total >= best.total * (1 - 1e-9), "solver beat the exhaustive optimum"
+            gaps.append(alloc.total / best.total - 1.0)
+    return f"{count} instances, mean optimality gap {np.mean(gaps):.2%}, max {np.max(gaps):.2%}"
+
+
+def check_fusion_routes(rng, count):
+    """Sequential odds fusion equals the batch posterior on every six-report
+    sequence and on count random report sets, and one idle report at an
+    even prior lands on 0.7 exactly. With count 0, rng is never drawn."""
+    cases = [
+        (0.4 / (0.4 + 0.3), obs, [SensorProfile(0.3, 0.3)] * 6)
+        for obs in itertools.product((0, 1), repeat=6)
+    ]
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        prior = float(rng.uniform(0.01, 0.99))
+        profiles = [
+            SensorProfile(float(rng.uniform(0.01, 0.49)), float(rng.uniform(0.01, 0.49)))
+            for _ in range(n)
+        ]
+        cases.append((prior, [int(v) for v in rng.integers(0, 2, n)], profiles))
+    worst = 0.0
+    for prior, obs, profiles in cases:
+        seq = fuse_beliefs(prior, obs, profiles)
+        batch = fuse_beliefs_batch(prior, obs, profiles)
+        worst = max(worst, abs(seq - batch))
+        assert abs(seq - batch) <= 1e-12, f"sequential {seq} vs batch {batch}"
+    hand = fuse_beliefs(0.5, [0], [SensorProfile(0.3, 0.3)])
+    assert abs(hand - 0.7) <= 1e-12, f"single idle report posterior {hand}, expected 0.7"
+    return (
+        f"{len(cases)} sequences, worst |sequential - batch| {worst:.2e} (tol 1e-12); "
+        f"single idle report posterior {hand:.12g}"
+    )
+
+
+def check_markov_fraction(rng, count):
+    """A simulated occupancy chain is busy for its stationary fraction."""
+    p01, p10 = 0.4, 0.3
+    ch = PrimaryChannel(p01, p10)
+    ch.reset_stationary(rng)
+    busy = 0
+    for _ in range(count):
+        busy += step_primary(ch, rng)
+    frac = busy / count
+    expect = markov_busy_fraction(p01, p10)
+    assert abs(frac - expect) <= 0.005, f"simulated busy fraction {frac} vs stationary {expect}"
+    return f"empirical {frac:.4f} vs stationary {expect:.4f} over {count} slots"
+
+
+def check_dual_vs_exact(rng, count):
+    """The price iteration matches the enumerated optimum of a slot."""
+    worst = 0.0
+    for _ in range(count):
+        problem = random_slot_problem(rng, int(rng.integers(1, 7)), int(rng.integers(1, 3)))
+        sol = solve_noninterfering(problem, step=0.005, phi=1e-14, max_iters=20_000)
+        _, _, _, best = exact_schedule(problem)
+        rel = abs(sol.objective - best) / max(abs(best), 1e-12)
+        worst = max(worst, rel)
+        assert rel <= 1e-4, f"dual {sol.objective} vs exact {best} (rel {rel})"
+    return f"{count} instances, worst relative objective error {worst:.3g}"
+
+
+def check_greedy_vs_exhaustive(rng, count):
+    """Greedy channel allocation keeps its 1/(1 + d_max) guarantee and the
+    additive upper bound against the exhaustive allocation."""
+    worst_ratio = math.inf
+    skipped = 0
+    for _ in range(count):
+        n_fbs = int(rng.integers(2, 4))
+        n_ch = int(rng.integers(1, 3))
+        problem = random_slot_problem(rng, int(rng.integers(2, 6)), n_fbs)
+        all_edges = [(i, j) for i in range(1, n_fbs + 1) for j in range(i + 1, n_fbs + 1)]
+        take = rng.random(len(all_edges)) < 0.5
+        graph = InterferenceGraph(n_fbs, tuple(e for e, t in zip(all_edges, take) if t))
+        p_idle = rng.uniform(0.2, 1.0, n_ch)
+        value = AllocationValue(problem, step=0.005, phi=1e-10, max_iters=4000)
+        # the factor and upper bound only hold while marginal gains shrink;
+        # draws where an extra channel flips a user across pools are skipped
+        if diminishing_gains_margin(problem, tuple(range(n_ch)), p_idle, graph, value) < -1e-6:
+            skipped += 1
+            continue
+        _, trace = greedy_alloc(problem, tuple(range(n_ch)), p_idle, graph, value=value)
+        _, opt = brute_force_alloc(problem, tuple(range(n_ch)), p_idle, graph, value=value)
+        tol = 1e-6 * max(1.0, abs(opt))
+        bound = opt / (1.0 + graph.d_max)
+        assert trace.value >= bound - tol, f"greedy {trace.value} below guarantee {bound}"
+        assert opt <= optbound_upper(trace) + tol, (
+            f"optimum {opt} above greedy upper bound {optbound_upper(trace)}"
+        )
+        if opt > 0:
+            worst_ratio = min(worst_ratio, trace.value / opt)
+    return (
+        f"{count} draws ({skipped} outside the diminishing-gains regime), "
+        f"worst greedy/optimal ratio {worst_ratio:.3f}"
+    )
+
+
+def check_psnr_telescoping(rng, count):
+    """Per-slot quality updates telescope to the window's delivered bits."""
+    T = 10
+    for trial in range(count):
+        K = int(rng.integers(1, 5))
+        alpha = rng.uniform(25.0, 35.0, K)
+        beta = rng.uniform(1e-5, 1e-4, K)
+        b0, b1 = 8e5, 3e5
+        cap_rate = rng.uniform(2e5, 6e5, K) if trial % 2 else None
+        cap = alpha + beta * cap_rate if cap_rate is not None else np.full(K, np.inf)
+        state = StreamState(alpha, beta * b0 / T, beta * b1 / T, cap)
+        bits = np.zeros(K)
+        for _t in range(T):
+            connect = rng.random(K) < 0.5
+            rho0 = rng.uniform(0, 1, K)
+            rhof = rng.uniform(0, 1, K)
+            xi = (rng.random(K) < 0.8).astype(float)
+            g = rng.uniform(0, 3, K)
+            update_psnr(state, connect, rho0, rhof, xi, xi, g)
+            bits += np.where(connect, xi * rho0 * b0, xi * rhof * g * b1)
+        expect = window_psnr_by_bits(alpha, beta, bits, cap_rate, T)
+        err = np.abs(state.psnr - expect).max()
+        assert err <= 1e-9, f"telescoped {state.psnr} vs bit accounting {expect}"
+    return f"{count} windows matched to 1e-9"
+
+
+def run_check(check, rng, count):
+    """(ok, detail) of one check; a check that crashes fails with the
+    exception named instead of escaping."""
+    try:
+        return True, check(rng, count)
+    except AssertionError as exc:
+        return False, str(exc)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        return False, f"raised {type(exc).__name__}: {exc} (at {where})"
+
+
+def oracle_check() -> list:
+    """The battery: every check on its own fixed random stream.
+
+    Returns (name, ok, detail) triples; all-ok means the fast paths agree
+    with their reference counterparts.
+    """
+    battery = (
+        ("multicast-recursion-vs-folded", check_recursion_vs_folded, 0, 300),
+        ("multicast-closed-form-single-station", check_single_station_closed_form, 1, 300),
+        ("multicast-solvers-and-bounds-vs-exhaustive", check_solvers_and_bounds, 2, 120),
+        ("fusion-sequential-vs-batch", check_fusion_routes, 4, 500),
+        ("markov-stationary-fraction", check_markov_fraction, 5, 200_000),
+        ("schedule-dual-vs-exact", check_dual_vs_exact, 6, 30),
+        ("greedy-allocation-vs-exhaustive", check_greedy_vs_exhaustive, 7, 12),
+        ("psnr-telescoping-vs-bit-accounting", check_psnr_telescoping, 8, 20),
+    )
+    return [(name, *run_check(check, make_rng(2024, path), count))
+            for name, check, path, count in battery]

@@ -1,6 +1,5 @@
 """Monte-Carlo experiment runners producing deterministic result rows."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,6 @@ from ..multicast import (
     LevelDemand,
     bounds,
     brute_force_multicast,
-    folded_total,
     heuristic_assign,
     snr_thresholds,
     solve_case1,
@@ -24,7 +22,6 @@ from ..scheduler import (
     AllocationValue,
     InterferenceGraph,
     SlotProblem,
-    brute_force_alloc,
     greedy_alloc,
     heuristic_diversity,
     heuristic_equal,
@@ -38,19 +35,13 @@ from ..spectrum import (
     SensorProfile,
     decide_access,
     fuse_beliefs,
-    fuse_beliefs_batch,
     sense,
     step_primary,
 )
 from ..video import LossModel, StreamState, success_probability, update_psnr
 from .config import MulticastConfig, StreamConfig
 from .csvio import ResultRow, format_sweep
-from .oracles import (
-    diminishing_gains_margin,
-    exact_schedule,
-    markov_busy_fraction,
-    window_psnr_by_bits,
-)
+from .oracles import window_psnr_by_bits
 
 
 class HarnessError(RuntimeError):
@@ -269,8 +260,8 @@ def _stream_instance(cfg: StreamConfig, eff: _EffectiveStream, seed, sweep, emit
     window_bits = {name: np.zeros(K) for name in cfg.algorithms}
     windows = 0
     warm_prices = None
-    max_iters = min(cfg.max_iters, eff.budget) if eff.budget else cfg.max_iters
-    alloc_iters = min(cfg.alloc_iters, eff.budget) if eff.budget else cfg.alloc_iters
+    max_iters = cfg.max_iters if eff.budget is None else min(cfg.max_iters, eff.budget)
+    alloc_iters = cfg.alloc_iters if eff.budget is None else min(cfg.alloc_iters, eff.budget)
 
     collisions = np.zeros(M)
     exp_avail_sum = 0.0
@@ -421,227 +412,3 @@ def _stream_instance(cfg: StreamConfig, eff: _EffectiveStream, seed, sweep, emit
         rows = trace_rows + rows
     return rows
 
-
-def oracle_check(verbose: bool = False) -> list:
-    """Battery of cross-checks between independent implementations.
-
-    Returns (name, ok, detail) triples; all-ok means the fast paths agree
-    with their reference counterparts on randomized instances.
-    """
-    checks = []
-
-    def run(name, fn):
-        try:
-            detail = fn()
-            checks.append((name, True, detail))
-        except AssertionError as exc:
-            checks.append((name, False, str(exc)))
-
-    run("multicast-recursion-vs-folded", _check_recursion_vs_folded)
-    run("multicast-closed-form-single-station", _check_case1_closed_form)
-    run("multicast-solvers-vs-exhaustive", _check_solvers_vs_exhaustive)
-    run("multicast-bounds-sandwich", _check_bounds_sandwich)
-    run("fusion-sequential-vs-batch", _check_fusion_routes)
-    run("markov-stationary-fraction", _check_markov_fraction)
-    run("schedule-dual-vs-exact", _check_dual_vs_exact)
-    run("greedy-allocation-vs-exhaustive", _check_greedy_vs_exhaustive)
-    run("psnr-telescoping-vs-bit-accounting", _check_psnr_telescoping)
-    return checks
-
-
-def _random_multicast(rng, n_users, n_fbs, levels):
-    user_level = tuple(int(v) for v in 1 + rng.integers(0, levels, n_users))
-    if n_fbs == 0:
-        coverage = (0,) * n_users
-    else:
-        coverage = tuple(int(v) for v in rng.integers(0, n_fbs + 1, n_users))
-    demand = LevelDemand(num_levels=levels, user_level=user_level, coverage=coverage)
-    gains = rng.exponential(1.0, size=(n_fbs + 1, n_users))
-    thresholds = rng.uniform(0.5, 3.0, size=n_fbs + 1)
-    return demand, gains, thresholds
-
-
-def _check_recursion_vs_folded():
-    rng = make_rng(2024, 0)
-    worst = 0.0
-    for _ in range(300):
-        demand, gains, thresholds = _random_multicast(
-            rng, int(rng.integers(1, 7)), int(rng.integers(0, 3)), int(rng.integers(1, 5))
-        )
-        assignment = heuristic_assign(demand, gains)
-        a = total_power(assignment, gains, thresholds, 1.0)
-        f = folded_total(assignment, gains, thresholds, 1.0)
-        rel = abs(a.total - f) / max(a.total, 1e-300)
-        worst = max(worst, rel)
-        assert rel <= 1e-9, f"recursion {a.total} vs folded {f} (rel {rel})"
-    return f"300 instances, worst relative difference {worst:.3g}"
-
-
-def _check_case1_closed_form():
-    rng = make_rng(2024, 1)
-    worst = 0.0
-    for _ in range(300):
-        demand, gains, thresholds = _random_multicast(rng, int(rng.integers(1, 7)), 0, int(rng.integers(1, 6)))
-        assignment = LevelAssignment(demand=demand, serving=(0,) * demand.num_users)
-        a = total_power(assignment, gains, thresholds, 1.0)
-        c = solve_case1(demand, gains, thresholds, 1.0)
-        rel = abs(a.total - c.total) / max(a.total, 1e-300)
-        worst = max(worst, rel)
-        assert rel <= 1e-9, f"recursion {a.total} vs closed form {c.total}"
-    return f"300 instances, worst relative difference {worst:.3g}"
-
-
-def _check_solvers_vs_exhaustive():
-    rng = make_rng(2024, 2)
-    worst = 0.0
-    for _ in range(120):
-        n_fbs = int(rng.integers(1, 4))
-        demand, gains, thresholds = _random_multicast(rng, int(rng.integers(1, 7)), n_fbs, int(rng.integers(1, 4)))
-        if n_fbs == 1 and all(c == 1 for c in demand.coverage):
-            _, alloc = solve_case2(demand, gains, thresholds, 1.0)
-        else:
-            _, alloc = solve_case3(demand, gains, thresholds, 1.0)
-        _, best = brute_force_multicast(demand, gains, thresholds, 1.0)
-        assert alloc.total >= best.total * (1 - 1e-9), "solver beat the exhaustive optimum"
-        rel = (alloc.total - best.total) / max(best.total, 1e-300)
-        worst = max(worst, rel)
-    return f"120 instances, worst relative excess over optimum {worst:.3g}"
-
-
-def _check_bounds_sandwich():
-    rng = make_rng(2024, 3)
-    for _ in range(120):
-        n_fbs = int(rng.integers(0, 3))
-        demand, gains, thresholds = _random_multicast(rng, int(rng.integers(1, 7)), n_fbs, int(rng.integers(1, 4)))
-        _, best = brute_force_multicast(demand, gains, thresholds, 1.0)
-        b = bounds(demand, gains, thresholds, 1.0)
-        assert b.lower_loose <= b.lower_tight * (1 + 1e-12), "loose lower above tight lower"
-        assert b.lower_tight <= best.total * (1 + 1e-9), (
-            f"lower bound {b.lower_tight} above optimum {best.total}"
-        )
-        assert best.total <= b.upper_tight * (1 + 1e-9), (
-            f"optimum {best.total} above tight upper bound {b.upper_tight}"
-        )
-        assert b.upper_tight <= b.upper_loose * (1 + 1e-12), "tight upper above loose upper"
-    return "120 instances sandwiched"
-
-
-def _check_fusion_routes():
-    rng = make_rng(2024, 4)
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        prior = float(rng.uniform(0.01, 0.99))
-        profiles = [
-            SensorProfile(float(rng.uniform(0.01, 0.49)), float(rng.uniform(0.01, 0.49)))
-            for _ in range(n)
-        ]
-        obs = [int(v) for v in rng.integers(0, 2, n)]
-        a = fuse_beliefs(prior, obs, profiles)
-        b = fuse_beliefs_batch(prior, obs, profiles)
-        worst = max(worst, abs(a - b))
-        assert abs(a - b) <= 1e-12, f"sequential {a} vs batch {b}"
-    return f"500 instances, worst absolute difference {worst:.3g}"
-
-
-def _check_markov_fraction():
-    p01, p10 = 0.4, 0.3
-    ch = PrimaryChannel(p01, p10)
-    rng = make_rng(2024, 5)
-    ch.reset_stationary(rng)
-    busy = 0
-    n = 200_000
-    for _ in range(n):
-        busy += step_primary(ch, rng)
-    frac = busy / n
-    expect = markov_busy_fraction(p01, p10)
-    assert abs(frac - expect) <= 0.005, f"simulated busy fraction {frac} vs stationary {expect}"
-    return f"empirical {frac:.4f} vs stationary {expect:.4f} over {n} slots"
-
-
-def _random_slot_problem(rng, n_users, n_fbs):
-    """Well-conditioned instance: rates comparable to the current quality
-    keep the binding prices large enough for the constant-step iteration."""
-    return SlotProblem(
-        w_minus=rng.uniform(20.0, 45.0, n_users),
-        pbar_mbs=rng.uniform(0.3, 1.0, n_users),
-        pbar_fbs=rng.uniform(0.3, 1.0, n_users),
-        rate_mbs=rng.uniform(30.0, 120.0, n_users),
-        rate_fbs=rng.uniform(30.0, 120.0, n_users),
-        assoc=1 + rng.integers(0, n_fbs, n_users),
-        n_fbs=n_fbs,
-        fbs_gi=rng.uniform(0.0, 3.0, n_fbs),
-    )
-
-
-def _check_dual_vs_exact():
-    rng = make_rng(2024, 6)
-    worst = 0.0
-    for _ in range(30):
-        problem = _random_slot_problem(rng, int(rng.integers(1, 7)), int(rng.integers(1, 3)))
-        sol = solve_noninterfering(problem, step=0.005, phi=1e-14, max_iters=20_000)
-        _, _, _, best = exact_schedule(problem)
-        rel = abs(sol.objective - best) / max(abs(best), 1e-12)
-        worst = max(worst, rel)
-        assert rel <= 1e-4, f"dual {sol.objective} vs exact {best} (rel {rel})"
-    return f"30 instances, worst relative objective error {worst:.3g}"
-
-
-def _check_greedy_vs_exhaustive():
-    rng = make_rng(2024, 7)
-    worst_ratio = math.inf
-    skipped = 0
-    for _ in range(12):
-        n_fbs = int(rng.integers(2, 4))
-        n_ch = int(rng.integers(1, 3))
-        problem = _random_slot_problem(rng, int(rng.integers(2, 6)), n_fbs)
-        all_edges = [(i, j) for i in range(1, n_fbs + 1) for j in range(i + 1, n_fbs + 1)]
-        take = rng.random(len(all_edges)) < 0.5
-        graph = InterferenceGraph(n_fbs, tuple(e for e, t in zip(all_edges, take) if t))
-        p_idle = rng.uniform(0.2, 1.0, n_ch)
-        value = AllocationValue(problem, step=0.005, phi=1e-10, max_iters=4000)
-        # the factor and upper bound only hold while marginal gains shrink;
-        # draws where an extra channel flips a user across pools are skipped
-        if diminishing_gains_margin(problem, tuple(range(n_ch)), p_idle, graph, value) < -1e-6:
-            skipped += 1
-            continue
-        _, trace = greedy_alloc(problem, tuple(range(n_ch)), p_idle, graph, value=value)
-        _, opt = brute_force_alloc(problem, tuple(range(n_ch)), p_idle, graph, value=value)
-        tol = 1e-6 * max(1.0, abs(opt))
-        bound = opt / (1.0 + graph.d_max)
-        assert trace.value >= bound - tol, f"greedy {trace.value} below guarantee {bound}"
-        assert opt <= optbound_upper(trace) + tol, (
-            f"optimum {opt} above greedy upper bound {optbound_upper(trace)}"
-        )
-        if opt > 0:
-            worst_ratio = min(worst_ratio, trace.value / opt)
-    return (
-        f"12 draws ({skipped} outside the diminishing-gains regime), "
-        f"worst greedy/optimal ratio {worst_ratio:.3f}"
-    )
-
-
-def _check_psnr_telescoping():
-    rng = make_rng(2024, 8)
-    T = 10
-    for trial in range(20):
-        K = int(rng.integers(1, 5))
-        alpha = rng.uniform(25.0, 35.0, K)
-        beta = rng.uniform(1e-5, 1e-4, K)
-        b0, b1 = 8e5, 3e5
-        cap_rate = rng.uniform(2e5, 6e5, K) if trial % 2 else None
-        cap = alpha + beta * cap_rate if cap_rate is not None else np.full(K, np.inf)
-        state = StreamState(alpha, beta * b0 / T, beta * b1 / T, cap)
-        bits = np.zeros(K)
-        for _t in range(T):
-            connect = rng.random(K) < 0.5
-            rho0 = rng.uniform(0, 1, K)
-            rhof = rng.uniform(0, 1, K)
-            xi = (rng.random(K) < 0.8).astype(float)
-            g = rng.uniform(0, 3, K)
-            update_psnr(state, connect, rho0, rhof, xi, xi, g)
-            bits += np.where(connect, xi * rho0 * b0, xi * rhof * g * b1)
-        expect = window_psnr_by_bits(alpha, beta, bits, cap_rate, T)
-        err = np.abs(state.psnr - expect).max()
-        assert err <= 1e-9, f"telescoped {state.psnr} vs bit accounting {expect}"
-    return "20 windows matched to 1e-9"

@@ -270,11 +270,6 @@ def init_prices(problem: SlotProblem, gi=None) -> np.ndarray:
     return prices
 
 
-# distinct branch patterns refilled per solve; iterates after the cap is
-# reached are tracked through their feasibility repair instead
-_PATTERN_CAP = 128
-
-
 def _iterate(
     problem: SlotProblem,
     g_user,
@@ -288,9 +283,9 @@ def _iterate(
 
     A row leaves the stack once its squared price movement drops to phi.
     Returns per-row iteration counts, converged flags, last prices and
-    lowest dual values; per row, its branch patterns mapped to the
-    iteration that first met them, in order of appearance; and, with
-    keep_iterates, per row its (iteration, prices) at every iterate.
+    lowest dual values; per row, its branch patterns in order of first
+    appearance (as dict keys); and, with keep_iterates, per row its
+    (iteration, prices) at every iterate.
 
     A row's prices are its whole state, so once they repeat an earlier
     iterate bit for bit every later iterate repeats with that period: its
@@ -329,7 +324,7 @@ def _iterate(
             else:
                 changed = np.any(connect != last, axis=1)
             for i in np.flatnonzero(changed):
-                first_seen[rows[i]].setdefault(connect[i].tobytes(), it)
+                first_seen[rows[i]].setdefault(connect[i].tobytes())
         if keep_iterates:
             for i, r in enumerate(rows):
                 iterates[r].append((it, prices[i]))
@@ -429,9 +424,10 @@ def solve_noninterfering_batch(
     iterates until its squared price movement drops to phi. Row sums run
     along the contiguous user axis, so each row's numbers are exactly those
     of solving it alone. The returned schedule is the best feasible point
-    known: each visited branch pattern refilled exactly, the repaired
-    iterates beyond the pattern cap (all of them when tracing), and the two
-    heuristics. Rows that hit max_iters are flagged converged=False.
+    known: every visited branch pattern refilled exactly, the repaired
+    iterates when tracing, and the two heuristics. Refilling a pattern
+    dominates any repaired iterate of it, so untraced solves keep no
+    iterates. Rows that hit max_iters are flagged converged=False.
     """
     if phi < 0:
         raise ValueError("phi cannot be negative")
@@ -458,25 +454,15 @@ def solve_noninterfering_batch(
     memo = {}
     solutions = []
     for r, seen in enumerate(first_seen):
-        codes = list(seen)[:_PATTERN_CAP]
+        codes = list(seen)
         if connect[r].tobytes() not in codes:
             codes.append(connect[r].tobytes())
         patterns = [np.frombuffer(code, dtype=bool) for code in codes]
-        tracked = iterates[r]
-        if not record_trace and len(seen) >= _PATTERN_CAP:
-            # refilling a visited pattern dominates any repaired iterate of
-            # it, so iterates only matter past the bookkeeping cap; the row
-            # replayed alone repeats its iterates bit for bit
-            cap_iter = list(seen.values())[_PATTERN_CAP - 1]
-            replay = _iterate(
-                problem, g_user[r : r + 1], start, step, phi, max_iters, keep_iterates=True
-            )[-1][0]
-            tracked = [(i, p) for i, p in replay if i > cap_iter]
-        tracked_prices = np.array([p for _, p in tracked]).reshape(-1, len(start))
+        tracked_prices = np.array([p for _, p in iterates[r]]).reshape(-1, len(start))
         chosen, objs = _best_feasible(problem, g_user[r], gis[r], patterns, tracked_prices, memo)
         trace = None
         if record_trace:
-            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(tracked, objs)]
+            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(iterates[r], objs)]
         d = float(dual[r])
         solutions.append(
             ScheduleSolution(

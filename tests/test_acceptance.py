@@ -16,18 +16,19 @@ import pytest
 from femtokit.harness.cli import main
 from femtokit.harness.config import load_config
 from femtokit.harness.oracles import (
+    check_fusion_routes,
+    check_single_station_closed_form,
+    check_solvers_and_bounds,
     diminishing_gains_margin,
     exact_allocation_solver,
     exact_schedule,
+    random_slot_problem,
+    run_check,
     support_margin,
 )
 from femtokit.harness.runners import HarnessError, multicast_instance, run_streaming
 from femtokit.multicast import (
-    LevelAssignment,
     LevelDemand,
-    bounds,
-    brute_force_multicast,
-    folded_total,
     heuristic_assign,
     snr_threshold,
     snr_thresholds,
@@ -35,13 +36,11 @@ from femtokit.multicast import (
     solve_case2,
     solve_case3,
     total_power,
-    verify_feasible,
 )
 from femtokit.netmodel import make_rng
 from femtokit.scheduler import (
     AllocationValue,
     InterferenceGraph,
-    SlotProblem,
     brute_force_alloc,
     greedy_alloc,
     optbound_upper,
@@ -53,7 +52,6 @@ from femtokit.spectrum import (
     SensorProfile,
     decide_access,
     fuse_beliefs,
-    fuse_beliefs_batch,
     sense,
     step_primary,
 )
@@ -67,74 +65,24 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _random_multicast(rng):
-    """One random instance with up to 8 users, 2 femtos, 4 layers."""
-    n_users = int(rng.integers(1, 9))
-    n_fbs = int(rng.integers(0, 3))
-    levels = int(rng.integers(1, 5))
-    user_level = tuple(int(v) for v in 1 + rng.integers(0, levels, n_users))
-    if n_fbs == 0:
-        coverage = (0,) * n_users
-    elif n_fbs == 1:
-        coverage = (1,) * n_users  # full overlap exercises the two-station solver
-    else:
-        coverage = tuple(int(v) for v in rng.integers(0, n_fbs + 1, n_users))
-    demand = LevelDemand(num_levels=levels, user_level=user_level, coverage=coverage)
-    gains = rng.exponential(1.0, (n_fbs + 1, n_users)) + 1e-3
-    thresholds = rng.uniform(0.2, 4.0, n_fbs + 1)
-    return demand, gains, thresholds
-
-
-def _random_slot_problem(rng, n_users, n_fbs=1):
-    return SlotProblem(
-        w_minus=rng.uniform(25.0, 45.0, n_users),
-        pbar_mbs=rng.uniform(0.3, 1.0, n_users),
-        pbar_fbs=rng.uniform(0.3, 1.0, n_users),
-        rate_mbs=rng.uniform(30.0, 120.0, n_users),
-        rate_fbs=rng.uniform(30.0, 120.0, n_users),
-        assoc=1 + rng.integers(0, n_fbs, n_users),
-        n_fbs=n_fbs,
-        fbs_gi=rng.uniform(0.5, 3.0, n_fbs),
-    )
+def _report_check(tag: str, check, rng, count: int, limit=None) -> None:
+    """Run one shared oracle check and report it with its time gate."""
+    start = time.perf_counter()
+    ok, detail = run_check(check, rng, count)
+    elapsed = time.perf_counter() - start
+    timing = f"{elapsed:.2f}s"
+    if limit is not None:
+        ok &= elapsed < limit
+        timing += f" (limit {limit}s)"
+    _report(tag, ok, f"{detail}, {timing}")
 
 
 def test_bound_sandwich_and_solver_feasibility():
     """Closed-form bounds bracket the exhaustive optimum, and the greedy
     whole-layer solvers are always feasible and never below it."""
-    start = time.perf_counter()
-    rng = make_rng(0, 100)
-    n_instances = 520
-    gaps = []
-    ok = True
-    for _ in range(n_instances):
-        demand, gains, thresholds = _random_multicast(rng)
-        _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
-        tol = 1e-9 * max(1.0, best.total)
-
-        b = bounds(demand, gains, thresholds, noise=1.0)
-        ok &= b.lower_tight <= best.total + tol
-        ok &= best.total <= b.upper_tight + tol
-
-        n_fbs = gains.shape[0] - 1
-        solved = []
-        if n_fbs == 0:
-            solved.append((LevelAssignment(demand, (0,) * demand.num_users),
-                           solve_case1(demand, gains, thresholds, noise=1.0)))
-        else:
-            if n_fbs == 1:
-                solved.append(solve_case2(demand, gains, thresholds, noise=1.0))
-            solved.append(solve_case3(demand, gains, thresholds, noise=1.0))
-        for assignment, alloc in solved:
-            ok &= verify_feasible(alloc, assignment, gains, thresholds).feasible
-            ok &= alloc.total >= best.total - tol
-            gaps.append(alloc.total / best.total - 1.0)
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 120.0
-    _report(
+    _report_check(
         " 1/10 bound sandwich + solver feasibility",
-        ok,
-        f"{n_instances} instances, mean optimality gap {np.mean(gaps):.2%}, "
-        f"max {np.max(gaps):.2%}, {elapsed:.1f}s (limit 120s)",
+        check_solvers_and_bounds, make_rng(0, 100), 520, limit=120,
     )
 
 
@@ -142,38 +90,9 @@ def test_single_station_closed_form_routes_agree():
     """The one-station closed form, the backward recursion, and the folded
     sum give the same totals; the two-layer worst-unit-gain case costs 15
     with every post-cancellation SNR exactly at threshold 3."""
-    start = time.perf_counter()
-    rng = make_rng(0, 101)
-    ok = True
-    worst = 0.0
-    for _ in range(1000):
-        n_users = int(rng.integers(1, 9))
-        levels = int(rng.integers(1, 5))
-        user_level = tuple(int(v) for v in 1 + rng.integers(0, levels, n_users))
-        demand = LevelDemand(levels, user_level, (0,) * n_users)
-        gains = rng.exponential(1.0, (1, n_users)) + 1e-3
-        thresholds = rng.uniform(0.2, 4.0, 1)
-        closed = solve_case1(demand, gains, thresholds, noise=1.0).total
-        assignment = LevelAssignment(demand, (0,) * n_users)
-        recursed = total_power(assignment, gains, thresholds, noise=1.0).total
-        folded = folded_total(assignment, gains, thresholds, noise=1.0)
-        scale = max(1.0, abs(recursed))
-        worst = max(worst, abs(closed - recursed) / scale, abs(folded - recursed) / scale)
-    ok &= worst <= 1e-9
-
-    demand = LevelDemand(2, (1, 2), (0, 0))
-    alloc = solve_case1(demand, np.ones((1, 2)), [3.0], noise=1.0)
-    report = verify_feasible(alloc, LevelAssignment(demand, (0, 0)), np.ones((1, 2)), [3.0])
-    ok &= abs(alloc.total - 15.0) <= 1e-9
-    ok &= bool(np.max(np.abs(report.snr_slack)) <= 1e-9)
-
-    elapsed = time.perf_counter() - start
-    _report(
+    _report_check(
         " 2/10 single-station closed form",
-        ok,
-        f"1000 instances, worst relative spread {worst:.2e} (tol 1e-9); "
-        f"hand case total {alloc.total:.12g}, max SNR slack "
-        f"{np.max(np.abs(report.snr_slack)):.2e}, {elapsed:.1f}s",
+        check_single_station_closed_form, make_rng(0, 101), 1000,
     )
 
 
@@ -227,23 +146,7 @@ def test_fusion_routes_agree_on_all_sequences():
     """Sequential odds fusion equals the batch posterior on every
     six-report sequence, and the single even-prior idle report lands on
     0.7 exactly."""
-    start = time.perf_counter()
-    profiles = [SensorProfile(0.3, 0.3)] * 6
-    prior = 0.4 / (0.4 + 0.3)
-    worst = 0.0
-    for obs in itertools.product((0, 1), repeat=6):
-        seq = fuse_beliefs(prior, obs, profiles)
-        batch = fuse_beliefs_batch(prior, obs, profiles)
-        worst = max(worst, abs(seq - batch))
-    hand = fuse_beliefs(0.5, [0], [SensorProfile(0.3, 0.3)])
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and abs(hand - 0.7) <= 1e-12 and elapsed < 1.0
-    _report(
-        " 4/10 sensing fusion routes",
-        ok,
-        f"64 sequences, worst |sequential - batch| {worst:.2e} (tol 1e-12); "
-        f"single idle report posterior {hand:.12g}, {elapsed:.2f}s (limit 1s)",
-    )
+    _report_check(" 4/10 sensing fusion routes", check_fusion_routes, None, 0, limit=1)
 
 
 def test_collision_budget_respected():
@@ -289,7 +192,7 @@ def test_price_iteration_matches_enumeration():
     worst_rel, worst_gap, iters = 0.0, 0.0, []
     ok = True
     while checked < wanted:
-        prob = _random_slot_problem(rng, int(rng.integers(1, 4)))
+        prob = random_slot_problem(rng, int(rng.integers(1, 4)))
         if support_margin(prob) < 0.01:
             skipped += 1
             continue
@@ -336,7 +239,7 @@ def test_greedy_allocation_guarantee():
     while len(ratios) < n_instances:
         n_fbs = int(rng.integers(1, 4))
         n_channels = int(rng.integers(1, 4))
-        prob = _random_slot_problem(rng, int(rng.integers(2, 5)), n_fbs=n_fbs)
+        prob = random_slot_problem(rng, int(rng.integers(2, 5)), n_fbs=n_fbs)
         pairs = list(itertools.combinations(range(1, n_fbs + 1), 2))
         edges = tuple(e for e in pairs if rng.random() < 0.5)
         graph = InterferenceGraph(n_fbs, edges)

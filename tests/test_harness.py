@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from femtokit.harness import oracles
 from femtokit.harness.cli import main, parse_seeds
 from femtokit.harness.config import (
     ConfigError,
@@ -168,7 +169,7 @@ class TestSeedSpecs:
         assert parse_seeds("1,5,9") == [1, 5, 9]
 
     def test_bad_specs_rejected(self):
-        for spec in ("", "a", "3..1", "1..2..3", "1;2"):
+        for spec in ("", "a", "3..1", "1..2..3", "1;2", "-1", "-2..3", "1,-5"):
             with pytest.raises(ConfigError):
                 parse_seeds(spec)
 
@@ -310,6 +311,40 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(STREAM_BASE))
         assert self.run_cli("stream", "--config", str(cfg), "--seeds", "9..1") == 2
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(STREAM_BASE))
+        assert self.run_cli("stream", "--config", str(cfg), "--seeds=-1") == 2
+        assert "negative seed" in capsys.readouterr().err
+
+    def test_budget_below_one_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(STREAM_BASE))
+        for budget in ("-5", "0"):
+            code = self.run_cli("stream", "--config", str(cfg), "--seeds", "0", "--budget", budget)
+            assert code == 2
+            assert "--budget must be >= 1" in capsys.readouterr().err
+
+    def test_oracle_check_prints_one_ok_line_per_check(self, capsys):
+        assert self.run_cli("oracle-check") == 0
+        lines = capsys.readouterr().out.splitlines()
+        n_checks = len(lines) - 1
+        assert n_checks >= 8
+        assert all(line.startswith("ok   ") for line in lines[:-1])
+        assert lines[-1] == f"{n_checks}/{n_checks} checks passed"
+
+    def test_crashing_oracle_check_fails_cleanly(self, monkeypatch, capsys):
+        def crash(rng, count):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(oracles, "check_dual_vs_exact", crash)
+        assert self.run_cli("oracle-check") == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL schedule-dual-vs-exact: raised ValueError: boom (at ")
+        assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
 
     def test_run_writes_csv_and_aggregate(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtokit.harness.oracles import random_multicast
 from femtokit.multicast import (
     LevelAssignment,
     LevelDemand,
@@ -22,21 +23,6 @@ from femtokit.multicast import (
     verify_feasible,
 )
 from femtokit.netmodel import make_rng
-
-
-def random_instance(rng, n_users, n_fbs, levels, full_overlap=False):
-    """Random demand/gain/threshold draw for sandwich-style checks."""
-    user_level = tuple(int(v) for v in 1 + rng.integers(0, levels, n_users))
-    if n_fbs == 0:
-        coverage = (0,) * n_users
-    elif full_overlap:
-        coverage = (1,) * n_users
-    else:
-        coverage = tuple(int(v) for v in rng.integers(0, n_fbs + 1, n_users))
-    demand = LevelDemand(num_levels=levels, user_level=user_level, coverage=coverage)
-    gains = rng.exponential(1.0, (n_fbs + 1, n_users)) + 1e-3
-    thresholds = rng.uniform(0.2, 4.0, n_fbs + 1)
-    return demand, gains, thresholds
 
 
 class TestThresholds:
@@ -130,7 +116,7 @@ class TestPowerRecursion:
         n_users = int(rng.integers(1, 6))
         n_fbs = int(rng.integers(0, 3))
         levels = int(rng.integers(1, 5))
-        demand, gains, thresholds = random_instance(rng, n_users, n_fbs, levels)
+        demand, gains, thresholds = random_multicast(rng, n_users, n_fbs, levels)
         serving = tuple(
             int(demand.options(k)[rng.integers(0, len(demand.options(k)))])
             for k in range(n_users)
@@ -148,7 +134,7 @@ class TestSingleStationSolver:
         for _ in range(50):
             n_users = int(rng.integers(1, 7))
             levels = int(rng.integers(1, 5))
-            demand, gains, thresholds = random_instance(rng, n_users, 0, levels)
+            demand, gains, thresholds = random_multicast(rng, n_users, 0, levels)
             closed = solve_case1(demand, gains, thresholds, noise=1.0)
             assignment = LevelAssignment(demand=demand, serving=(0,) * n_users)
             recursed = total_power(assignment, gains, thresholds, noise=1.0)
@@ -185,7 +171,7 @@ class TestTwoStationSolver:
         for _ in range(40):
             n_users = int(rng.integers(1, 7))
             levels = int(rng.integers(1, 5))
-            demand, gains, thresholds = random_instance(rng, n_users, 1, levels, full_overlap=True)
+            demand, gains, thresholds = random_multicast(rng, n_users, 1, levels, full_overlap=True)
             assignment, alloc = solve_case2(demand, gains, thresholds, noise=1.0)
             assert verify_feasible(alloc, assignment, gains, thresholds).feasible
             _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
@@ -199,7 +185,7 @@ class TestManyStationSolver:
             n_users = int(rng.integers(1, 7))
             n_fbs = int(rng.integers(1, 4))
             levels = int(rng.integers(1, 5))
-            demand, gains, thresholds = random_instance(rng, n_users, n_fbs, levels)
+            demand, gains, thresholds = random_multicast(rng, n_users, n_fbs, levels)
             assignment, alloc = solve_case3(demand, gains, thresholds, noise=1.0)
             assert verify_feasible(alloc, assignment, gains, thresholds).feasible
             _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
@@ -228,7 +214,7 @@ class TestHeuristicAndBounds:
             n_users = int(rng.integers(1, 7))
             n_fbs = int(rng.integers(0, 3))
             levels = int(rng.integers(1, 5))
-            demand, gains, thresholds = random_instance(rng, n_users, n_fbs, levels)
+            demand, gains, thresholds = random_multicast(rng, n_users, n_fbs, levels)
             _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
             b = bounds(demand, gains, thresholds, noise=1.0)
             slack = 1e-9 * max(1.0, best.total)

@@ -327,38 +327,6 @@ class TestBatchedPriceIteration:
         for gi, got in zip(gis, batch):
             assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
 
-    def test_pattern_cap_overflow_per_row(self, monkeypatch):
-        # near-tied branches make the iteration wander over many branch
-        # patterns; the cap is lowered so every row overflows it
-        rng = make_rng(41, 96)
-        k = 9
-        prob = SlotProblem(
-            w_minus=30.0 * (1 + 1e-3 * rng.normal(size=k)),
-            pbar_mbs=0.8 * (1 + 1e-3 * rng.normal(size=k)),
-            pbar_fbs=np.full(k, 0.8),
-            rate_mbs=60.0 * (1 + 1e-3 * rng.normal(size=k)),
-            rate_fbs=np.full(k, 60.0),
-            assoc=1 + np.arange(k) % 3,
-            n_fbs=3,
-            fbs_gi=np.ones(3),
-        )
-        cap = 3
-        monkeypatch.setattr(scheduler, "_PATTERN_CAP", cap)
-        gis = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.02], [0.98, 1.0, 1.0]]
-        opts = dict(step=0.01, phi=0.0, max_iters=200)
-        for gi in gis:
-            g_user = np.asarray(gi)[prob.assoc - 1][None, :]
-            respond = scheduler._Responder(prob, g_user)
-            prices, patterns = np.ones((1, 4)), set()
-            for _ in range(opts["max_iters"]):
-                connect, rho0, rhof, _ = respond(prices)
-                patterns.add(connect.tobytes())
-                prices = dual_update(prices, respond.load(rho0, rhof), opts["step"])
-            assert len(patterns) > cap
-        batch = solve_noninterfering_batch(prob, gis, **opts)
-        for gi, got in zip(gis, batch):
-            assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
-
     def test_rejects_malformed_stacks(self):
         prob = random_problem(make_rng(42, 97), n_fbs=2)
         with pytest.raises(ValueError):
