@@ -36,58 +36,41 @@ from ..spectrum import PrimaryChannel, SensorProfile, fuse_beliefs, fuse_beliefs
 from ..video import StreamState, update_psnr
 
 
-def waterfill_pool(pbar, w, rate, iters: int = 200):
+def waterfill_pool(pbar, w, rate):
     """Exact max of sum pbar*log(w + rho*rate) s.t. sum rho <= 1, rho >= 0.
 
-    Solved by bisection on the shared price mu: rho_j(mu) =
-    [pbar_j/mu - w_j/rate_j]^+ is decreasing in mu, so the budget-binding
-    price is unique. Users with zero rate or zero weight take no time.
-    Returns (shares, value).
+    Closed-form waterfilling (Boyd & Vandenberghe, Convex Optimization,
+    5.5.3). With off = w/rate, user j takes rho_j = [pbar_j/mu - off_j]^+
+    at the shared price mu. Sorted by pbar*rate/w, largest first, the first
+    n users clear the slot at mu_n = sum pbar / (1 + sum off), and n is the
+    last user still above that price. Users with zero rate or zero weight
+    take no time. Returns (shares, value, mu); mu is 0 when no user is
+    active.
     """
     pbar = np.asarray(pbar, dtype=float)
     w = np.asarray(w, dtype=float)
     rate = np.asarray(rate, dtype=float)
     shares = np.zeros_like(w)
-    active = (rate > 0) & (pbar > 0)
-    if not np.any(active):
-        return shares, float(np.sum(pbar * np.log(w)))
-
-    pb, wa, ra = pbar[active], w[active], rate[active]
-
-    def rho_of(mu):
-        return np.maximum(pb / mu - wa / ra, 0.0)
-
-    hi = float(pb.sum()) + 1.0
-    lo = hi
-    while rho_of(lo).sum() < 1.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            break
-    if rho_of(lo).sum() >= 1.0:
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if rho_of(mid).sum() >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        rho = rho_of(0.5 * (lo + hi))
-        total = rho.sum()
-        if total > 0:
-            rho = rho / total
-    else:
-        # budget never binds: every active user takes its unconstrained share
-        rho = rho_of(lo)
-    shares[active] = rho
+    mu = 0.0
+    (active,) = np.nonzero((rate > 0) & (pbar > 0))
+    if len(active):
+        users = active[np.argsort(-pbar[active] * rate[active] / w[active], kind="stable")]
+        pb, off = pbar[users], w[users] / rate[users]
+        mus = np.cumsum(pb) / (1.0 + np.cumsum(off))
+        n = int(np.flatnonzero(pb > mus * off)[-1]) + 1
+        mu = float(mus[n - 1])
+        shares[users[:n]] = pb[:n] / mu - off[:n]
     value = float(np.sum(pbar * np.log(w + shares * rate)))
-    return shares, value
+    return shares, value, mu
 
 
 def exact_schedule(problem: SlotProblem, gi=None, max_users: int = 12):
     """Globally optimal slot schedule by enumerating branch choices.
 
     For each of the 2^K macro/femto splits, the remaining problem separates
-    into independent per-transmitter waterfilling pools. Refused above
-    max_users. Returns (connect_mbs, rho_mbs, rho_fbs, objective).
+    into independent per-transmitter waterfilling pools, macro first.
+    Refused above max_users. Returns (connect_mbs, rho_mbs, rho_fbs,
+    objective, prices), prices[t] being transmitter t's pool price.
     """
     K = problem.num_users
     if K > max_users:
@@ -100,26 +83,25 @@ def exact_schedule(problem: SlotProblem, gi=None, max_users: int = 12):
         connect = np.array(bits)
         rho0 = np.zeros(K)
         rhof = np.zeros(K)
+        prices = np.zeros(problem.n_fbs + 1)
         value = 0.0
-        pool = connect
-        if np.any(pool):
-            s, v = waterfill_pool(problem.pbar_mbs[pool], problem.w_minus[pool], problem.rate_mbs[pool])
-            rho0[pool] = s
-            value += v
+        pools = [(connect, problem.pbar_mbs, problem.rate_mbs, rho0)]
         for i in range(1, problem.n_fbs + 1):
-            pool = (~connect) & (problem.assoc == i)
+            pools.append(((~connect) & (problem.assoc == i), problem.pbar_fbs, rate_f, rhof))
+        for t, (pool, pbar, rate, shares) in enumerate(pools):
             if np.any(pool):
-                s, v = waterfill_pool(problem.pbar_fbs[pool], problem.w_minus[pool], rate_f[pool])
-                rhof[pool] = s
+                shares[pool], v, prices[t] = waterfill_pool(
+                    pbar[pool], problem.w_minus[pool], rate[pool]
+                )
                 value += v
         if best is None or value > best[3]:
-            best = (connect, rho0, rhof, value)
+            best = (connect, rho0, rhof, value, prices)
     return best
 
 
 def exact_allocation_solver(problem: SlotProblem, gi, prices_init):
     """Adapter making exact_schedule usable as an AllocationValue solver."""
-    _, _, _, objective = exact_schedule(problem, gi=gi)
+    _, _, _, objective, _ = exact_schedule(problem, gi=gi)
     return objective, None
 
 
@@ -138,28 +120,16 @@ def _branch_value(pbar, w, rate, price):
 def support_margin(problem: SlotProblem, gi=None):
     """Strong-duality certificate for the enumeration optimum.
 
-    Reconstructs the per-transmitter prices implied by the optimal pools
-    (the waterfilling level of a busy pool, zero for an idle one) and
-    returns the smallest amount by which any user prefers its assigned
-    branch over defecting at those prices. A positive margin certifies a
-    zero duality gap and a price vector the gradient iteration can settle
+    At the optimal pools' prices (the waterfilling level of a busy pool,
+    zero for an idle one), returns the smallest amount by which any user
+    prefers its assigned branch over defecting. A positive margin certifies
+    a zero duality gap and a price vector the gradient iteration can settle
     on; a margin <= 0 marks a kink instance whose optimum no price
     supports, where a constant-step iteration can only oscillate.
     """
     gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
     rate_f = problem.rate_fbs * gi[problem.assoc - 1]
-    connect, rho0, rhof, _ = exact_schedule(problem, gi=gi)
-
-    prices = np.zeros(problem.n_fbs + 1)
-    pools = [(connect, problem.pbar_mbs, problem.rate_mbs, rho0)]
-    for i in range(1, problem.n_fbs + 1):
-        pools.append(((~connect) & (problem.assoc == i), problem.pbar_fbs, rate_f, rhof))
-    for t, (pool, pbar, rate, rho) in enumerate(pools):
-        busy = pool & (rho > 0)
-        if np.any(busy):
-            prices[t] = float(
-                np.max(pbar[busy] * rate[busy] / (problem.w_minus[busy] + rho[busy] * rate[busy]))
-            )
+    connect, _, _, _, prices = exact_schedule(problem, gi=gi)
 
     margin = math.inf
     for j in range(problem.num_users):
@@ -296,7 +266,8 @@ def check_recursion_vs_folded(rng, count):
         f = folded_total(assignment, gains, thresholds, 1.0)
         rel = abs(a.total - f) / max(a.total, 1e-300)
         worst = max(worst, rel)
-        assert rel <= 1e-9, f"recursion {a.total} vs folded {f} (rel {rel})"
+        if not rel <= 1e-9:
+            raise AssertionError(f"recursion {a.total} vs folded {f} (rel {rel})")
     return f"{count} instances, worst relative difference {worst:.3g}"
 
 
@@ -312,19 +283,21 @@ def check_single_station_closed_form(rng, count):
         assignment = LevelAssignment(demand, (0,) * n_users)
         recursed = total_power(assignment, gains, thresholds, noise=1.0).total
         folded = folded_total(assignment, gains, thresholds, noise=1.0)
-        assert abs(closed - recursed) <= 1e-9 * recursed, (
-            f"recursion {recursed} vs closed form {closed}"
-        )
+        if not abs(closed - recursed) <= 1e-9 * recursed:
+            raise AssertionError(f"recursion {recursed} vs closed form {closed}")
         scale = max(1.0, abs(recursed))
         worst = max(worst, abs(closed - recursed) / scale, abs(folded - recursed) / scale)
-        assert worst <= 1e-9, f"recursion {recursed}, closed form {closed}, folded {folded}"
+        if not worst <= 1e-9:
+            raise AssertionError(f"recursion {recursed}, closed form {closed}, folded {folded}")
 
     demand = LevelDemand(2, (1, 2), (0, 0))
     alloc = solve_case1(demand, np.ones((1, 2)), [3.0], noise=1.0)
     report = verify_feasible(alloc, LevelAssignment(demand, (0, 0)), np.ones((1, 2)), [3.0])
     slack = float(np.max(np.abs(report.snr_slack)))
-    assert abs(alloc.total - 15.0) <= 1e-9, f"hand case total {alloc.total}, expected 15"
-    assert slack <= 1e-9, f"hand case SNR off threshold by {slack}"
+    if not abs(alloc.total - 15.0) <= 1e-9:
+        raise AssertionError(f"hand case total {alloc.total}, expected 15")
+    if not slack <= 1e-9:
+        raise AssertionError(f"hand case SNR off threshold by {slack}")
     return (
         f"{count} instances, worst relative spread {worst:.2e} (tol 1e-9); "
         f"hand case total {alloc.total:.12g}, max SNR slack {slack:.2e}"
@@ -345,14 +318,14 @@ def check_solvers_and_bounds(rng, count):
         )
         _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
         b = bounds(demand, gains, thresholds, noise=1.0)
-        assert b.lower_loose <= b.lower_tight * (1 + 1e-12), "loose lower above tight lower"
-        assert b.lower_tight <= best.total * (1 + 1e-9), (
-            f"lower bound {b.lower_tight} above optimum {best.total}"
-        )
-        assert best.total <= b.upper_tight * (1 + 1e-9), (
-            f"optimum {best.total} above tight upper bound {b.upper_tight}"
-        )
-        assert b.upper_tight <= b.upper_loose * (1 + 1e-12), "tight upper above loose upper"
+        if not b.lower_loose <= b.lower_tight * (1 + 1e-12):
+            raise AssertionError("loose lower above tight lower")
+        if not b.lower_tight <= best.total * (1 + 1e-9):
+            raise AssertionError(f"lower bound {b.lower_tight} above optimum {best.total}")
+        if not best.total <= b.upper_tight * (1 + 1e-9):
+            raise AssertionError(f"optimum {best.total} above tight upper bound {b.upper_tight}")
+        if not b.upper_tight <= b.upper_loose * (1 + 1e-12):
+            raise AssertionError("tight upper above loose upper")
 
         solved = []
         if n_fbs == 0:
@@ -363,10 +336,10 @@ def check_solvers_and_bounds(rng, count):
                 solved.append(solve_case2(demand, gains, thresholds, noise=1.0))
             solved.append(solve_case3(demand, gains, thresholds, noise=1.0))
         for assignment, alloc in solved:
-            assert verify_feasible(alloc, assignment, gains, thresholds).feasible, (
-                "solver allocation violates an SNR constraint"
-            )
-            assert alloc.total >= best.total * (1 - 1e-9), "solver beat the exhaustive optimum"
+            if not verify_feasible(alloc, assignment, gains, thresholds).feasible:
+                raise AssertionError("solver allocation violates an SNR constraint")
+            if not alloc.total >= best.total * (1 - 1e-9):
+                raise AssertionError("solver beat the exhaustive optimum")
             gaps.append(alloc.total / best.total - 1.0)
     return f"{count} instances, mean optimality gap {np.mean(gaps):.2%}, max {np.max(gaps):.2%}"
 
@@ -392,9 +365,11 @@ def check_fusion_routes(rng, count):
         seq = fuse_beliefs(prior, obs, profiles)
         batch = fuse_beliefs_batch(prior, obs, profiles)
         worst = max(worst, abs(seq - batch))
-        assert abs(seq - batch) <= 1e-12, f"sequential {seq} vs batch {batch}"
+        if not abs(seq - batch) <= 1e-12:
+            raise AssertionError(f"sequential {seq} vs batch {batch}")
     hand = fuse_beliefs(0.5, [0], [SensorProfile(0.3, 0.3)])
-    assert abs(hand - 0.7) <= 1e-12, f"single idle report posterior {hand}, expected 0.7"
+    if not abs(hand - 0.7) <= 1e-12:
+        raise AssertionError(f"single idle report posterior {hand}, expected 0.7")
     return (
         f"{len(cases)} sequences, worst |sequential - batch| {worst:.2e} (tol 1e-12); "
         f"single idle report posterior {hand:.12g}"
@@ -411,7 +386,8 @@ def check_markov_fraction(rng, count):
         busy += step_primary(ch, rng)
     frac = busy / count
     expect = markov_busy_fraction(p01, p10)
-    assert abs(frac - expect) <= 0.005, f"simulated busy fraction {frac} vs stationary {expect}"
+    if not abs(frac - expect) <= 0.005:
+        raise AssertionError(f"simulated busy fraction {frac} vs stationary {expect}")
     return f"empirical {frac:.4f} vs stationary {expect:.4f} over {count} slots"
 
 
@@ -421,10 +397,11 @@ def check_dual_vs_exact(rng, count):
     for _ in range(count):
         problem = random_slot_problem(rng, int(rng.integers(1, 7)), int(rng.integers(1, 3)))
         sol = solve_noninterfering(problem, step=0.005, phi=1e-14, max_iters=20_000)
-        _, _, _, best = exact_schedule(problem)
+        _, _, _, best, _ = exact_schedule(problem)
         rel = abs(sol.objective - best) / max(abs(best), 1e-12)
         worst = max(worst, rel)
-        assert rel <= 1e-4, f"dual {sol.objective} vs exact {best} (rel {rel})"
+        if not rel <= 1e-4:
+            raise AssertionError(f"dual {sol.objective} vs exact {best} (rel {rel})")
     return f"{count} instances, worst relative objective error {worst:.3g}"
 
 
@@ -451,10 +428,10 @@ def check_greedy_vs_exhaustive(rng, count):
         _, opt = brute_force_alloc(problem, tuple(range(n_ch)), p_idle, graph, value=value)
         tol = 1e-6 * max(1.0, abs(opt))
         bound = opt / (1.0 + graph.d_max)
-        assert trace.value >= bound - tol, f"greedy {trace.value} below guarantee {bound}"
-        assert opt <= optbound_upper(trace) + tol, (
-            f"optimum {opt} above greedy upper bound {optbound_upper(trace)}"
-        )
+        if not trace.value >= bound - tol:
+            raise AssertionError(f"greedy {trace.value} below guarantee {bound}")
+        if not opt <= optbound_upper(trace) + tol:
+            raise AssertionError(f"optimum {opt} above greedy upper bound {optbound_upper(trace)}")
         if opt > 0:
             worst_ratio = min(worst_ratio, trace.value / opt)
     return (
@@ -485,7 +462,8 @@ def check_psnr_telescoping(rng, count):
             bits += np.where(connect, xi * rho0 * b0, xi * rhof * g * b1)
         expect = window_psnr_by_bits(alpha, beta, bits, cap_rate, T)
         err = np.abs(state.psnr - expect).max()
-        assert err <= 1e-9, f"telescoped {state.psnr} vs bit accounting {expect}"
+        if not err <= 1e-9:
+            raise AssertionError(f"telescoped {state.psnr} vs bit accounting {expect}")
     return f"{count} windows matched to 1e-9"
 
 

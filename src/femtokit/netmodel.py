@@ -35,11 +35,8 @@ class FadingSpec:
 
     mean: object
     seed: int
-    distribution: str = "exponential"
 
     def __post_init__(self):
-        if self.distribution != "exponential":
-            raise ValueError(f"unsupported fading distribution {self.distribution!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if np.any(np.asarray(self.mean, dtype=float) <= 0):

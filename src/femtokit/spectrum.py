@@ -24,7 +24,6 @@ class PrimaryChannel:
     p01: float
     p10: float
     busy_prior: "float | None" = None
-    capacity_bps: float = 0.0
     state: int = 0
 
     def __post_init__(self):

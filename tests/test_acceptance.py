@@ -197,7 +197,7 @@ def test_price_iteration_matches_enumeration():
             skipped += 1
             continue
         sol = solve_noninterfering(prob, step=0.01, phi=1e-12, max_iters=10_000)
-        _, _, _, best = exact_schedule(prob)
+        _, _, _, best, _ = exact_schedule(prob)
         rel = abs(sol.objective - best) / max(abs(best), 1e-12)
         worst_rel = max(worst_rel, rel)
         worst_gap = max(worst_gap, sol.duality_gap)

@@ -4,6 +4,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +348,25 @@ class TestCli:
         assert len(failed) == 1
         assert failed[0].startswith("FAIL schedule-dual-vs-exact: raised ValueError: boom (at ")
         assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
+
+    def test_oracle_check_fails_under_optimised_python(self):
+        # python -O strips assert statements; a fast path that disagrees with
+        # its reference must still fail the check
+        script = (
+            "from femtokit.harness import oracles\n"
+            "oracles.fuse_beliefs_batch = lambda prior, obs, profiles: 2.0\n"
+            "ok, detail = oracles.run_check(oracles.check_fusion_routes, None, 0)\n"
+            "print(__debug__, ok, detail)\n"
+        )
+        src = str(Path(oracles.__file__).resolve().parents[2])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.startswith("False False sequential ")
+        assert out.rstrip().endswith(" vs batch 2.0")
 
     def test_run_writes_csv_and_aggregate(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -75,8 +75,6 @@ class TestFading:
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             FadingSpec(mean=0.0, seed=1)
-        with pytest.raises(ValueError):
-            FadingSpec(mean=1.0, seed=1, distribution="rayleigh")
         spec = FadingSpec(mean=np.ones((3, 2)), seed=1)
         with pytest.raises(ValueError):
             sample_gains(spec, 2, 2, slot_index=0)

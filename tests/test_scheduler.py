@@ -32,6 +32,7 @@ from femtokit.harness.oracles import (
     exact_allocation_solver,
     exact_schedule,
     support_margin,
+    waterfill_pool,
 )
 
 
@@ -192,7 +193,7 @@ class TestPriceIteration:
             if support_margin(prob) < 0.01:
                 continue
             sol = solve_noninterfering(prob, phi=1e-12)
-            _, _, _, best = exact_schedule(prob)
+            _, _, _, best, _ = exact_schedule(prob)
             assert sol.objective == pytest.approx(best, rel=1e-6)
             assert sol.duality_gap <= 1e-3
             checked += 1
@@ -242,6 +243,48 @@ class TestPriceIteration:
         prices = init_prices(prob)
         assert prices[0] == pytest.approx(0.5 * 1.0 / 4.0)
         assert prices[1] == pytest.approx(0.25 * 2.0 / 5.0)
+
+
+@st.composite
+def pools(draw):
+    """One transmitter's pool of 1 to 8 users, some with zero rate or zero
+    weight. Offsets w/rate stay below 100, which keeps the rounding of the
+    shares' sum below 1e-12."""
+    k = draw(st.integers(1, 8))
+
+    def per_user(values):
+        return np.array(draw(st.lists(values, min_size=k, max_size=k)))
+
+    return (
+        per_user(st.just(0.0) | st.floats(0.01, 1.0)),
+        per_user(st.floats(1.0, 45.0)),
+        per_user(st.just(0.0) | st.floats(0.5, 120.0)),
+    )
+
+
+class TestWaterfillPool:
+    @settings(max_examples=300, deadline=None)
+    @given(pool=pools())
+    def test_closed_form_clears_the_slot_at_the_fast_path_optimum(self, pool):
+        pbar, w, rate = pool
+        shares, value, mu = waterfill_pool(pbar, w, rate)
+        assert np.all(shares >= 0.0)
+        if not np.any((rate > 0) & (pbar > 0)):
+            assert np.all(shares == 0.0) and mu == 0.0
+            return
+        assert shares.sum() == pytest.approx(1.0, abs=1e-12)
+        marginal = pbar * rate / (w + shares * rate)
+        busy = shares > 0
+        assert marginal[busy] == pytest.approx(np.full(busy.sum(), mu), rel=1e-12)
+        assert np.all(marginal[~busy] <= mu * (1 + 1e-12))
+        # the fast path's independent bisection reaches the same optimum
+        fast = scheduler._pool_shares(pbar, w, rate)
+        assert value == pytest.approx(float(np.sum(pbar * np.log(w + fast * rate))), abs=1e-9)
+
+    def test_all_inactive_pool_takes_no_time_at_price_zero(self):
+        shares, value, mu = waterfill_pool([0.0, 0.7, 0.0], [30.0, 35.0, 40.0], [50.0, 0.0, 0.0])
+        assert shares.tolist() == [0.0, 0.0, 0.0] and mu == 0.0
+        assert value == pytest.approx(0.7 * math.log(35.0), rel=1e-15)
 
 
 def assert_same_solution(a, b):
