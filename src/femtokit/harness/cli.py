@@ -5,6 +5,7 @@ validation or oracle check.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigError, MulticastConfig, StreamConfig, load_config
@@ -70,23 +71,23 @@ def _emit(rows, args) -> None:
 def _run(args) -> int:
     cfg = load_config(args.config)
     seeds = parse_seeds(args.seeds)
-    if getattr(args, "budget", None) is not None and args.budget < 1:
-        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
-    if args.command == "multicast":
-        if not isinstance(cfg, MulticastConfig):
-            raise ConfigError(f"{args.config} is not a multicast scenario")
-        rows = run_multicast(cfg, seeds)
-    elif args.command == "stream":
+    if args.command == "multicast" and not isinstance(cfg, MulticastConfig):
+        raise ConfigError(f"{args.config} is not a multicast scenario")
+    if args.command == "stream" and not isinstance(cfg, StreamConfig):
+        raise ConfigError(f"{args.config} is not a stream scenario")
+    if args.command == "sweep" and cfg.sweep is None:
+        raise ConfigError(f"{args.config} declares no sweep")
+    budget = getattr(args, "budget", None)
+    if budget is not None:
+        if budget < 1:
+            raise ConfigError(f"--budget must be >= 1, got {budget}")
         if not isinstance(cfg, StreamConfig):
-            raise ConfigError(f"{args.config} is not a stream scenario")
-        rows = run_streaming(cfg, seeds, budget=args.budget)
+            raise ConfigError("--budget applies only to stream scenarios")
+        cfg = dataclasses.replace(cfg, budget=budget)
+    if isinstance(cfg, MulticastConfig):
+        rows = run_multicast(cfg, seeds)
     else:
-        if cfg.sweep is None:
-            raise ConfigError(f"{args.config} declares no sweep")
-        if isinstance(cfg, MulticastConfig):
-            rows = run_multicast(cfg, seeds)
-        else:
-            rows = run_streaming(cfg, seeds, budget=args.budget)
+        rows = run_streaming(cfg, seeds)
     _emit(rows, args)
     return 0
 

@@ -15,7 +15,6 @@ class ConfigError(Exception):
 MULTICAST_SWEEPS = ("num_levels", "mbs_bandwidth_hz")
 STREAM_SWEEPS = ("num_channels", "eta", "sensing_error", "common_bandwidth_bps", "budget")
 COVERAGE_MODES = ("none", "single", "random")
-ALGORITHMS = ("proposed", "equal", "diversity")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -58,7 +57,6 @@ class MulticastConfig:
     macro_only_fraction: float = 0.0
     include_heuristic: bool = True
     oracle_max_users: int = 0
-    radius_per_watt: float = 1.0
     sweep: "dict | None" = None
 
     def __post_init__(self):
@@ -74,7 +72,6 @@ class MulticastConfig:
         _require(self.coverage in COVERAGE_MODES, f"coverage must be one of {COVERAGE_MODES}")
         _require(0.0 <= self.macro_only_fraction < 1.0, "macro_only_fraction must be in [0, 1)")
         _require(self.oracle_max_users >= 0, "oracle_max_users cannot be negative")
-        _require(self.radius_per_watt > 0, "radius_per_watt must be positive")
         if self.coverage == "none":
             _require(self.num_fbs == 0, "coverage 'none' means no femto stations")
         elif self.coverage == "single":
@@ -106,9 +103,13 @@ class MulticastConfig:
                     _require(all(v < self.total_bandwidth_hz for v in values),
                              "bandwidth sweep values must leave room for the femto band")
 
-    def bandwidths_hz(self, mbs_bandwidth: "float | None" = None):
-        """Per-station bandwidth vector for one sweep point."""
-        b0 = self.mbs_bandwidth_hz if mbs_bandwidth is None else float(mbs_bandwidth)
+    def at(self, value) -> "MulticastConfig":
+        """The plain config of one sweep point: the swept field set to value."""
+        return dataclasses.replace(self, **{self.sweep["parameter"]: value}, sweep=None)
+
+    def bandwidths_hz(self):
+        """Per-station bandwidth vector."""
+        b0 = self.mbs_bandwidth_hz
         if self.num_fbs == 0:
             return [b0]
         bf = (
@@ -140,18 +141,14 @@ class StreamConfig:
     beta_db_per_bps: object
     mean_sinr_mbs: object
     mean_sinr_fbs: object
-    eta: "float | None" = None
-    fbs_sensing: bool = True
     num_fbs: int = 1
     assoc: "list | None" = None
     edges: "list | None" = None
     max_rate_bps: object = None
-    decode_threshold: float = 1.0
     step: float = 0.01
     phi: float = 1e-6
     max_iters: int = 2000
     alloc_iters: int = 300
-    algorithms: "list | None" = None
     emit_trace: bool = False
     budget: "int | None" = None
     sweep: "dict | None" = None
@@ -170,11 +167,6 @@ class StreamConfig:
         for nm in ("false_alarm", "miss"):
             v = getattr(self, nm)
             _require(0.0 <= v < 0.5, f"{nm} must be in [0, 0.5)")
-        if self.eta is not None:
-            _require(0.0 < self.eta < 1.0, "eta must be in (0, 1)")
-            _require(self.p10 > 0, "eta override needs p10 > 0")
-            _require(self._p01_from_eta(self.eta) <= 1.0,
-                     "eta override implies p01 > 1; lower eta or raise p10")
         _require(self.common_bandwidth_bps > 0, "common_bandwidth_bps must be positive")
         _require(self.channel_bandwidth_bps > 0, "channel_bandwidth_bps must be positive")
         _require(self.num_fbs >= 1, "num_fbs must be >= 1")
@@ -194,19 +186,12 @@ class StreamConfig:
         self.beta_db_per_bps = self._per_user("beta_db_per_bps", self.beta_db_per_bps, positive=True)
         if self.max_rate_bps is not None:
             self.max_rate_bps = self._per_user("max_rate_bps", self.max_rate_bps, positive=True)
-        _require(self.decode_threshold >= 0, "decode_threshold cannot be negative")
         self.mean_sinr_mbs = self._per_user("mean_sinr_mbs", self.mean_sinr_mbs, positive=True)
         self.mean_sinr_fbs = self._per_user("mean_sinr_fbs", self.mean_sinr_fbs, positive=True)
         _require(self.step > 0, "step must be positive")
         _require(self.phi >= 0, "phi cannot be negative")
         _require(self.max_iters >= 1, "max_iters must be >= 1")
         _require(self.alloc_iters >= 1, "alloc_iters must be >= 1")
-        if self.algorithms is None:
-            self.algorithms = list(ALGORITHMS)
-        _require(len(self.algorithms) > 0, "algorithms must be non-empty")
-        bad = [a for a in self.algorithms if a not in ALGORITHMS]
-        _require(not bad, f"unknown algorithms {bad}; choose from {ALGORITHMS}")
-        _require("proposed" in self.algorithms, "the proposed algorithm must always run")
         if self.budget is not None:
             _require(isinstance(self.budget, int) and self.budget >= 1, "budget must be an integer >= 1")
         _check_sweep(self.sweep, STREAM_SWEEPS)
@@ -233,6 +218,23 @@ class StreamConfig:
             else:
                 _require(all(isinstance(v, int) and v >= 1 for v in values),
                          "budget sweep values must be integers >= 1")
+                _require(self.budget is None, "budget conflicts with the budget sweep")
+
+    def at(self, value) -> "StreamConfig":
+        """The plain config of one sweep point.
+
+        eta sets p01 so that the chain's stationary busy fraction is eta,
+        sensing_error sets [false_alarm, miss], and every other parameter
+        sets its own field.
+        """
+        param = self.sweep["parameter"]
+        if param == "eta":
+            fields = {"p01": self._p01_from_eta(value)}
+        elif param == "sensing_error":
+            fields = dict(zip(("false_alarm", "miss"), value))
+        else:
+            fields = {param: value}
+        return dataclasses.replace(self, **fields, sweep=None)
 
     def _p01_from_eta(self, eta: float) -> float:
         return eta * self.p10 / (1.0 - eta)
@@ -240,7 +242,7 @@ class StreamConfig:
     def _per_user(self, name, value, positive: bool):
         if isinstance(value, (int, float)):
             values = (float(value),) * self.num_users
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             _require(len(value) == self.num_users, f"{name} list needs one entry per user")
             _require(all(isinstance(v, (int, float)) for v in value), f"{name} entries must be numbers")
             values = tuple(float(v) for v in value)
@@ -249,6 +251,13 @@ class StreamConfig:
         if positive:
             _require(all(v > 0 for v in values), f"{name} entries must be positive")
         return values
+
+
+def sweep_points(cfg) -> list:
+    """(value, config at that value) per sweep point; (None, cfg) without a sweep."""
+    if cfg.sweep is None:
+        return [(None, cfg)]
+    return [(value, cfg.at(value)) for value in cfg.sweep["values"]]
 
 
 _KINDS = {"multicast": MulticastConfig, "stream": StreamConfig}

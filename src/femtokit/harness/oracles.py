@@ -14,7 +14,6 @@ from ..multicast import (
     LevelDemand,
     bounds,
     brute_force_multicast,
-    folded_total,
     heuristic_assign,
     solve_case1,
     solve_case2,
@@ -25,14 +24,14 @@ from ..multicast import (
 from ..netmodel import make_rng
 from ..scheduler import (
     AllocationValue,
+    ChannelAllocation,
     InterferenceGraph,
     SlotProblem,
-    brute_force_alloc,
     greedy_alloc,
     optbound_upper,
     solve_noninterfering,
 )
-from ..spectrum import PrimaryChannel, SensorProfile, fuse_beliefs, fuse_beliefs_batch, step_primary
+from ..spectrum import PrimaryChannel, SensorProfile, fuse_beliefs, step_primary
 from ..video import StreamState, update_psnr
 
 
@@ -192,6 +191,96 @@ def diminishing_gains_margin(problem, channels, p_idle, graph, value=None, max_p
             neither = keep_x & ~(1 << px)
             margin = min(margin, q[keep_x] + q[keep_y] - q[neither] - q_full)
     return float(margin)
+
+
+def brute_force_alloc(
+    problem: SlotProblem,
+    channels,
+    p_idle,
+    graph: InterferenceGraph,
+    value: "AllocationValue | None" = None,
+    max_pairs: int = 12,
+    **solver_opts,
+):
+    """Exact best allocation by enumerating independent sets per channel.
+
+    Refused when n_fbs * len(channels) exceeds max_pairs. Returns the best
+    allocation and its improvement value; ties keep the first combination
+    in enumeration order.
+    """
+    p_idle = np.asarray(p_idle, dtype=float)
+    channels = tuple(channels)
+    n = problem.n_fbs
+    if n * len(channels) > max_pairs:
+        raise ValueError(
+            f"exhaustive allocation refused: {n * len(channels)} pairs exceeds the limit of {max_pairs}"
+        )
+    if value is None:
+        value = AllocationValue(problem, **solver_opts)
+
+    independent = []
+    for mask in range(2 ** n):
+        members = [i + 1 for i in range(n) if mask >> i & 1]
+        if all(not graph.are_adjacent(i, j) for i, j in itertools.combinations(members, 2)):
+            independent.append(tuple(members))
+
+    zero_key = tuple(np.zeros(n))
+    best = None
+    for combo in itertools.product(independent, repeat=len(channels)):
+        assigned = np.zeros((n, len(channels)), dtype=int)
+        for m, members in enumerate(combo):
+            for i in members:
+                assigned[i - 1, m] = 1
+        v = value.improvement(assigned @ p_idle, warm_key=zero_key)
+        if best is None or v > best[0]:
+            best = (v, assigned)
+    alloc = ChannelAllocation(channels=channels, p_idle=p_idle, assigned=best[1])
+    alloc.validate(graph)
+    return alloc, best[0]
+
+
+def folded_total(
+    assignment: LevelAssignment, gains: np.ndarray, thresholds, noise: float
+) -> float:
+    """Total power via the folded closed form, independent of the backward
+    recursion: the sum over stations m and their nonempty layers l of
+    noise * Gamma_m * (1+Gamma_m)^{c_l^m} * max_k 1/H_m^k."""
+    gains = np.asarray(gains, dtype=float)
+    thresholds = np.asarray(thresholds, dtype=float)
+    c = assignment.exponents(gains.shape[0])
+    worst = {}
+    for k, (l, m) in enumerate(zip(assignment.demand.user_level, assignment.serving)):
+        worst[m, l] = max(worst.get((m, l), 0.0), 1.0 / gains[m, k])
+    total = 0.0
+    for (m, l), inv_gain in worst.items():
+        total += noise * thresholds[m] * (1.0 + thresholds[m]) ** c[m, l - 1] * inv_gain
+    return total
+
+
+def fuse_beliefs_batch(busy_prior: float, observations, profiles) -> float:
+    """Posterior idle probability from the joint likelihood in one shot."""
+    observations = list(observations)
+    profiles = list(profiles)
+    if not observations:
+        raise ValueError("at least one observation is required")
+    if len(observations) != len(profiles):
+        raise ValueError("need one sensor profile per observation")
+    if not 0.0 <= busy_prior <= 1.0:
+        raise ValueError(f"busy_prior must be a probability, got {busy_prior}")
+
+    like_idle = 1.0 - busy_prior
+    like_busy = busy_prior
+    for theta, prof in zip(observations, profiles):
+        if theta == 1:
+            like_idle *= prof.false_alarm
+            like_busy *= 1.0 - prof.miss
+        else:
+            like_idle *= 1.0 - prof.false_alarm
+            like_busy *= prof.miss
+    denom = like_idle + like_busy
+    if denom == 0.0:
+        raise ValueError("observations are impossible under the given prior and profiles")
+    return like_idle / denom
 
 
 def window_psnr_by_bits(alpha, beta, window_bits, max_rate_bps, window_slots: int):

@@ -99,13 +99,6 @@ class LevelAssignment:
             if m not in self.demand.options(k):
                 raise ValueError(f"user {k} cannot listen to station {m}")
 
-    def users_of(self, station: int, level: int) -> tuple:
-        return tuple(
-            k
-            for k, (l, m) in enumerate(zip(self.demand.user_level, self.serving))
-            if l == level and m == station
-        )
-
     def served_mask(self, n_stations: int) -> np.ndarray:
         """(n_stations, L) booleans: station m transmits layer l."""
         mask = np.zeros((n_stations, self.demand.num_levels), dtype=bool)
@@ -196,27 +189,6 @@ def total_power(
     return PowerAllocation(
         cumulative=q, per_level=per_level, total=float(q[:, 0].sum()), noise=noise
     )
-
-
-def folded_total(
-    assignment: LevelAssignment, gains: np.ndarray, thresholds, noise: float
-) -> float:
-    """Total power again, via the folded closed form (independent route).
-
-    sum over stations and their nonempty layers of
-    noise * Gamma_m * (1+Gamma_m)^{c_l^m} * max_{k} 1/H_m^k.
-    """
-    gains = np.asarray(gains, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
-    _check_inputs(assignment.demand, gains, thresholds, noise)
-    n_stations = gains.shape[0]
-    c = assignment.exponents(n_stations)
-    buckets = _level_buckets(assignment)
-    total = 0.0
-    for (m, l), users in buckets.items():
-        worst = max(1.0 / gains[m, k] for k in users)
-        total += noise * thresholds[m] * (1.0 + thresholds[m]) ** c[m, l - 1] * worst
-    return total
 
 
 def verify_feasible(

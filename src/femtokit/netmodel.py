@@ -56,16 +56,14 @@ def sample_gains(spec: FadingSpec, n_stations: int, n_users: int, slot_index: in
     return rng.exponential(mean)
 
 
-def footprint_volume(per_station_power_w, bandwidths_hz, radius_per_watt: float = 1.0) -> float:
+def footprint_volume(per_station_power_w, bandwidths_hz) -> float:
     """Spectral footprint: sum over stations of pi * radius^2 * bandwidth.
 
-    The interference radius is modeled as proportional to transmit power;
-    the constant of proportionality is a config input.
+    The interference radius is modeled as the transmit power itself (one
+    unit of radius per watt).
     """
-    if radius_per_watt <= 0:
-        raise ValueError("radius_per_watt must be positive")
     power = np.asarray(per_station_power_w, dtype=float)
     bw = np.asarray(bandwidths_hz, dtype=float)
     if power.shape != bw.shape:
         raise ValueError("need one bandwidth per station")
-    return float(np.sum(math.pi * (radius_per_watt * power) ** 2 * bw))
+    return float(np.sum(math.pi * power ** 2 * bw))

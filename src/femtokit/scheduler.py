@@ -14,7 +14,6 @@ the scheduling objective it enables, measured against the no-channel
 baseline so the greedy trace telescopes exactly.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -764,52 +763,6 @@ def greedy_alloc(
     alloc = ChannelAllocation(channels=channels, p_idle=p_idle, assigned=assigned)
     alloc.validate(graph)
     return alloc, GreedyTrace(steps=steps, value=current_value, baseline=value.baseline)
-
-
-def brute_force_alloc(
-    problem: SlotProblem,
-    channels,
-    p_idle,
-    graph: InterferenceGraph,
-    value: "AllocationValue | None" = None,
-    max_pairs: int = 12,
-    **solver_opts,
-):
-    """Exact best allocation by enumerating independent sets per channel.
-
-    Refused when n_fbs * len(channels) exceeds max_pairs. Returns the best
-    allocation and its improvement value; ties keep the first combination
-    in enumeration order.
-    """
-    p_idle = np.asarray(p_idle, dtype=float)
-    channels = tuple(channels)
-    n = problem.n_fbs
-    if n * len(channels) > max_pairs:
-        raise ValueError(
-            f"exhaustive allocation refused: {n * len(channels)} pairs exceeds the limit of {max_pairs}"
-        )
-    if value is None:
-        value = AllocationValue(problem, **solver_opts)
-
-    independent = []
-    for mask in range(2 ** n):
-        members = [i + 1 for i in range(n) if mask >> i & 1]
-        if all(not graph.are_adjacent(i, j) for i, j in itertools.combinations(members, 2)):
-            independent.append(tuple(members))
-
-    zero_key = tuple(np.zeros(n))
-    best = None
-    for combo in itertools.product(independent, repeat=len(channels)):
-        assigned = np.zeros((n, len(channels)), dtype=int)
-        for m, members in enumerate(combo):
-            for i in members:
-                assigned[i - 1, m] = 1
-        v = value.improvement(assigned @ p_idle, warm_key=zero_key)
-        if best is None or v > best[0]:
-            best = (v, assigned)
-    alloc = ChannelAllocation(channels=channels, p_idle=p_idle, assigned=best[1])
-    alloc.validate(graph)
-    return alloc, best[0]
 
 
 def optbound_upper(trace: GreedyTrace) -> float:

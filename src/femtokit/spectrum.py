@@ -121,32 +121,6 @@ def fuse_beliefs(busy_prior: float, observations, profiles) -> float:
     return p_idle
 
 
-def fuse_beliefs_batch(busy_prior: float, observations, profiles) -> float:
-    """Posterior idle probability from the joint likelihood in one shot."""
-    observations = list(observations)
-    profiles = list(profiles)
-    if not observations:
-        raise ValueError("at least one observation is required")
-    if len(observations) != len(profiles):
-        raise ValueError("need one sensor profile per observation")
-    if not 0.0 <= busy_prior <= 1.0:
-        raise ValueError(f"busy_prior must be a probability, got {busy_prior}")
-
-    like_idle = 1.0 - busy_prior
-    like_busy = busy_prior
-    for theta, prof in zip(observations, profiles):
-        if theta == 1:
-            like_idle *= prof.false_alarm
-            like_busy *= 1.0 - prof.miss
-        else:
-            like_idle *= 1.0 - prof.false_alarm
-            like_busy *= prof.miss
-    denom = like_idle + like_busy
-    if denom == 0.0:
-        raise ValueError("observations are impossible under the given prior and profiles")
-    return like_idle / denom
-
-
 def access_probability(p_idle: float, gamma: float) -> float:
     """min(gamma / P(busy), 1): the largest access rate keeping expected
     collisions per slot at or below gamma."""

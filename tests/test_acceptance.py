@@ -16,6 +16,7 @@ import pytest
 from femtokit.harness.cli import main
 from femtokit.harness.config import load_config
 from femtokit.harness.oracles import (
+    brute_force_alloc,
     check_fusion_routes,
     check_single_station_closed_form,
     check_solvers_and_bounds,
@@ -26,7 +27,7 @@ from femtokit.harness.oracles import (
     run_check,
     support_margin,
 )
-from femtokit.harness.runners import HarnessError, multicast_instance, run_streaming
+from femtokit.harness.runners import ALGORITHMS, HarnessError, multicast_instance, run_streaming
 from femtokit.multicast import (
     LevelDemand,
     heuristic_assign,
@@ -41,7 +42,6 @@ from femtokit.netmodel import make_rng
 from femtokit.scheduler import (
     AllocationValue,
     InterferenceGraph,
-    brute_force_alloc,
     greedy_alloc,
     optbound_upper,
     solve_noninterfering,
@@ -109,7 +109,7 @@ def test_power_savings_over_baselines():
     whole_gamma = snr_threshold(cfg2.target_rate_bps, whole_band)
     split_savings = []
     for seed in seeds:
-        demand, gains = multicast_instance(cfg2, cfg2.num_levels, seed)
+        demand, gains = multicast_instance(cfg2, seed)
         overlay = solve_case2(demand, gains, split_thresholds, cfg2.noise_w)[1].total
         macro_demand = LevelDemand(demand.num_levels, demand.user_level, (0,) * demand.num_users)
         single = solve_case1(macro_demand, gains[:1], [whole_gamma], cfg2.noise_w).total
@@ -124,7 +124,7 @@ def test_power_savings_over_baselines():
         idx = sweep_values.index(levels)
         savings = []
         for seed in seeds:
-            demand, gains = multicast_instance(cfg4, levels, seed, sweep_index=idx)
+            demand, gains = multicast_instance(cfg4.at(levels), seed, sweep_index=idx)
             proposed = solve_case3(demand, gains, thresholds4, cfg4.noise_w)[1].total
             strongest = heuristic_assign(demand, gains)
             baseline = total_power(strongest, gains, thresholds4, cfg4.noise_w).total
@@ -337,7 +337,7 @@ def test_quality_telescopes_to_bit_ledger(monkeypatch):
 
     seeds = [0, 1, 2]
     rows = run_streaming(cfg, seeds)
-    windows = cfg.num_slots // cfg.window_slots * len(seeds) * len(cfg.algorithms)
+    windows = cfg.num_slots // cfg.window_slots * len(seeds) * len(ALGORITHMS)
     elapsed = time.perf_counter() - start
     ok = len(rows) > 0 and elapsed < 120.0
     _report(

@@ -1,6 +1,6 @@
 """Config schemas, CSV round trips, seeds, runners, and the CLI."""
 
-import copy
+import dataclasses
 import io
 import json
 import math
@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from femtokit.harness import oracles
+from femtokit.harness import cli, oracles
 from femtokit.harness.cli import main, parse_seeds
 from femtokit.harness.config import (
+    MULTICAST_SWEEPS,
+    STREAM_SWEEPS,
     ConfigError,
-    MulticastConfig,
-    StreamConfig,
     config_from_dict,
     load_config,
 )
@@ -67,6 +67,22 @@ STREAM_BASE = {
     "mean_sinr_fbs": 3.0,
 }
 
+FEMTO_MULTICAST = dict(
+    MULTICAST_BASE, num_fbs=1, coverage="single", fbs_gain_mean=1.0, total_bandwidth_hz=2.5e6
+)
+
+# per sweep parameter: a base config, one sweep value, and the fields that
+# value must set on the sweep point's config
+SWEEP_POINTS = {
+    "num_channels": (STREAM_BASE, 5, {"num_channels": 5}),
+    "eta": (STREAM_BASE, 0.5, {"p01": pytest.approx(0.3)}),  # 0.5 * p10 / (1 - 0.5)
+    "sensing_error": (STREAM_BASE, [0.2, 0.48], {"false_alarm": 0.2, "miss": 0.48}),
+    "common_bandwidth_bps": (STREAM_BASE, 4e5, {"common_bandwidth_bps": 4e5}),
+    "budget": (STREAM_BASE, 7, {"budget": 7}),
+    "num_levels": (MULTICAST_BASE, 3, {"num_levels": 3}),
+    "mbs_bandwidth_hz": (FEMTO_MULTICAST, 2e6, {"mbs_bandwidth_hz": 2e6}),
+}
+
 
 class TestConfigSchema:
     def test_every_shipped_scenario_parses(self):
@@ -105,13 +121,35 @@ class TestConfigSchema:
         assert ok.bandwidths_hz() == [1e6, 1e6]
 
     def test_remaining_band_computed_from_total(self):
-        data = dict(
-            MULTICAST_BASE, num_fbs=1, coverage="single", fbs_gain_mean=1.0,
-            total_bandwidth_hz=2.5e6,
-        )
-        cfg = config_from_dict(data)
+        sweep = {"parameter": "mbs_bandwidth_hz", "values": [2e6]}
+        cfg = config_from_dict(dict(FEMTO_MULTICAST, sweep=sweep))
         assert cfg.bandwidths_hz() == [1e6, 1.5e6]
-        assert cfg.bandwidths_hz(mbs_bandwidth=2e6) == [2e6, 0.5e6]
+        assert cfg.at(2e6).bandwidths_hz() == [2e6, 0.5e6]
+
+    @pytest.mark.parametrize("parameter", STREAM_SWEEPS + MULTICAST_SWEEPS)
+    def test_sweep_point_sets_only_its_fields(self, parameter):
+        base, value, expected = SWEEP_POINTS[parameter]
+        cfg = config_from_dict(dict(base, sweep={"parameter": parameter, "values": [value]}))
+        point = cfg.at(value)
+        assert type(point) is type(cfg) and point.sweep is None
+        assert {name: getattr(point, name) for name in expected} == expected
+        untouched = [f.name for f in dataclasses.fields(cfg) if f.name not in expected]
+        untouched.remove("sweep")
+        assert all(getattr(point, name) == getattr(cfg, name) for name in untouched)
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            (STREAM_BASE, "fbs_sensing", True),
+            (STREAM_BASE, "algorithms", ["proposed", "equal", "diversity"]),
+            (STREAM_BASE, "decode_threshold", 1.0),
+            (STREAM_BASE, "eta", 0.5),
+            (MULTICAST_BASE, "radius_per_watt", 1.0),
+        ],
+    )
+    def test_removed_keys_rejected(self, base, key, value):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict(dict(base, **{key: value}))
 
     def test_sweep_parameter_whitelist(self):
         bad = dict(MULTICAST_BASE, sweep={"parameter": "noise_w", "values": [1.0]})
@@ -145,16 +183,12 @@ class TestConfigSchema:
         assert cfg.assoc == [1, 1]
 
     def test_occupancy_override_keeps_probabilities_sane(self):
-        cfg = config_from_dict(dict(STREAM_BASE, eta=0.5))
-        assert cfg._p01_from_eta(0.5) == pytest.approx(0.3)
-        with pytest.raises(ConfigError):
-            config_from_dict(dict(STREAM_BASE, eta=0.9))  # implies p01 = 2.7
-
-    def test_algorithms_must_include_proposed(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(dict(STREAM_BASE, algorithms=["equal"]))
-        with pytest.raises(ConfigError):
-            config_from_dict(dict(STREAM_BASE, algorithms=["proposed", "best"]))
+        sweep = {"parameter": "eta", "values": [0.2, 0.5]}
+        cfg = config_from_dict(dict(STREAM_BASE, sweep=sweep))
+        assert cfg.at(0.5).p01 == pytest.approx(0.3)
+        too_busy = {"parameter": "eta", "values": [0.5, 0.9]}  # 0.9 implies p01 = 2.7
+        with pytest.raises(ConfigError, match="implies p01 > 1"):
+            config_from_dict(dict(STREAM_BASE, sweep=too_busy))
 
     def test_unreadable_or_invalid_files_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -271,16 +305,17 @@ class TestRunners:
 
     def test_instance_draws_fixed_by_seed_and_sweep(self):
         cfg = load_config(SCENARIOS / "fig4_levels.json")
-        d0, g0 = multicast_instance(cfg, 4, seed=3, sweep_index=2)
-        d1, g1 = multicast_instance(cfg, 4, seed=3, sweep_index=2)
-        d2, g2 = multicast_instance(cfg, 4, seed=3, sweep_index=3)
+        point = cfg.at(4)
+        d0, g0 = multicast_instance(point, seed=3, sweep_index=2)
+        d1, g1 = multicast_instance(point, seed=3, sweep_index=2)
+        d2, g2 = multicast_instance(point, seed=3, sweep_index=3)
         assert d0 == d1 and np.array_equal(g0, g1)
         assert not (d0 == d2 and np.array_equal(g0, g2))
         assert set(d0.user_level) <= set(range(1, 5))
 
     def test_budget_caps_solver_iterations(self):
-        cfg = config_from_dict(dict(STREAM_BASE, max_iters=500))
-        rows = run_streaming(cfg, [0], budget=1)
+        cfg = config_from_dict(dict(STREAM_BASE, max_iters=500, budget=1))
+        rows = run_streaming(cfg, [0])
         iters = [r for r in rows if r.metric == "iterations_mean"]
         assert all(r.value <= 1.0 for r in iters)
 
@@ -328,6 +363,29 @@ class TestCli:
             code = self.run_cli("stream", "--config", str(cfg), "--seeds", "0", "--budget", budget)
             assert code == 2
             assert "--budget must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            (dict(STREAM_BASE, sweep={"parameter": "budget", "values": [1, 2]}), "budget sweep"),
+            (
+                dict(MULTICAST_BASE, sweep={"parameter": "num_levels", "values": [1, 2]}),
+                "only to stream scenarios",
+            ),
+        ],
+    )
+    def test_budget_flag_conflicts_exit_two_before_running(
+        self, tmp_path, monkeypatch, capsys, scenario, message
+    ):
+        def must_not_run(cfg, seeds):
+            raise AssertionError("the runner started")
+
+        monkeypatch.setattr(cli, "run_streaming", must_not_run)
+        monkeypatch.setattr(cli, "run_multicast", must_not_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(scenario))
+        assert self.run_cli("sweep", "--config", str(cfg), "--seeds", "0", "--budget", "5") == 2
+        assert message in capsys.readouterr().err
 
     def test_oracle_check_prints_one_ok_line_per_check(self, capsys):
         assert self.run_cli("oracle-check") == 0

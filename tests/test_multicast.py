@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtokit.harness.oracles import random_multicast
+from femtokit.harness.oracles import folded_total, random_multicast
 from femtokit.multicast import (
     LevelAssignment,
     LevelDemand,
     bounds,
     brute_force_multicast,
     f_step,
-    folded_total,
     heuristic_assign,
     snr_threshold,
     snr_thresholds,

@@ -84,15 +84,14 @@ class TestFading:
 
 class TestFootprint:
     def test_disc_volume_hand_value(self):
-        # pi * (1*1)^2 * 10 + pi * (1*2)^2 * 100
-        got = footprint_volume([1.0, 2.0], [10.0, 100.0], radius_per_watt=1.0)
+        # pi * 1^2 * 10 + pi * 2^2 * 100
+        got = footprint_volume([1.0, 2.0], [10.0, 100.0])
         assert got == pytest.approx(math.pi * 410.0, rel=1e-12)
 
     def test_scales_with_square_of_power_radius(self):
-        base = footprint_volume([2.0], [5.0], radius_per_watt=1.0)
-        assert footprint_volume([4.0], [5.0], radius_per_watt=1.0) == pytest.approx(4 * base)
-        assert footprint_volume([2.0], [5.0], radius_per_watt=2.0) == pytest.approx(4 * base)
+        base = footprint_volume([2.0], [5.0])
+        assert footprint_volume([4.0], [5.0]) == pytest.approx(4 * base)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            footprint_volume([1.0, 2.0], [10.0], radius_per_watt=1.0)
+            footprint_volume([1.0, 2.0], [10.0])

@@ -16,7 +16,6 @@ from femtokit.scheduler import (
     GreedyTrace,
     InterferenceGraph,
     SlotProblem,
-    brute_force_alloc,
     dual_update,
     greedy_alloc,
     heuristic_diversity,
@@ -28,6 +27,7 @@ from femtokit.scheduler import (
     solve_noninterfering_batch,
 )
 from femtokit.harness.oracles import (
+    brute_force_alloc,
     diminishing_gains_margin,
     exact_allocation_solver,
     exact_schedule,

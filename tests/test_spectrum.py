@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtokit.harness.oracles import fuse_beliefs_batch
 from femtokit.netmodel import make_rng
 from femtokit.spectrum import (
     AccessPolicy,
@@ -16,7 +17,6 @@ from femtokit.spectrum import (
     access_probability,
     decide_access,
     fuse_beliefs,
-    fuse_beliefs_batch,
     sense,
     step_primary,
 )
