@@ -8,7 +8,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import ConfigError, MulticastConfig, StreamConfig, load_config
+from .config import ConfigError, StreamConfig, load_config
 from .csvio import write_aggregate, write_rows
 from .oracles import oracle_check
 from .runners import HarnessError, run_multicast, run_streaming
@@ -37,24 +37,23 @@ def parse_seeds(spec: str) -> list:
     return seeds
 
 
-def _add_run_args(sub, with_budget: bool):
-    sub.add_argument("--config", required=True, help="scenario JSON path")
-    sub.add_argument("--seeds", default="0..9", help="'a', 'a..b' (inclusive), or 'a,b,c'")
-    sub.add_argument("--out", default=None, help="results CSV path (default: stdout)")
-    sub.add_argument("--aggregate", default=None, help="also write mean/ci95 CSV here")
-    if with_budget:
-        sub.add_argument("--budget", type=int, default=None, help="cap on price iterations per solve")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="femtokit",
         description="Femtocell multicast power and video scheduling experiments.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_run_args(subs.add_parser("multicast", help="layered multicast power runs"), with_budget=False)
-    _add_run_args(subs.add_parser("stream", help="video scheduling runs"), with_budget=True)
-    _add_run_args(subs.add_parser("sweep", help="run the sweep declared in the config"), with_budget=True)
+    run = subs.add_parser(
+        "run", help="run every sweep point of a scenario at each seed; its kind picks the runner"
+    )
+    run.add_argument("--config", required=True, help="scenario JSON path")
+    run.add_argument("--seeds", default="0..9", help="'a', 'a..b' (inclusive), or 'a,b,c'")
+    run.add_argument("--out", default=None, help="results CSV path (default: stdout)")
+    run.add_argument("--aggregate", default=None, help="also write mean/ci95 CSV here")
+    run.add_argument(
+        "--budget", type=int, default=None,
+        help="cap on price iterations per solve (stream scenarios only)",
+    )
     subs.add_parser("oracle-check", help="cross-check fast solvers against reference ones")
     return parser
 
@@ -71,23 +70,16 @@ def _emit(rows, args) -> None:
 def _run(args) -> int:
     cfg = load_config(args.config)
     seeds = parse_seeds(args.seeds)
-    if args.command == "multicast" and not isinstance(cfg, MulticastConfig):
-        raise ConfigError(f"{args.config} is not a multicast scenario")
-    if args.command == "stream" and not isinstance(cfg, StreamConfig):
-        raise ConfigError(f"{args.config} is not a stream scenario")
-    if args.command == "sweep" and cfg.sweep is None:
-        raise ConfigError(f"{args.config} declares no sweep")
-    budget = getattr(args, "budget", None)
-    if budget is not None:
-        if budget < 1:
-            raise ConfigError(f"--budget must be >= 1, got {budget}")
+    if args.budget is not None:
+        if args.budget < 1:
+            raise ConfigError(f"--budget must be >= 1, got {args.budget}")
         if not isinstance(cfg, StreamConfig):
             raise ConfigError("--budget applies only to stream scenarios")
-        cfg = dataclasses.replace(cfg, budget=budget)
-    if isinstance(cfg, MulticastConfig):
-        rows = run_multicast(cfg, seeds)
-    else:
+        cfg = dataclasses.replace(cfg, budget=args.budget)
+    if isinstance(cfg, StreamConfig):
         rows = run_streaming(cfg, seeds)
+    else:
+        rows = run_multicast(cfg, seeds)
     _emit(rows, args)
     return 0
 

@@ -22,7 +22,18 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_sweep(sweep, allowed) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_count(cfg, name: str, minimum: int) -> None:
+    value = getattr(cfg, name)
+    _require(_is_int(value) and value >= minimum, f"{name} must be an integer >= {minimum}")
+
+
+def _check_sweep(cfg, allowed) -> None:
+    """Structural checks, then each value is checked by building its point."""
+    sweep = cfg.sweep
     if sweep is None:
         return
     _require(isinstance(sweep, dict), "sweep must be an object")
@@ -35,6 +46,11 @@ def _check_sweep(sweep, allowed) -> None:
     )
     values = sweep["values"]
     _require(isinstance(values, list) and len(values) > 0, "sweep values must be a non-empty list")
+    for value in values:
+        try:
+            cfg.at(value)
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{sweep['parameter']} sweep value {value!r}: {exc}") from None
 
 
 @dataclass
@@ -56,22 +72,20 @@ class MulticastConfig:
     coverage: str = "none"
     macro_only_fraction: float = 0.0
     include_heuristic: bool = True
-    oracle_max_users: int = 0
     sweep: "dict | None" = None
 
     def __post_init__(self):
         _require(self.kind == "multicast", f"expected kind 'multicast', got {self.kind!r}")
         _require(bool(self.name), "name must be non-empty")
-        _require(self.num_users >= 1, "num_users must be >= 1")
-        _require(self.num_levels >= 1, "num_levels must be >= 1")
+        _require_count(self, "num_users", 1)
+        _require_count(self, "num_levels", 1)
+        _require_count(self, "num_fbs", 0)
         _require(self.target_rate_bps > 0, "target_rate_bps must be positive")
         _require(self.noise_w > 0, "noise_w must be positive")
         _require(self.mbs_bandwidth_hz > 0, "mbs_bandwidth_hz must be positive")
-        _require(self.num_fbs >= 0, "num_fbs cannot be negative")
         _require(self.mbs_gain_mean > 0, "mbs_gain_mean must be positive")
         _require(self.coverage in COVERAGE_MODES, f"coverage must be one of {COVERAGE_MODES}")
         _require(0.0 <= self.macro_only_fraction < 1.0, "macro_only_fraction must be in [0, 1)")
-        _require(self.oracle_max_users >= 0, "oracle_max_users cannot be negative")
         if self.coverage == "none":
             _require(self.num_fbs == 0, "coverage 'none' means no femto stations")
         elif self.coverage == "single":
@@ -90,18 +104,7 @@ class MulticastConfig:
             if self.total_bandwidth_hz is not None:
                 _require(self.total_bandwidth_hz > self.mbs_bandwidth_hz,
                          "total_bandwidth_hz must exceed mbs_bandwidth_hz")
-        _check_sweep(self.sweep, MULTICAST_SWEEPS)
-        if self.sweep is not None:
-            param, values = self.sweep["parameter"], self.sweep["values"]
-            if param == "num_levels":
-                _require(all(isinstance(v, int) and v >= 1 for v in values),
-                         "num_levels sweep values must be integers >= 1")
-            else:
-                _require(all(isinstance(v, (int, float)) and v > 0 for v in values),
-                         "bandwidth sweep values must be positive numbers")
-                if self.total_bandwidth_hz is not None:
-                    _require(all(v < self.total_bandwidth_hz for v in values),
-                             "bandwidth sweep values must leave room for the femto band")
+        _check_sweep(self, MULTICAST_SWEEPS)
 
     def at(self, value) -> "MulticastConfig":
         """The plain config of one sweep point: the swept field set to value."""
@@ -156,10 +159,10 @@ class StreamConfig:
     def __post_init__(self):
         _require(self.kind == "stream", f"expected kind 'stream', got {self.kind!r}")
         _require(bool(self.name), "name must be non-empty")
-        _require(self.num_users >= 1, "num_users must be >= 1")
-        _require(self.num_channels >= 1, "num_channels must be >= 1")
-        _require(self.window_slots >= 1, "window_slots must be >= 1")
-        _require(self.num_slots >= 1 and self.num_slots % self.window_slots == 0,
+        for name in ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
+                     "max_iters", "alloc_iters"):
+            _require_count(self, name, 1)
+        _require(self.num_slots % self.window_slots == 0,
                  "num_slots must be a positive multiple of window_slots")
         for nm in ("p01", "p10", "gamma"):
             v = getattr(self, nm)
@@ -169,18 +172,17 @@ class StreamConfig:
             _require(0.0 <= v < 0.5, f"{nm} must be in [0, 0.5)")
         _require(self.common_bandwidth_bps > 0, "common_bandwidth_bps must be positive")
         _require(self.channel_bandwidth_bps > 0, "channel_bandwidth_bps must be positive")
-        _require(self.num_fbs >= 1, "num_fbs must be >= 1")
         if self.assoc is None:
             self.assoc = [1] * self.num_users
         _require(len(self.assoc) == self.num_users, "assoc needs one femto id per user")
-        _require(all(isinstance(a, int) and 1 <= a <= self.num_fbs for a in self.assoc),
+        _require(all(_is_int(a) and 1 <= a <= self.num_fbs for a in self.assoc),
                  "assoc entries must be femto ids in 1..num_fbs")
         if self.edges is None:
             self.edges = []
         for e in self.edges:
             _require(isinstance(e, list) and len(e) == 2, f"edge {e} must be a [i, j] pair")
             i, j = e
-            _require(isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= self.num_fbs,
+            _require(_is_int(i) and _is_int(j) and 1 <= i < j <= self.num_fbs,
                      f"edge {e} must satisfy 1 <= i < j <= num_fbs")
         self.alpha_db = self._per_user("alpha_db", self.alpha_db, positive=True)
         self.beta_db_per_bps = self._per_user("beta_db_per_bps", self.beta_db_per_bps, positive=True)
@@ -190,54 +192,31 @@ class StreamConfig:
         self.mean_sinr_fbs = self._per_user("mean_sinr_fbs", self.mean_sinr_fbs, positive=True)
         _require(self.step > 0, "step must be positive")
         _require(self.phi >= 0, "phi cannot be negative")
-        _require(self.max_iters >= 1, "max_iters must be >= 1")
-        _require(self.alloc_iters >= 1, "alloc_iters must be >= 1")
         if self.budget is not None:
-            _require(isinstance(self.budget, int) and self.budget >= 1, "budget must be an integer >= 1")
-        _check_sweep(self.sweep, STREAM_SWEEPS)
-        if self.sweep is not None:
-            param, values = self.sweep["parameter"], self.sweep["values"]
-            if param == "num_channels":
-                _require(all(isinstance(v, int) and v >= 1 for v in values),
-                         "num_channels sweep values must be integers >= 1")
-            elif param == "eta":
-                _require(self.p10 > 0, "eta sweep needs p10 > 0")
-                for v in values:
-                    _require(isinstance(v, (int, float)) and 0.0 < v < 1.0,
-                             "eta sweep values must be in (0, 1)")
-                    _require(self._p01_from_eta(v) <= 1.0,
-                             f"eta sweep value {v} implies p01 > 1")
-            elif param == "sensing_error":
-                for v in values:
-                    _require(isinstance(v, list) and len(v) == 2
-                             and all(0.0 <= x < 0.5 for x in v),
-                             "sensing_error sweep values must be [false_alarm, miss] pairs in [0, 0.5)")
-            elif param == "common_bandwidth_bps":
-                _require(all(isinstance(v, (int, float)) and v > 0 for v in values),
-                         "common_bandwidth_bps sweep values must be positive")
-            else:
-                _require(all(isinstance(v, int) and v >= 1 for v in values),
-                         "budget sweep values must be integers >= 1")
-                _require(self.budget is None, "budget conflicts with the budget sweep")
+            _require_count(self, "budget", 1)
+        _check_sweep(self, STREAM_SWEEPS)
+        if self.sweep is not None and self.sweep["parameter"] == "budget":
+            _require(self.budget is None, "budget conflicts with the budget sweep")
 
     def at(self, value) -> "StreamConfig":
         """The plain config of one sweep point.
 
         eta sets p01 so that the chain's stationary busy fraction is eta,
         sensing_error sets [false_alarm, miss], and every other parameter
-        sets its own field.
+        sets its own field. The point's own checks judge the value.
         """
         param = self.sweep["parameter"]
         if param == "eta":
-            fields = {"p01": self._p01_from_eta(value)}
+            _require(0.0 < value < 1.0, "eta must be in (0, 1)")
+            _require(self.p10 > 0, "an eta sweep needs p10 > 0")
+            fields = {"p01": value * self.p10 / (1.0 - value)}
         elif param == "sensing_error":
+            _require(isinstance(value, list) and len(value) == 2,
+                     "sensing_error values must be [false_alarm, miss] pairs")
             fields = dict(zip(("false_alarm", "miss"), value))
         else:
             fields = {param: value}
         return dataclasses.replace(self, **fields, sweep=None)
-
-    def _p01_from_eta(self, eta: float) -> float:
-        return eta * self.p10 / (1.0 - eta)
 
     def _per_user(self, name, value, positive: bool):
         if isinstance(value, (int, float)):

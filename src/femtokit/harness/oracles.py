@@ -34,6 +34,11 @@ from ..scheduler import (
 from ..spectrum import PrimaryChannel, SensorProfile, fuse_beliefs, step_primary
 from ..video import StreamState, update_psnr
 
+# exact_schedule enumerates 2^K branch patterns
+_EXACT_MAX_USERS = 12
+# the grant lattice of diminishing_gains_margin and brute_force_alloc has 2^pairs sets
+_MAX_GRANT_PAIRS = 12
+
 
 def waterfill_pool(pbar, w, rate):
     """Exact max of sum pbar*log(w + rho*rate) s.t. sum rho <= 1, rho >= 0.
@@ -63,17 +68,19 @@ def waterfill_pool(pbar, w, rate):
     return shares, value, mu
 
 
-def exact_schedule(problem: SlotProblem, gi=None, max_users: int = 12):
+def exact_schedule(problem: SlotProblem, gi=None):
     """Globally optimal slot schedule by enumerating branch choices.
 
     For each of the 2^K macro/femto splits, the remaining problem separates
     into independent per-transmitter waterfilling pools, macro first.
-    Refused above max_users. Returns (connect_mbs, rho_mbs, rho_fbs,
-    objective, prices), prices[t] being transmitter t's pool price.
+    Refused above _EXACT_MAX_USERS users. Returns (connect_mbs, rho_mbs,
+    rho_fbs, objective, prices), prices[t] being transmitter t's pool price.
     """
     K = problem.num_users
-    if K > max_users:
-        raise ValueError(f"exact schedule refused: {K} users exceeds the limit of {max_users}")
+    if K > _EXACT_MAX_USERS:
+        raise ValueError(
+            f"exact schedule refused: {K} users exceeds the limit of {_EXACT_MAX_USERS}"
+        )
     gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
     rate_f = problem.rate_fbs * gi[problem.assoc - 1]
 
@@ -141,7 +148,28 @@ def support_margin(problem: SlotProblem, gi=None):
     return float(margin)
 
 
-def diminishing_gains_margin(problem, channels, p_idle, graph, value=None, max_pairs: int = 12):
+def _grant_sets(n_fbs: int, n_channels: int, graph: InterferenceGraph) -> list:
+    """Every conflict-free set of (femto, channel) grants, as (mask, assigned).
+
+    Bit p of mask grants pair p of the femto-major pair list, so assigned,
+    the (n_fbs, n_channels) 0/1 grant matrix, is the mask's bits reshaped.
+    A set is conflict-free when no graph edge shares a channel. Refused
+    above _MAX_GRANT_PAIRS pairs.
+    """
+    n_pairs = n_fbs * n_channels
+    if n_pairs > _MAX_GRANT_PAIRS:
+        raise ValueError(
+            f"grant lattice refused: {n_pairs} pairs exceeds the limit of {_MAX_GRANT_PAIRS}"
+        )
+    masks = np.arange(2**n_pairs)
+    grants = (masks[:, None] >> np.arange(n_pairs) & 1).reshape(len(masks), n_fbs, n_channels)
+    free = np.ones(len(masks), dtype=bool)
+    for i, j in graph.edges:
+        free &= ~np.any(grants[:, i - 1] & grants[:, j - 1], axis=1)
+    return [(int(mask), assigned) for mask, assigned in zip(masks[free], grants[free])]
+
+
+def diminishing_gains_margin(problem, channels, p_idle, graph, value=None):
     """Smallest second difference of the allocation value over the feasible
     grant lattice.
 
@@ -156,35 +184,18 @@ def diminishing_gains_margin(problem, channels, p_idle, graph, value=None, max_p
     """
     p_idle = np.asarray(p_idle, dtype=float)
     n = problem.n_fbs
-    pairs = [(i, m) for i in range(1, n + 1) for m in range(len(channels))]
-    if len(pairs) > max_pairs:
-        raise ValueError(
-            f"lattice check refused: {len(pairs)} pairs exceeds the limit of {max_pairs}"
-        )
+    grant_sets = _grant_sets(n, len(channels), graph)
     if value is None:
         value = AllocationValue(problem, solver=exact_allocation_solver)
 
-    def feasible(mask):
-        for m in range(len(channels)):
-            members = [i for p, (i, mm) in enumerate(pairs) if mm == m and mask >> p & 1]
-            if any(graph.are_adjacent(a, b) for a, b in itertools.combinations(members, 2)):
-                return False
-        return True
-
-    q = {}
     zero_key = tuple(np.zeros(n))
-    for mask in range(2 ** len(pairs)):
-        if not feasible(mask):
-            continue
-        assigned = np.zeros((n, len(channels)))
-        for p, (i, m) in enumerate(pairs):
-            if mask >> p & 1:
-                assigned[i - 1, m] = 1.0
-        q[mask] = value.improvement(assigned @ p_idle, warm_key=zero_key)
-
+    q = {
+        mask: value.improvement(assigned @ p_idle, warm_key=zero_key)
+        for mask, assigned in grant_sets
+    }
     margin = math.inf
     for mask, q_full in q.items():
-        bits = [p for p in range(len(pairs)) if mask >> p & 1]
+        bits = [p for p in range(mask.bit_length()) if mask >> p & 1]
         for px, py in itertools.combinations(bits, 2):
             keep_y = mask & ~(1 << px)
             keep_x = mask & ~(1 << py)
@@ -194,43 +205,19 @@ def diminishing_gains_margin(problem, channels, p_idle, graph, value=None, max_p
 
 
 def brute_force_alloc(
-    problem: SlotProblem,
-    channels,
-    p_idle,
-    graph: InterferenceGraph,
-    value: "AllocationValue | None" = None,
-    max_pairs: int = 12,
-    **solver_opts,
+    problem: SlotProblem, channels, p_idle, graph: InterferenceGraph, value: AllocationValue
 ):
-    """Exact best allocation by enumerating independent sets per channel.
+    """Exact best allocation by enumerating every conflict-free grant set.
 
-    Refused when n_fbs * len(channels) exceeds max_pairs. Returns the best
-    allocation and its improvement value; ties keep the first combination
-    in enumeration order.
+    Refused above _MAX_GRANT_PAIRS (femto, channel) pairs. Returns the best
+    allocation and its improvement value; ties keep the first set in mask
+    order.
     """
     p_idle = np.asarray(p_idle, dtype=float)
     channels = tuple(channels)
-    n = problem.n_fbs
-    if n * len(channels) > max_pairs:
-        raise ValueError(
-            f"exhaustive allocation refused: {n * len(channels)} pairs exceeds the limit of {max_pairs}"
-        )
-    if value is None:
-        value = AllocationValue(problem, **solver_opts)
-
-    independent = []
-    for mask in range(2 ** n):
-        members = [i + 1 for i in range(n) if mask >> i & 1]
-        if all(not graph.are_adjacent(i, j) for i, j in itertools.combinations(members, 2)):
-            independent.append(tuple(members))
-
-    zero_key = tuple(np.zeros(n))
+    zero_key = tuple(np.zeros(problem.n_fbs))
     best = None
-    for combo in itertools.product(independent, repeat=len(channels)):
-        assigned = np.zeros((n, len(channels)), dtype=int)
-        for m, members in enumerate(combo):
-            for i in members:
-                assigned[i - 1, m] = 1
+    for _, assigned in _grant_sets(problem.n_fbs, len(channels), graph):
         v = value.improvement(assigned @ p_idle, warm_key=zero_key)
         if best is None or v > best[0]:
             best = (v, assigned)

@@ -58,6 +58,8 @@ _RNG_DELIVERY = 4
 ALGORITHMS = ("proposed", "equal", "diversity")
 # SINR (linear, so 0 dB) that a slot's packet needs to decode
 _DECODE_THRESHOLD = 1.0
+# multicast instances this small also get exhaustive-search rows
+_EXHAUSTIVE_MAX_USERS = 8
 
 
 def run_multicast(cfg: MulticastConfig, seeds) -> list:
@@ -142,7 +144,7 @@ def _multicast_instance(cfg, seed, sweep_index, sweep):
     emit("bounds", "lower_tight_w", b.lower_tight)
     emit("bounds", "lower_loose_w", b.lower_loose)
 
-    if 0 < cfg.num_users <= cfg.oracle_max_users:
+    if cfg.num_users <= _EXHAUSTIVE_MAX_USERS:
         x_assignment, x_allocation = brute_force_multicast(demand, gains, thresholds, cfg.noise_w)
         _assert_feasible("exhaustive", x_allocation, x_assignment, gains, thresholds)
         emit("exhaustive", "total_power_w", x_allocation.total)

@@ -24,6 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# verify_feasible tolerates a negative SNR slack this large, relative to max(Gamma, 1)
+_SNR_REL_TOL = 1e-9
+# brute_force_multicast enumerates up to 2^K assignments
+_BRUTE_FORCE_MAX_USERS = 12
+
 
 def snr_threshold(target_rate_bps: float, bandwidth_hz: float) -> float:
     """SNR needed to sustain target_rate over bandwidth: 2^(R/B) - 1."""
@@ -196,13 +201,12 @@ def verify_feasible(
     assignment: LevelAssignment,
     gains: np.ndarray,
     thresholds,
-    rel_tol: float = 1e-9,
 ) -> FeasibilityReport:
     """Check every user's post-cancellation SNR against its station threshold.
 
     The slack for user k served layer l by station m is
     H*P_l/(noise + H*Q_{l+1}) - Gamma_m; feasible means every slack is above
-    -rel_tol (relative to max(Gamma, 1)).
+    -_SNR_REL_TOL (relative to max(Gamma, 1)).
     """
     gains = np.asarray(gains, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
@@ -217,7 +221,7 @@ def verify_feasible(
         residual = allocation.cumulative[m, l]
         snr = h * p / (allocation.noise + h * residual)
         slack[k] = snr - thresholds[m]
-        if slack[k] < -rel_tol * max(1.0, thresholds[m]):
+        if slack[k] < -_SNR_REL_TOL * max(1.0, thresholds[m]):
             feasible = False
     return FeasibilityReport(feasible=feasible, snr_slack=slack)
 
@@ -299,9 +303,9 @@ def heuristic_assign(demand: LevelDemand, gains: np.ndarray) -> LevelAssignment:
 
 
 def solve_case1(
-    demand: LevelDemand, gains: np.ndarray, thresholds, noise: float, station: int = 0
+    demand: LevelDemand, gains: np.ndarray, thresholds, noise: float
 ) -> PowerAllocation:
-    """All users on one station: closed-form optimum.
+    """All users on the macro station: closed-form optimum.
 
     Q_l = noise * Gamma * sum over nonempty layers i >= l of
     (1+Gamma)^{(nonempty layers in [l, i))} * (worst 1/H at layer i).
@@ -310,10 +314,7 @@ def solve_case1(
     gains = np.asarray(gains, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
     _check_inputs(demand, gains, thresholds, noise)
-    for k in range(demand.num_users):
-        if station not in demand.options(k):
-            raise ValueError(f"station {station} does not cover user {k}")
-    gamma = float(thresholds[station])
+    gamma = float(thresholds[0])
     L = demand.num_levels
 
     worst = np.zeros(L + 1)
@@ -322,7 +323,7 @@ def solve_case1(
         users = demand.users_at(l)
         if users:
             served[l] = True
-            worst[l] = max(1.0 / gains[station, k] for k in users)
+            worst[l] = max(1.0 / gains[0, k] for k in users)
 
     n_stations = gains.shape[0]
     q = np.zeros((n_stations, L + 1))
@@ -332,7 +333,7 @@ def solve_case1(
             if served[i]:
                 grown = int(served[l:i].sum())
                 acc += (1.0 + gamma) ** grown * worst[i]
-        q[station, l - 1] = noise * gamma * acc
+        q[0, l - 1] = noise * gamma * acc
     per_level = q[:, :-1] - q[:, 1:]
     return PowerAllocation(
         cumulative=q, per_level=per_level, total=float(q[:, 0].sum()), noise=noise
@@ -440,20 +441,21 @@ def solve_case3(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float
     return assignment, total_power(assignment, gains, thresholds, noise)
 
 
-def brute_force_multicast(
-    demand: LevelDemand, gains: np.ndarray, thresholds, noise: float, max_users: int = 12
-):
+def brute_force_multicast(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float):
     """Exact optimum by enumerating every per-user connection choice.
 
     Cost is up to 2^K power evaluations, so instances are refused above
-    max_users. Ties keep the lexicographically first assignment.
+    _BRUTE_FORCE_MAX_USERS users. Ties keep the lexicographically first
+    assignment.
     """
     gains = np.asarray(gains, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
     _check_inputs(demand, gains, thresholds, noise)
     K = demand.num_users
-    if K > max_users:
-        raise ValueError(f"brute force refused: {K} users exceeds the limit of {max_users}")
+    if K > _BRUTE_FORCE_MAX_USERS:
+        raise ValueError(
+            f"brute force refused: {K} users exceeds the limit of {_BRUTE_FORCE_MAX_USERS}"
+        )
 
     best = None
     options = [demand.options(k) for k in range(K)]

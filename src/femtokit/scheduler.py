@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# a transmitter's shares are scaled down once their sum passes 1 + _OVERLOAD_TOL
+_OVERLOAD_TOL = 1e-6
+# bisection steps on a pool's price in _pool_shares
+_POOL_BISECTIONS = 60
+
 
 @dataclass
 class SlotProblem:
@@ -192,13 +197,13 @@ class _Responder:
         return load
 
 
-def _repaired(rho_mbs, rho_fbs, load, assoc, tol: float = 1e-6):
+def _repaired(rho_mbs, rho_fbs, load, assoc):
     """Scale any transmitter's shares down when their sum exceeds the slot."""
-    scale = np.divide(1.0, load, out=np.ones_like(load), where=load > 1.0 + tol)
+    scale = np.divide(1.0, load, out=np.ones_like(load), where=load > 1.0 + _OVERLOAD_TOL)
     return rho_mbs * scale[:, :1], rho_fbs * np.take(scale, assoc, axis=1)
 
 
-def _pool_shares(pbar, w, rate, iters: int = 60):
+def _pool_shares(pbar, w, rate):
     """Optimal shares for users bound to one transmitter: bisect the pool
     price until the box-clipped stationary shares fill the slot."""
     shares = np.zeros_like(w)
@@ -209,7 +214,7 @@ def _pool_shares(pbar, w, rate, iters: int = 60):
     offset = wa / ra
     hi = float(np.max(pb * ra / wa)) * 2.0 + 1.0
     lo = 0.0
-    for _ in range(iters):
+    for _ in range(_POOL_BISECTIONS):
         mid = 0.5 * (lo + hi)
         total = np.minimum(np.maximum(pb / mid - offset, 0.0), 1.0).sum()
         if total >= 1.0:
@@ -597,9 +602,6 @@ class InterferenceGraph:
     def d_max(self) -> int:
         return max((self.degree(i) for i in range(1, self.n_fbs + 1)), default=0)
 
-    def are_adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in {(a, b) for a, b in self.edges}
-
 
 @dataclass
 class ChannelAllocation:
@@ -709,10 +711,10 @@ def greedy_alloc(
     channels,
     p_idle,
     graph: InterferenceGraph,
-    value: "AllocationValue | None" = None,
-    **solver_opts,
+    value: AllocationValue,
 ):
-    """Hand out (femto, channel) grants by largest marginal objective gain.
+    """Hand out (femto, channel) grants by largest marginal objective gain,
+    as value measures it.
 
     After each pick the chosen pair and its graph neighbors on the same
     channel leave the candidate set, so edges never share a channel. Ties
@@ -725,8 +727,6 @@ def greedy_alloc(
         raise ValueError("need one idle posterior per cleared channel")
     if graph.n_fbs != problem.n_fbs:
         raise ValueError("interference graph and problem disagree on femto count")
-    if value is None:
-        value = AllocationValue(problem, **solver_opts)
 
     n = problem.n_fbs
     assigned = np.zeros((n, len(channels)), dtype=int)

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# update_psnr accepts time shares in [-_SHARE_TOL, 1 + _SHARE_TOL]
+_SHARE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class LossModel:
@@ -91,19 +94,18 @@ def update_psnr(
     xi_mbs: np.ndarray,
     xi_fbs: np.ndarray,
     g_user: np.ndarray,
-    share_tol: float = 1e-6,
 ) -> np.ndarray:
     """Apply one slot's deliveries: W += xi*rho*rate on the connected side.
 
     connect_mbs selects the macro branch per user (single transceiver);
     g_user scales the femto rate by the expected available channels of the
-    user's femto. Raises if any time-share input leaves [0, 1 + share_tol].
+    user's femto. Raises if any time-share input leaves [0, 1 + _SHARE_TOL].
     """
     connect_mbs = np.asarray(connect_mbs, dtype=bool)
     rho_mbs = np.asarray(rho_mbs, dtype=float)
     rho_fbs = np.asarray(rho_fbs, dtype=float)
     for name, rho in (("rho_mbs", rho_mbs), ("rho_fbs", rho_fbs)):
-        if np.any(rho < -share_tol) or np.any(rho > 1.0 + share_tol):
+        if np.any(rho < -_SHARE_TOL) or np.any(rho > 1.0 + _SHARE_TOL):
             raise ValueError(f"{name} must be a time share in [0, 1]")
     gain = np.where(
         connect_mbs,

@@ -353,21 +353,21 @@ def test_cli_byte_reproducibility(tmp_path):
     bytes, for both experiment kinds and for the aggregate files."""
     start = time.perf_counter()
 
-    def run_twice(command, config, seeds):
+    def run_twice(config, seeds):
         outputs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{config.stem}-{tag}.csv"
             agg = tmp_path / f"{config.stem}-{tag}-agg.csv"
             code = main(
-                [command, "--config", str(config), "--seeds", seeds,
+                ["run", "--config", str(config), "--seeds", seeds,
                  "--out", str(out), "--aggregate", str(agg)]
             )
             assert code == 0
             outputs.append(out.read_bytes() + b"|" + agg.read_bytes())
         return outputs[0] == outputs[1]
 
-    multicast_same = run_twice("multicast", SCENARIOS / "case2_split.json", "0..4")
-    stream_same = run_twice("sweep", SCENARIOS / "fig12_common_bw.json", "0..1")
+    multicast_same = run_twice(SCENARIOS / "case2_split.json", "0..4")
+    stream_same = run_twice(SCENARIOS / "fig12_common_bw.json", "0..1")
     elapsed = time.perf_counter() - start
     ok = multicast_same and stream_same
     _report(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,31 @@ SWEEP_POINTS = {
     "mbs_bandwidth_hz": (FEMTO_MULTICAST, 2e6, {"mbs_bandwidth_hz": 2e6}),
 }
 
+# per sweep parameter: a base config and one value its sweep must reject
+BAD_SWEEP_VALUES = {
+    "num_channels": (STREAM_BASE, 0),
+    "eta": (STREAM_BASE, 1.0),
+    "sensing_error": (STREAM_BASE, [0.6, 0.1]),
+    "common_bandwidth_bps": (STREAM_BASE, -3e5),
+    "budget": (STREAM_BASE, 0),
+    "num_levels": (MULTICAST_BASE, 0),
+    "mbs_bandwidth_hz": (FEMTO_MULTICAST, 2.5e6),  # leaves no femto band
+}
+
+# every integer setting given 2.5, at the top level or as a sweep value
+FLOAT_COUNTS = [
+    pytest.param(dict(base, **{name: 2.5}), id=f"{base['kind']}-{name}")
+    for base, names in (
+        (STREAM_BASE, ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
+                       "max_iters", "alloc_iters", "budget")),
+        (MULTICAST_BASE, ("num_users", "num_levels", "num_fbs")),
+    )
+    for name in names
+] + [
+    pytest.param(dict(base, sweep={"parameter": name, "values": [2, 2.5]}), id=f"{name}-sweep")
+    for base, name in ((STREAM_BASE, "num_channels"), (MULTICAST_BASE, "num_levels"))
+]
+
 
 class TestConfigSchema:
     def test_every_shipped_scenario_parses(self):
@@ -137,6 +163,14 @@ class TestConfigSchema:
         untouched.remove("sweep")
         assert all(getattr(point, name) == getattr(cfg, name) for name in untouched)
 
+    @pytest.mark.parametrize("parameter", STREAM_SWEEPS + MULTICAST_SWEEPS)
+    def test_bad_sweep_value_is_named(self, parameter):
+        base, bad = BAD_SWEEP_VALUES[parameter]
+        good = SWEEP_POINTS[parameter][1]
+        sweep = {"parameter": parameter, "values": [good, bad]}
+        with pytest.raises(ConfigError, match=re.escape(f"{parameter} sweep value {bad!r}: ")):
+            config_from_dict(dict(base, sweep=sweep))
+
     @pytest.mark.parametrize(
         "base, key, value",
         [
@@ -187,7 +221,7 @@ class TestConfigSchema:
         cfg = config_from_dict(dict(STREAM_BASE, sweep=sweep))
         assert cfg.at(0.5).p01 == pytest.approx(0.3)
         too_busy = {"parameter": "eta", "values": [0.5, 0.9]}  # 0.9 implies p01 = 2.7
-        with pytest.raises(ConfigError, match="implies p01 > 1"):
+        with pytest.raises(ConfigError, match="eta sweep value 0.9: p01 must be a probability"):
             config_from_dict(dict(STREAM_BASE, sweep=too_busy))
 
     def test_unreadable_or_invalid_files_rejected(self, tmp_path):
@@ -330,37 +364,72 @@ class TestCli:
         return main(list(argv))
 
     def test_wrong_kind_exits_two(self, tmp_path, capsys):
-        code = self.run_cli(
-            "multicast", "--config", str(SCENARIOS / "fig12_common_bw.json"),
-            "--out", str(tmp_path / "x.csv"),
-        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(STREAM_BASE, kind="simulation")))
+        code = self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_exits_two(self, tmp_path):
-        assert self.run_cli("stream", "--config", str(tmp_path / "nope.json")) == 2
+        assert self.run_cli("run", "--config", str(tmp_path / "nope.json")) == 2
 
-    def test_sweepless_config_rejected_for_sweep_command(self, tmp_path):
+    def test_sweepless_config_runs_one_point(self, tmp_path):
         cfg = tmp_path / "nosweep.json"
+        cfg.write_text(json.dumps(dict(STREAM_BASE, num_slots=5, window_slots=5)))
+        out = tmp_path / "rows.csv"
+        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0", "--out", str(out)) == 0
+        rows = read_rows(out)
+        assert rows and {r.sweep for r in rows} == {""}
+
+    def test_sweep_runs_every_point(self, tmp_path):
+        sweep = {"parameter": "num_levels", "values": [1, 2, 3]}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(dict(MULTICAST_BASE, sweep=sweep)))
+        out = tmp_path / "rows.csv"
+        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0,1", "--out", str(out)) == 0
+        points = [
+            (r.sweep, r.seed)
+            for r in read_rows(out)
+            if (r.algorithm, r.metric) == ("proposed", "total_power_w")
+        ]
+        assert points == [(v, s) for v in ("1", "2", "3") for s in (0, 1)]
+
+    @pytest.mark.parametrize("command", ["stream", "multicast", "sweep"])
+    def test_only_run_and_oracle_check_remain(self, command, tmp_path):
+        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(STREAM_BASE))
-        assert self.run_cli("sweep", "--config", str(cfg)) == 2
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(command, "--config", str(cfg))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("scenario", FLOAT_COUNTS)
+    def test_float_count_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
+        def must_not_run(cfg, seeds):
+            raise AssertionError("the runner started")
+
+        monkeypatch.setattr(cli, "run_streaming", must_not_run)
+        monkeypatch.setattr(cli, "run_multicast", must_not_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(scenario))
+        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0") == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_seed_spec_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(STREAM_BASE))
-        assert self.run_cli("stream", "--config", str(cfg), "--seeds", "9..1") == 2
+        assert self.run_cli("run", "--config", str(cfg), "--seeds", "9..1") == 2
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(STREAM_BASE))
-        assert self.run_cli("stream", "--config", str(cfg), "--seeds=-1") == 2
+        assert self.run_cli("run", "--config", str(cfg), "--seeds=-1") == 2
         assert "negative seed" in capsys.readouterr().err
 
     def test_budget_below_one_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(STREAM_BASE))
         for budget in ("-5", "0"):
-            code = self.run_cli("stream", "--config", str(cfg), "--seeds", "0", "--budget", budget)
+            code = self.run_cli("run", "--config", str(cfg), "--seeds", "0", "--budget", budget)
             assert code == 2
             assert "--budget must be >= 1" in capsys.readouterr().err
 
@@ -384,7 +453,7 @@ class TestCli:
         monkeypatch.setattr(cli, "run_multicast", must_not_run)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(scenario))
-        assert self.run_cli("sweep", "--config", str(cfg), "--seeds", "0", "--budget", "5") == 2
+        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0", "--budget", "5") == 2
         assert message in capsys.readouterr().err
 
     def test_oracle_check_prints_one_ok_line_per_check(self, capsys):
@@ -432,7 +501,7 @@ class TestCli:
         out = tmp_path / "rows.csv"
         agg = tmp_path / "agg.csv"
         code = self.run_cli(
-            "stream", "--config", str(cfg), "--seeds", "0..2",
+            "run", "--config", str(cfg), "--seeds", "0..2",
             "--out", str(out), "--aggregate", str(agg),
         )
         assert code == 0
@@ -446,6 +515,6 @@ class TestCli:
     def test_stdout_output_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(STREAM_BASE, num_slots=5, window_slots=5)))
-        assert self.run_cli("stream", "--config", str(cfg), "--seeds", "0") == 0
+        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0") == 0
         out = capsys.readouterr().out
         assert out.startswith("scenario,seed,sweep,algorithm,metric,value\n")

@@ -140,11 +140,6 @@ class TestSingleStationSolver:
             assert closed.total == pytest.approx(recursed.total, rel=1e-12)
             assert np.allclose(closed.cumulative, recursed.cumulative, rtol=1e-12)
 
-    def test_station_must_cover_everyone(self):
-        demand = LevelDemand(num_levels=1, user_level=(1,), coverage=(0,))
-        with pytest.raises(ValueError):
-            solve_case1(demand, np.ones((2, 1)), [1.0, 1.0], noise=1.0, station=1)
-
 
 class TestTwoStationSolver:
     def test_prefers_cheaper_station_per_layer(self):

@@ -597,8 +597,8 @@ class TestInterferenceGraph:
         assert graph.neighbors(2) == frozenset({1, 3})
         assert graph.degree(1) == 1
         assert graph.d_max == 2
-        assert graph.are_adjacent(1, 2) and graph.are_adjacent(2, 1)
-        assert not graph.are_adjacent(1, 3)
+        assert graph.neighbors(1) == frozenset({2})
+        assert 1 not in graph.neighbors(3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -754,15 +754,17 @@ class TestGreedyAllocation:
         rng = make_rng(30, 91)
         prob = self.make_problem(rng, 4, 2)
         graph = InterferenceGraph(4, ())
-        with pytest.raises(ValueError):
-            brute_force_alloc(prob, (0, 1, 2, 3), [0.5] * 4, graph, max_pairs=12)
+        value = AllocationValue(prob, solver=exact_allocation_solver)
+        with pytest.raises(ValueError, match="16 pairs exceeds the limit of 12"):
+            brute_force_alloc(prob, (0, 1, 2, 3), [0.5] * 4, graph, value=value)
 
     def test_channel_posterior_shape_checked(self):
         rng = make_rng(31, 92)
         prob = self.make_problem(rng, 2, 2)
         graph = InterferenceGraph(2, ())
-        with pytest.raises(ValueError):
-            greedy_alloc(prob, (0, 1), [0.5], graph)
+        value = AllocationValue(prob, solver=exact_allocation_solver)
+        with pytest.raises(ValueError, match="one idle posterior per cleared channel"):
+            greedy_alloc(prob, (0, 1), [0.5], graph, value=value)
 
 
 class TestDiminishingGainsMargin:
