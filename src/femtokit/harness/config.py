@@ -26,6 +26,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only: Python counts booleans as ints, JSON does not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_numbers(cfg) -> None:
+    """Every float setting holds a number; the optional ones may be None."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float or (f.type == "float | None" and value is not None):
+            _require(_is_number(value), f"{f.name} must be a number")
+
+
 def _require_count(cfg, name: str, minimum: int) -> None:
     value = getattr(cfg, name)
     _require(_is_int(value) and value >= minimum, f"{name} must be an integer >= {minimum}")
@@ -77,6 +90,7 @@ class MulticastConfig:
     def __post_init__(self):
         _require(self.kind == "multicast", f"expected kind 'multicast', got {self.kind!r}")
         _require(bool(self.name), "name must be non-empty")
+        _require_numbers(self)
         _require_count(self, "num_users", 1)
         _require_count(self, "num_levels", 1)
         _require_count(self, "num_fbs", 0)
@@ -159,6 +173,7 @@ class StreamConfig:
     def __post_init__(self):
         _require(self.kind == "stream", f"expected kind 'stream', got {self.kind!r}")
         _require(bool(self.name), "name must be non-empty")
+        _require_numbers(self)
         for name in ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
                      "max_iters", "alloc_iters"):
             _require_count(self, name, 1)
@@ -207,6 +222,7 @@ class StreamConfig:
         """
         param = self.sweep["parameter"]
         if param == "eta":
+            _require(_is_number(value), "eta must be a number")
             _require(0.0 < value < 1.0, "eta must be in (0, 1)")
             _require(self.p10 > 0, "an eta sweep needs p10 > 0")
             fields = {"p01": value * self.p10 / (1.0 - value)}
@@ -219,11 +235,11 @@ class StreamConfig:
         return dataclasses.replace(self, **fields, sweep=None)
 
     def _per_user(self, name, value, positive: bool):
-        if isinstance(value, (int, float)):
+        if _is_number(value):
             values = (float(value),) * self.num_users
         elif isinstance(value, (list, tuple)):
             _require(len(value) == self.num_users, f"{name} list needs one entry per user")
-            _require(all(isinstance(v, (int, float)) for v in value), f"{name} entries must be numbers")
+            _require(all(_is_number(v) for v in value), f"{name} entries must be numbers")
             values = tuple(float(v) for v in value)
         else:
             raise ConfigError(f"{name} must be a number or a per-user list")

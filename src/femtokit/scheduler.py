@@ -21,7 +21,7 @@ import numpy as np
 
 # a transmitter's shares are scaled down once their sum passes 1 + _OVERLOAD_TOL
 _OVERLOAD_TOL = 1e-6
-# bisection steps on a pool's price in _pool_shares
+# bisection steps on a pool's price in _bisect_pools
 _POOL_BISECTIONS = 60
 
 
@@ -203,51 +203,71 @@ def _repaired(rho_mbs, rho_fbs, load, assoc):
     return rho_mbs * scale[:, :1], rho_fbs * np.take(scale, assoc, axis=1)
 
 
-def _pool_shares(pbar, w, rate):
-    """Optimal shares for users bound to one transmitter: bisect the pool
-    price until the box-clipped stationary shares fill the slot."""
-    shares = np.zeros_like(w)
-    pos = rate > 0
-    if not np.any(pos):
-        return shares
-    pb, wa, ra = pbar[pos], w[pos], rate[pos]
-    offset = wa / ra
-    hi = float(np.max(pb * ra / wa)) * 2.0 + 1.0
-    lo = 0.0
+def _bisect_pools(pbar, w, rate):
+    """Optimal shares for a (P, n) stack of pools, each bound to one
+    transmitter and every rate positive: bisect each pool's price until its
+    box-clipped stationary shares fill the slot. Sums run along the
+    contiguous member axis, so each row's shares are bit for bit those of
+    its pool alone."""
+    offset = w / rate
+    hi = np.max(pbar * rate / w, axis=1) * 2.0 + 1.0
+    lo = np.zeros(len(hi))
     for _ in range(_POOL_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        total = np.minimum(np.maximum(pb / mid - offset, 0.0), 1.0).sum()
-        if total >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    filled = np.minimum(np.maximum(pb / hi - offset, 0.0), 1.0)
-    total = filled.sum()
-    if total > 1.0:
-        filled = filled / total
-    shares[pos] = filled
+        full = np.minimum(np.maximum(pbar / mid[:, None] - offset, 0.0), 1.0).sum(axis=1) >= 1.0
+        lo = np.where(full, mid, lo)
+        hi = np.where(full, hi, mid)
+    # hi only ever takes prices whose shares sum below 1 (the first hi gives
+    # nobody a share), so the shares at hi never overfill the slot
+    return np.minimum(np.maximum(pbar / hi[:, None] - offset, 0.0), 1.0)
+
+
+def _pool_shares(pools) -> list:
+    """Optimal shares for each pool in a list of (pbar, w, rate) member
+    arrays; members with zero rate get nothing. Pools with the same number
+    of positive-rate members are bisected as one stack. They are never
+    padded to a common size: numpy sums 8 or more entries pairwise, so an
+    inert member would change the rounding of a pool's sums."""
+    shares = [np.zeros_like(w) for _, w, _ in pools]
+    by_size = {}
+    for j, (_, _, rate) in enumerate(pools):
+        pos = rate > 0
+        if pos.any():
+            by_size.setdefault(int(pos.sum()), []).append((j, pos))
+    for group in by_size.values():
+        pbar, w, rate = (np.array([pools[j][a][pos] for j, pos in group]) for a in range(3))
+        for (j, pos), filled in zip(group, _bisect_pools(pbar, w, rate)):
+            shares[j][pos] = filled
     return shares
 
 
-def _refill_pattern(problem: SlotProblem, g_user, connect, memo: dict):
-    """Best feasible shares for a fixed branch pattern: waterfill each
-    transmitter's pool independently. memo keeps each pool's shares by
-    transmitter, members and their rates, so patterns and channel vectors
-    that share a pool fill it once."""
-    connect = np.asarray(connect, dtype=bool)
-    rho0 = np.zeros(problem.num_users)
-    rhof = np.zeros(problem.num_users)
+def _refill_patterns(problem: SlotProblem, g_user, patterns):
+    """Best feasible shares for each row of a (N, K) stack of branch
+    patterns, the pattern in row n under the channel counts in row n of
+    g_user: waterfill each transmitter's pool independently. Pools are
+    keyed by transmitter, members and their rates, so patterns and channel
+    vectors that share a pool fill it once."""
     rf = problem.rate_fbs * g_user
-    pools = [(0, connect, problem.pbar_mbs, problem.rate_mbs, rho0)]
-    for i in range(1, problem.n_fbs + 1):
-        pools.append((i, (~connect) & (problem.assoc == i), problem.pbar_fbs, rf, rhof))
-    for station, pool, pbar, rate, shares in pools:
-        if np.any(pool):
-            key = (station, pool.tobytes(), rate[pool].tobytes())
-            if key not in memo:
-                memo[key] = _pool_shares(pbar[pool], problem.w_minus[pool], rate[pool])
-            shares[pool] = memo[key]
-    return rho0, rhof
+    station = np.where(patterns, 0, problem.assoc)
+    index, pools, placed = {}, [], []
+    for n, row in enumerate(station):
+        for s in range(problem.n_fbs + 1):
+            members = row == s
+            if not members.any():
+                continue
+            pbar, rate = (
+                (problem.pbar_mbs, problem.rate_mbs) if s == 0 else (problem.pbar_fbs, rf[n])
+            )
+            key = (s, members.tobytes(), rate[members].tobytes())
+            if key not in index:
+                index[key] = len(pools)
+                pools.append((pbar[members], problem.w_minus[members], rate[members]))
+            placed.append((n, s, members, index[key]))
+    shares = _pool_shares(pools)
+    rho = np.zeros((2,) + patterns.shape)
+    for n, s, members, j in placed:
+        rho[int(s > 0), n, members] = shares[j]
+    return rho[0], rho[1]
 
 
 def init_prices(problem: SlotProblem, gi=None) -> np.ndarray:
@@ -373,42 +393,13 @@ def _iterate(
     return iterations, converged, last_prices, best_dual, first_seen, iterates
 
 
-def _best_feasible(problem: SlotProblem, g_user, gi, patterns, iterate_prices, memo: dict):
-    """Best feasible schedule known for one channel vector, first wins ties.
-
-    Candidates, in order: the repaired iterates at iterate_prices, each
-    branch pattern in patterns refilled exactly, and the two heuristics.
-    Returns (objective, connect, rho_mbs, rho_fbs) and the iterates'
-    objectives.
-    """
-    chosen = None
-    objs = np.empty(0)
-    if len(iterate_prices):
-        replay = _Responder(problem, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
-        connect, rho0, rhof, _ = replay(iterate_prices)
-        rho0, rhof = _repaired(rho0, rhof, replay.load(rho0, rhof), problem.assoc)
-        objs = _objective(problem, g_user, connect, rho0, rhof)
-        k = int(np.argmax(objs))
-        chosen = (float(objs[k]), connect[k], rho0[k], rhof[k])
-    # primal recovery: the dual iteration fixes each visited branch pattern,
-    # and the continuous inner problem for a fixed pattern splits into
-    # independent per-transmitter waterfilling problems solved exactly
-    for pattern in patterns:
-        rho0, rhof = _refill_pattern(problem, g_user, pattern, memo)
-        obj = objective_value(problem, pattern, rho0, rhof, gi)
-        if chosen is None or obj > chosen[0]:
-            chosen = (obj, pattern, rho0, rhof)
-    # primal polish: the returned point is the best feasible point known,
-    # so a finite stopping tolerance never leaves it below a baseline
-    for candidate in (heuristic_equal(problem, gi), heuristic_diversity(problem, gi)):
-        if candidate.objective > chosen[0]:
-            chosen = (
-                candidate.objective,
-                candidate.connect_mbs,
-                candidate.rho_mbs,
-                candidate.rho_fbs,
-            )
-    return chosen, objs
+def _repaired_iterates(problem: SlotProblem, g_user, iterate_prices):
+    """Branch patterns, repaired shares and objectives of the iterates at
+    the rows of iterate_prices, under one row of per-user channel counts."""
+    replay = _Responder(problem, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
+    connect, rho0, rhof, _ = replay(iterate_prices)
+    rho0, rhof = _repaired(rho0, rhof, replay.load(rho0, rhof), problem.assoc)
+    return connect, rho0, rhof, _objective(problem, g_user, connect, rho0, rhof)
 
 
 def solve_noninterfering_batch(
@@ -455,27 +446,54 @@ def solve_noninterfering_batch(
     connect, _, _, values = _Responder(problem, g_user)(last_prices)
     dual = np.minimum(best_dual, values.sum(axis=1) + last_prices.sum(axis=1))
 
-    memo = {}
-    solutions = []
+    # primal recovery: the dual iteration fixes each visited branch pattern,
+    # and the continuous inner problem for a fixed pattern splits into
+    # independent per-transmitter waterfilling problems solved exactly
+    n_rows = len(gis)
     for r, seen in enumerate(first_seen):
-        codes = list(seen)
-        if connect[r].tobytes() not in codes:
-            codes.append(connect[r].tobytes())
-        patterns = [np.frombuffer(code, dtype=bool) for code in codes]
-        tracked_prices = np.array([p for _, p in iterates[r]]).reshape(-1, len(start))
-        chosen, objs = _best_feasible(problem, g_user[r], gis[r], patterns, tracked_prices, memo)
+        seen.setdefault(connect[r].tobytes())
+    counts = [len(seen) for seen in first_seen]
+    patterns = np.frombuffer(b"".join(b"".join(seen) for seen in first_seen), dtype=bool)
+    patterns = patterns.reshape(-1, problem.num_users)
+    owner = np.repeat(np.arange(n_rows), counts)
+    # primal polish: the returned point is the best feasible point known,
+    # so a finite stopping tolerance never leaves it below a baseline
+    stack = [
+        (patterns, *_refill_patterns(problem, g_user[owner], patterns)),
+        _equal_split(problem, g_user),
+        _best_link(problem, g_user),
+    ]
+    # a stable sort by row puts each row's candidates side by side, in order:
+    # refilled patterns, equal split, best link
+    owner = np.concatenate([owner, np.arange(n_rows), np.arange(n_rows)])
+    order = np.argsort(owner, kind="stable")
+    connect_all, rho0_all, rhof_all = (np.concatenate(part)[order] for part in zip(*stack))
+    scores = _objective(problem, g_user[owner[order]], connect_all, rho0_all, rhof_all)
+    bounds = np.cumsum([0] + [count + 2 for count in counts])
+
+    solutions = []
+    for r in range(n_rows):
+        mine = slice(bounds[r], bounds[r + 1])
+        cand = (connect_all[mine], rho0_all[mine], rhof_all[mine], scores[mine])
         trace = None
         if record_trace:
-            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(iterates[r], objs)]
+            tracked_prices = np.array([p for _, p in iterates[r]]).reshape(-1, len(start))
+            traced = _repaired_iterates(problem, g_user[r], tracked_prices)
+            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(iterates[r], traced[3])]
+            cand = tuple(np.concatenate(pair) for pair in zip(traced, cand))
+        # argmax keeps the first of equal objectives, in the order traced
+        # iterates, refilled patterns, equal split, best link
+        k = int(np.argmax(cand[3]))
+        objective = float(cand[3][k])
         d = float(dual[r])
         solutions.append(
             ScheduleSolution(
-                connect_mbs=np.array(chosen[1]),
-                rho_mbs=np.array(chosen[2]),
-                rho_fbs=np.array(chosen[3]),
-                objective=chosen[0],
+                connect_mbs=cand[0][k].copy(),
+                rho_mbs=cand[1][k].copy(),
+                rho_fbs=cand[2][k].copy(),
+                objective=objective,
                 dual_value=d,
-                duality_gap=abs(d - chosen[0]) / max(abs(d), 1e-12),
+                duality_gap=abs(d - objective) / max(abs(d), 1e-12),
                 iterations=int(iterations[r]),
                 converged=bool(converged[r]),
                 prices=last_prices[r].copy(),
@@ -514,12 +532,43 @@ def _preferred_mbs(problem: SlotProblem, g_user) -> np.ndarray:
     return (problem.pbar_mbs >= problem.pbar_fbs) | (g_user == 0)
 
 
-def _heuristic_solution(problem, connect, rho0, rhof, gi) -> ScheduleSolution:
+def _equal_split(problem: SlotProblem, g_user):
+    """heuristic_equal's branches and shares for each row of a (B, K) stack
+    of per-user expected channel counts."""
+    connect = _preferred_mbs(problem, g_user)
+    station = np.where(connect, 0, problem.assoc)
+    # each user's share is one over the number of users on its transmitter
+    same = station[:, :, None] == station[:, None, :]
+    share = 1.0 / same.sum(axis=2)
+    return connect, np.where(connect, share, 0.0), np.where(connect, 0.0, share)
+
+
+def _best_link(problem: SlotProblem, g_user):
+    """heuristic_diversity's branches and shares for each row of a (B, K)
+    stack of per-user expected channel counts."""
+    connect = _preferred_mbs(problem, g_user)
+    link = np.where(connect, problem.pbar_mbs, problem.pbar_fbs)
+    # (B, n_fbs + 1, K): the users each transmitter serves
+    station = np.where(connect, 0, problem.assoc)
+    members = station[:, None, :] == np.arange(problem.n_fbs + 1)[:, None]
+    rows, busy = np.nonzero(members.any(axis=2))
+    # argmax keeps the first of equally good links among a transmitter's users
+    best = np.argmax(np.where(members, link[:, None, :], -1.0), axis=2)
+    share = np.zeros(g_user.shape)
+    share[rows, best[rows, busy]] = 1.0
+    return connect, np.where(connect, share, 0.0), np.where(connect, 0.0, share)
+
+
+def _heuristic_solution(problem: SlotProblem, gi, heuristic) -> ScheduleSolution:
+    """A baseline's schedule for one channel vector: its batch of one."""
+    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
+    g_user = gi[problem.assoc - 1]
+    connect, rho0, rhof = (part[0] for part in heuristic(problem, g_user[None, :]))
     return ScheduleSolution(
         connect_mbs=connect,
         rho_mbs=rho0,
         rho_fbs=rhof,
-        objective=objective_value(problem, connect, rho0, rhof, gi),
+        objective=float(_objective(problem, g_user, connect, rho0, rhof)),
         dual_value=float("nan"),
         duality_gap=float("nan"),
         iterations=0,
@@ -530,39 +579,13 @@ def _heuristic_solution(problem, connect, rho0, rhof, gi) -> ScheduleSolution:
 
 def heuristic_equal(problem: SlotProblem, gi=None) -> ScheduleSolution:
     """Baseline: users pick the better link, transmitters split time evenly."""
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    g_user = gi[problem.assoc - 1]
-    connect = _preferred_mbs(problem, g_user)
-    rho0 = np.zeros(problem.num_users)
-    rhof = np.zeros(problem.num_users)
-    n_mbs = int(connect.sum())
-    if n_mbs:
-        rho0[connect] = 1.0 / n_mbs
-    for i in range(1, problem.n_fbs + 1):
-        pool = (~connect) & (problem.assoc == i)
-        n_i = int(pool.sum())
-        if n_i:
-            rhof[pool] = 1.0 / n_i
-    return _heuristic_solution(problem, connect, rho0, rhof, gi)
+    return _heuristic_solution(problem, gi, _equal_split)
 
 
 def heuristic_diversity(problem: SlotProblem, gi=None) -> ScheduleSolution:
     """Baseline: users pick the better link, each transmitter then gives its
     whole slot to its best-link chooser; everyone else idles."""
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    g_user = gi[problem.assoc - 1]
-    connect = _preferred_mbs(problem, g_user)
-    rho0 = np.zeros(problem.num_users)
-    rhof = np.zeros(problem.num_users)
-    if np.any(connect):
-        best = int(np.argmax(np.where(connect, problem.pbar_mbs, -1.0)))
-        rho0[best] = 1.0
-    for i in range(1, problem.n_fbs + 1):
-        pool = (~connect) & (problem.assoc == i)
-        if np.any(pool):
-            best = int(np.argmax(np.where(pool, problem.pbar_fbs, -1.0)))
-            rhof[best] = 1.0
-    return _heuristic_solution(problem, connect, rho0, rhof, gi)
+    return _heuristic_solution(problem, gi, _best_link)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,24 @@ FLOAT_COUNTS = [
     for base, name in ((STREAM_BASE, "num_channels"), (MULTICAST_BASE, "num_levels"))
 ]
 
+# JSON booleans where a float setting, a per-user entry or a sweep value
+# must be a number
+BOOLEAN_NUMBERS = [
+    pytest.param(dict(MULTICAST_BASE, noise_w=True), id="noise_w"),
+    pytest.param(dict(STREAM_BASE, step=False), id="step"),
+    pytest.param(dict(FEMTO_MULTICAST, fbs_gain_mean=True), id="fbs_gain_mean"),
+    pytest.param(dict(STREAM_BASE, alpha_db=[True, 30.0]), id="alpha_db-entry"),
+    pytest.param(dict(STREAM_BASE, mean_sinr_fbs=True), id="mean_sinr_fbs"),
+] + [
+    pytest.param(dict(base, sweep={"parameter": name, "values": [good, bad]}), id=f"{name}-sweep")
+    for base, name, good, bad in (
+        (STREAM_BASE, "common_bandwidth_bps", 3e5, True),
+        (STREAM_BASE, "eta", 0.5, True),
+        (STREAM_BASE, "sensing_error", [0.2, 0.1], [False, 0.1]),
+        (FEMTO_MULTICAST, "mbs_bandwidth_hz", 2e6, True),
+    )
+]
+
 
 class TestConfigSchema:
     def test_every_shipped_scenario_parses(self):
@@ -402,8 +420,7 @@ class TestCli:
             self.run_cli(command, "--config", str(cfg))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("scenario", FLOAT_COUNTS)
-    def test_float_count_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
+    def exits_two_before_running(self, tmp_path, monkeypatch, scenario, *argv):
         def must_not_run(cfg, seeds):
             raise AssertionError("the runner started")
 
@@ -411,8 +428,17 @@ class TestCli:
         monkeypatch.setattr(cli, "run_multicast", must_not_run)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(scenario))
-        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0") == 2
+        return self.run_cli("run", "--config", str(cfg), "--seeds", "0", *argv) == 2
+
+    @pytest.mark.parametrize("scenario", FLOAT_COUNTS)
+    def test_float_count_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
+        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", BOOLEAN_NUMBERS)
+    def test_boolean_number_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
+        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
+        assert re.search("must be (a number|numbers)", capsys.readouterr().err)
 
     def test_bad_seed_spec_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -446,14 +472,7 @@ class TestCli:
     def test_budget_flag_conflicts_exit_two_before_running(
         self, tmp_path, monkeypatch, capsys, scenario, message
     ):
-        def must_not_run(cfg, seeds):
-            raise AssertionError("the runner started")
-
-        monkeypatch.setattr(cli, "run_streaming", must_not_run)
-        monkeypatch.setattr(cli, "run_multicast", must_not_run)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(scenario))
-        assert self.run_cli("run", "--config", str(cfg), "--seeds", "0", "--budget", "5") == 2
+        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario, "--budget", "5")
         assert message in capsys.readouterr().err
 
     def test_oracle_check_prints_one_ok_line_per_check(self, capsys):

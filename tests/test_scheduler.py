@@ -246,11 +246,11 @@ class TestPriceIteration:
 
 
 @st.composite
-def pools(draw):
-    """One transmitter's pool of 1 to 8 users, some with zero rate or zero
-    weight. Offsets w/rate stay below 100, which keeps the rounding of the
-    shares' sum below 1e-12."""
-    k = draw(st.integers(1, 8))
+def pools(draw, sizes=st.integers(1, 8)):
+    """One transmitter's pool of 1 to 8 users (or as many as sizes draws),
+    some with zero rate or zero weight. Offsets w/rate stay below 100, which
+    keeps the rounding of the shares' sum below 1e-12."""
+    k = draw(sizes)
 
     def per_user(values):
         return np.array(draw(st.lists(values, min_size=k, max_size=k)))
@@ -260,6 +260,41 @@ def pools(draw):
         per_user(st.floats(1.0, 45.0)),
         per_user(st.just(0.0) | st.floats(0.5, 120.0)),
     )
+
+
+@st.composite
+def pool_stacks(draw):
+    """Pools of a few sizes, several of each, around numpy's switch to
+    pairwise sums at 8 entries."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 7, 8, 9, 12]), min_size=1, max_size=3))
+    return [
+        draw(pools(sizes=st.integers(k, k)))
+        for k in sizes
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def lone_bisection(pbar, w, rate):
+    """Reference for the stacked bisection: one pool, scalar prices, and the
+    renormalisation of shares that overfill the slot."""
+    shares = np.zeros_like(w)
+    pos = rate > 0
+    if not np.any(pos):
+        return shares
+    pb, wa, ra = pbar[pos], w[pos], rate[pos]
+    offset = wa / ra
+    hi = float(np.max(pb * ra / wa)) * 2.0 + 1.0
+    lo = 0.0
+    for _ in range(scheduler._POOL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if np.minimum(np.maximum(pb / mid - offset, 0.0), 1.0).sum() >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    filled = np.minimum(np.maximum(pb / hi - offset, 0.0), 1.0)
+    total = filled.sum()
+    shares[pos] = filled / total if total > 1.0 else filled
+    return shares
 
 
 class TestWaterfillPool:
@@ -278,8 +313,20 @@ class TestWaterfillPool:
         assert marginal[busy] == pytest.approx(np.full(busy.sum(), mu), rel=1e-12)
         assert np.all(marginal[~busy] <= mu * (1 + 1e-12))
         # the fast path's independent bisection reaches the same optimum
-        fast = scheduler._pool_shares(pbar, w, rate)
+        [fast] = scheduler._pool_shares([(pbar, w, rate)])
         assert value == pytest.approx(float(np.sum(pbar * np.log(w + fast * rate))), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=pool_stacks())
+    def test_each_pool_of_a_mixed_stack_matches_its_lone_bisection(self, stack):
+        shares = scheduler._pool_shares(stack)
+        assert len(shares) == len(stack)
+        for (pbar, w, rate), got in zip(stack, shares):
+            assert bits(got) == bits(scheduler._pool_shares([(pbar, w, rate)])[0])
+            assert bits(got) == bits(lone_bisection(pbar, w, rate))
+            # the shares stay below the slot, so the reference's
+            # renormalisation never fires
+            assert not np.any(rate > 0) or got[rate > 0].sum() < 1.0
 
     def test_all_inactive_pool_takes_no_time_at_price_zero(self):
         shares, value, mu = waterfill_pool([0.0, 0.7, 0.0], [30.0, 35.0, 40.0], [50.0, 0.0, 0.0])
@@ -369,6 +416,36 @@ class TestBatchedPriceIteration:
         assert any(not sol.converged and sol.iterations == 150 for sol in batch)
         for gi, got in zip(gis, batch):
             assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
+
+    def test_shared_pools_are_bisected_once(self, monkeypatch):
+        prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
+        gis = [[0.5, 1.0], [0.5, 1.0], [0.5, 2.0], [1.5, 1.0], [0.0, 1.0]]
+        bisected, refilled = [], []
+        bisect, refill = scheduler._bisect_pools, scheduler._refill_patterns
+
+        def counting_bisect(pbar, w, rate):
+            bisected.append(len(pbar))
+            return bisect(pbar, w, rate)
+
+        def recording_refill(problem, g_user, patterns):
+            refilled.append((g_user, patterns))
+            return refill(problem, g_user, patterns)
+
+        monkeypatch.setattr(scheduler, "_bisect_pools", counting_bisect)
+        monkeypatch.setattr(scheduler, "_refill_patterns", recording_refill)
+        solve_noninterfering_batch(prob, gis, max_iters=150)
+        [(g_user, patterns)] = refilled
+        keys, uses = set(), 0
+        for g, pattern in zip(g_user, patterns):
+            station = np.where(pattern, 0, prob.assoc)
+            rates = np.where(pattern, prob.rate_mbs, prob.rate_fbs * g)
+            for s in range(prob.n_fbs + 1):
+                members = station == s
+                # an empty pool, or one without a positive rate, is not bisected
+                if np.any(rates[members] > 0):
+                    uses += 1
+                    keys.add((s, members.tobytes(), rates[members].tobytes()))
+        assert sum(bisected) == len(keys) < uses
 
     def test_rejects_malformed_stacks(self):
         prob = random_problem(make_rng(42, 97), n_fbs=2)
@@ -544,7 +621,45 @@ class TestCycleExit:
         assert untraced.objective == sol.objective
 
 
+def lone_heuristics(prob, gi):
+    """Reference for the stacked baselines: per-pool loops over one channel
+    vector. Returns (connect, rho_mbs, rho_fbs) for the equal split, then
+    for the best link."""
+    connect = (prob.pbar_mbs >= prob.pbar_fbs) | (gi[prob.assoc - 1] == 0)
+    pools = [connect] + [(~connect) & (prob.assoc == i) for i in range(1, prob.n_fbs + 1)]
+    equal, best = np.zeros((2, prob.num_users)), np.zeros((2, prob.num_users))
+    for station, pool in enumerate(pools):
+        if np.any(pool):
+            side = int(station > 0)
+            equal[side][pool] = 1.0 / int(pool.sum())
+            link = prob.pbar_fbs if side else prob.pbar_mbs
+            best[side][int(np.argmax(np.where(pool, link, -1.0)))] = 1.0
+    return (connect, *equal), (connect, *best)
+
+
 class TestHeuristics:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stacked_rows_match_lone_heuristics(self, data):
+        prob = data.draw(slot_problems())
+        gis = np.array(data.draw(channel_stacks(prob.n_fbs)))
+        # C order, as the solver builds it, so row sums run along the users
+        g_user = np.take(gis, prob.assoc - 1, axis=1)
+        stacks = [
+            (scheduler._equal_split(prob, g_user), heuristic_equal),
+            (scheduler._best_link(prob, g_user), heuristic_diversity),
+        ]
+        for k, (stack, lone) in enumerate(stacks):
+            objectives = scheduler._objective(prob, g_user, *stack)
+            for r, gi in enumerate(gis):
+                sol = lone(prob, gi)
+                reference = lone_heuristics(prob, gi)[k]
+                got = (sol.connect_mbs, sol.rho_mbs, sol.rho_fbs)
+                for row, one, ref in zip(stack, got, reference):
+                    assert bits(row[r]) == bits(one) == bits(ref)
+                assert bits(objectives[r]) == bits(sol.objective)
+                assert sol.objective == objective_value(prob, *reference, gi=gi)
+
     def test_equal_split_within_each_pool(self):
         prob = SlotProblem(
             w_minus=[30.0, 30.0, 30.0],
