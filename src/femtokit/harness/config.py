@@ -31,12 +31,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _require_numbers(cfg) -> None:
-    """Every float setting holds a number; the optional ones may be None."""
+def _require_scalars(cfg) -> None:
+    """Every float setting holds a number, the optional ones may be None,
+    and every bool setting holds a JSON boolean."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if f.type is float or (f.type == "float | None" and value is not None):
             _require(_is_number(value), f"{f.name} must be a number")
+        elif f.type is bool:
+            _require(isinstance(value, bool), f"{f.name} must be true or false")
 
 
 def _require_count(cfg, name: str, minimum: int) -> None:
@@ -90,7 +93,7 @@ class MulticastConfig:
     def __post_init__(self):
         _require(self.kind == "multicast", f"expected kind 'multicast', got {self.kind!r}")
         _require(bool(self.name), "name must be non-empty")
-        _require_numbers(self)
+        _require_scalars(self)
         _require_count(self, "num_users", 1)
         _require_count(self, "num_levels", 1)
         _require_count(self, "num_fbs", 0)
@@ -173,7 +176,7 @@ class StreamConfig:
     def __post_init__(self):
         _require(self.kind == "stream", f"expected kind 'stream', got {self.kind!r}")
         _require(bool(self.name), "name must be non-empty")
-        _require_numbers(self)
+        _require_scalars(self)
         for name in ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
                      "max_iters", "alloc_iters"):
             _require_count(self, name, 1)

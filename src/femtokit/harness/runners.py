@@ -5,7 +5,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..multicast import (
-    LevelAssignment,
     LevelDemand,
     bounds,
     brute_force_multicast,
@@ -105,15 +104,14 @@ def _multicast_instance(cfg, seed, sweep_index, sweep):
     bandwidths = np.asarray(cfg.bandwidths_hz(), dtype=float)
     thresholds = snr_thresholds(cfg.target_rate_bps, bandwidths)
     demand, gains = multicast_instance(cfg, seed, sweep_index)
-    coverage = demand.coverage
 
     if cfg.num_fbs == 0:
-        allocation = solve_case1(demand, gains, thresholds, cfg.noise_w)
-        assignment = LevelAssignment(demand=demand, serving=(0,) * cfg.num_users)
-    elif cfg.num_fbs == 1 and all(c == 1 for c in coverage):
-        assignment, allocation = solve_case2(demand, gains, thresholds, cfg.noise_w)
+        solve = solve_case1
+    elif cfg.num_fbs == 1 and all(c == 1 for c in demand.coverage):
+        solve = solve_case2
     else:
-        assignment, allocation = solve_case3(demand, gains, thresholds, cfg.noise_w)
+        solve = solve_case3
+    assignment, allocation = solve(demand, gains, thresholds, cfg.noise_w)
     _assert_feasible("proposed", allocation, assignment, gains, thresholds)
 
     rows = []

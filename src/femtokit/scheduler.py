@@ -121,20 +121,6 @@ def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs):
     return np.sum(weight * np.log(arg), axis=-1)
 
 
-def objective_value(problem: SlotProblem, connect_mbs, rho_mbs, rho_fbs, gi=None) -> float:
-    """Expected log-quality sum of a feasible schedule."""
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    return float(
-        _objective(
-            problem,
-            gi[problem.assoc - 1],
-            np.asarray(connect_mbs, dtype=bool),
-            np.asarray(rho_mbs, dtype=float),
-            np.asarray(rho_fbs, dtype=float),
-        )
-    )
-
-
 class _Responder:
     """Every user's best response to a stack of price rows, for fixed
     per-user expected channel counts g_user with one row per price row.
@@ -421,8 +407,11 @@ def solve_noninterfering_batch(
     of solving it alone. The returned schedule is the best feasible point
     known: every visited branch pattern refilled exactly, the repaired
     iterates when tracing, and the two heuristics. Refilling a pattern
-    dominates any repaired iterate of it, so untraced solves keep no
-    iterates. Rows that hit max_iters are flagged converged=False.
+    dominates any repaired iterate of it in exact arithmetic, so untraced
+    solves keep no iterates. In floating point it does not always: without
+    the traced candidates, fig8's psnr rows move by about 1.4e-7 dB when the
+    traced first seed is 19 or 53, which is why a traced solve keeps them.
+    Rows that hit max_iters are flagged converged=False.
     """
     if phi < 0:
         raise ValueError("phi cannot be negative")

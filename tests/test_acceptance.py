@@ -87,8 +87,8 @@ def test_bound_sandwich_and_solver_feasibility():
 
 
 def test_single_station_closed_form_routes_agree():
-    """The one-station closed form, the backward recursion, and the folded
-    sum give the same totals; the two-layer worst-unit-gain case costs 15
+    """The one-station solver's backward recursion and the folded closed
+    form give the same totals; the two-layer worst-unit-gain case costs 15
     with every post-cancellation SNR exactly at threshold 3."""
     _report_check(
         " 2/10 single-station closed form",
@@ -112,7 +112,7 @@ def test_power_savings_over_baselines():
         demand, gains = multicast_instance(cfg2, seed)
         overlay = solve_case2(demand, gains, split_thresholds, cfg2.noise_w)[1].total
         macro_demand = LevelDemand(demand.num_levels, demand.user_level, (0,) * demand.num_users)
-        single = solve_case1(macro_demand, gains[:1], [whole_gamma], cfg2.noise_w).total
+        single = solve_case1(macro_demand, gains[:1], [whole_gamma], cfg2.noise_w)[1].total
         split_savings.append(10.0 * math.log10(single / overlay))
     split_mean = float(np.mean(split_savings))
 

@@ -440,6 +440,17 @@ class TestCli:
         assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
         assert re.search("must be (a number|numbers)", capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(dict(MULTICAST_BASE, include_heuristic="no"), id="include_heuristic"),
+            pytest.param(dict(STREAM_BASE, emit_trace=1), id="emit_trace"),
+        ],
+    )
+    def test_non_boolean_flag_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
+        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
+        assert "must be true or false" in capsys.readouterr().err
+
     def test_bad_seed_spec_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(STREAM_BASE))

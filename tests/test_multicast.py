@@ -92,7 +92,7 @@ class TestPowerRecursion:
 
     def test_unit_threshold_two_layers_total_three(self):
         demand = LevelDemand(num_levels=2, user_level=(1, 2), coverage=(0, 0))
-        alloc = solve_case1(demand, np.ones((1, 2)), [1.0], noise=1.0)
+        _, alloc = solve_case1(demand, np.ones((1, 2)), [1.0], noise=1.0)
         assert alloc.total == pytest.approx(3.0, abs=1e-12)
 
     def test_scaled_down_powers_fail_feasibility(self):
@@ -134,11 +134,11 @@ class TestSingleStationSolver:
             n_users = int(rng.integers(1, 7))
             levels = int(rng.integers(1, 5))
             demand, gains, thresholds = random_multicast(rng, n_users, 0, levels)
-            closed = solve_case1(demand, gains, thresholds, noise=1.0)
-            assignment = LevelAssignment(demand=demand, serving=(0,) * n_users)
-            recursed = total_power(assignment, gains, thresholds, noise=1.0)
-            assert closed.total == pytest.approx(recursed.total, rel=1e-12)
-            assert np.allclose(closed.cumulative, recursed.cumulative, rtol=1e-12)
+            assignment, alloc = solve_case1(demand, gains, thresholds, noise=1.0)
+            assert assignment.serving == (0,) * n_users
+            folded = folded_total(assignment, gains, thresholds, noise=1.0)
+            assert alloc.total == pytest.approx(folded, rel=1e-12)
+            assert verify_feasible(alloc, assignment, gains, thresholds).feasible
 
 
 class TestTwoStationSolver:
@@ -154,6 +154,18 @@ class TestTwoStationSolver:
         gains = np.ones((2, 1))
         assignment, alloc = solve_case2(demand, gains, [1.0, 1.0], noise=1.0)
         assert assignment.serving == (0,)
+
+    def test_exponents_grow_only_on_layers_a_station_serves(self):
+        # layer 1: macro 1 vs femto 1/1.6 -> femto, femto exponent 1;
+        # layer 2: macro 1 vs femto 2/1.6 -> macro, macro exponent 1;
+        # layer 3: macro 2 vs femto 2/1.6 -> femto. Total 1/1.6 + 1 + 2/1.6
+        demand = LevelDemand(num_levels=3, user_level=(1, 2, 3), coverage=(1, 1, 1))
+        gains = np.array([[1.0, 1.0, 1.0], [1.6, 1.6, 1.6]])
+        assignment, alloc = solve_case2(demand, gains, [1.0, 1.0], noise=1.0)
+        assert assignment.serving == (1, 0, 1)
+        assert alloc.total == pytest.approx(2.875, abs=1e-12)
+        _, best = brute_force_multicast(demand, gains, [1.0, 1.0], noise=1.0)
+        assert best.total == pytest.approx(2.875, abs=1e-12)
 
     def test_requires_full_overlap(self):
         demand = LevelDemand(num_levels=1, user_level=(1,), coverage=(0,))

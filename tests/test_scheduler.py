@@ -21,7 +21,6 @@ from femtokit.scheduler import (
     heuristic_diversity,
     heuristic_equal,
     init_prices,
-    objective_value,
     optbound_upper,
     solve_noninterfering,
     solve_noninterfering_batch,
@@ -149,13 +148,15 @@ class TestObjectiveValue:
             n_fbs=1,
             fbs_gi=[1.0],
         )
-        got = objective_value(prob, [True, False], [1.0, 0.0], [0.0, 1.0])
+        got = scheduler._objective(
+            prob, np.ones(2), np.array([True, False]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        )
         assert got == pytest.approx(3.0, rel=1e-12)
 
     def test_nonpositive_log_argument_rejected(self):
         prob = one_user_problem(w=1.0, rate0=2.0)
         with pytest.raises(ValueError):
-            objective_value(prob, [True], [-1.0], [0.0])
+            scheduler._objective(prob, np.ones(1), np.array([True]), np.array([-1.0]), np.zeros(1))
 
 
 class TestPriceIteration:
@@ -658,7 +659,7 @@ class TestHeuristics:
                 for row, one, ref in zip(stack, got, reference):
                     assert bits(row[r]) == bits(one) == bits(ref)
                 assert bits(objectives[r]) == bits(sol.objective)
-                assert sol.objective == objective_value(prob, *reference, gi=gi)
+                assert sol.objective == scheduler._objective(prob, gi[prob.assoc - 1], *reference)
 
     def test_equal_split_within_each_pool(self):
         prob = SlotProblem(
