@@ -5,6 +5,7 @@ Unknown keys are rejected so typos never silently fall back to defaults.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -27,8 +28,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """JSON numbers only: Python counts booleans as ints, JSON does not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """JSON numbers only: Python counts booleans as ints and reads NaN and
+    Infinity as floats, JSON has neither."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _require_scalars(cfg) -> None:

@@ -244,6 +244,21 @@ def folded_total(
     return total
 
 
+def enumerate_multicast(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float):
+    """Exact multicast optimum by the plain loop: total_power of every
+    per-user connection choice in itertools.product order, keeping the
+    first strict minimum. The reference for brute_force_multicast's
+    stacked search; it makes 2^K recursions, so callers keep K small."""
+    best = None
+    options = [demand.options(k) for k in range(demand.num_users)]
+    for serving in itertools.product(*options):
+        assignment = LevelAssignment(demand=demand, serving=serving)
+        allocation = total_power(assignment, gains, thresholds, noise)
+        if best is None or allocation.total < best[1].total:
+            best = (assignment, allocation)
+    return best
+
+
 def fuse_beliefs_batch(busy_prior: float, observations, profiles) -> float:
     """Posterior idle probability from the joint likelihood in one shot."""
     observations = list(observations)
@@ -388,7 +403,7 @@ def check_solvers_and_bounds(rng, count):
         demand, gains, thresholds = random_multicast(
             rng, n_users, n_fbs, levels, full_overlap=n_fbs == 1
         )
-        _, best = brute_force_multicast(demand, gains, thresholds, noise=1.0)
+        _, best = enumerate_multicast(demand, gains, thresholds, noise=1.0)
         b = bounds(demand, gains, thresholds, noise=1.0)
         if not b.lower_loose <= b.lower_tight * (1 + 1e-12):
             raise AssertionError("loose lower above tight lower")
@@ -413,6 +428,34 @@ def check_solvers_and_bounds(rng, count):
                 raise AssertionError("solver beat the exhaustive optimum")
             gaps.append(alloc.total / best.total - 1.0)
     return f"{count} instances, mean optimality gap {np.mean(gaps):.2%}, max {np.max(gaps):.2%}"
+
+
+def check_exhaustive_stack_vs_loop(rng, count):
+    """The stacked exhaustive search returns the plain loop's assignment and
+    a bit-identical total. Every other draw appends a copy of user 0, so
+    an optimum that serves the two from different stations is exactly tied
+    with its swap, and the first-minimum rule decides between them."""
+    for i in range(count):
+        n_users, n_fbs, levels = (
+            int(rng.integers(1, 11)), int(rng.integers(0, 4)), int(rng.integers(1, 5))
+        )
+        demand, gains, thresholds = random_multicast(rng, n_users, n_fbs, levels)
+        if i % 2:
+            demand = LevelDemand(
+                levels,
+                demand.user_level + demand.user_level[:1],
+                demand.coverage + demand.coverage[:1],
+            )
+            gains = np.column_stack([gains, gains[:, 0]])
+        got_assignment, got = brute_force_multicast(demand, gains, thresholds, noise=1.0)
+        want_assignment, want = enumerate_multicast(demand, gains, thresholds, noise=1.0)
+        if got_assignment.serving != want_assignment.serving:
+            raise AssertionError(
+                f"stacked search chose {got_assignment.serving}, loop {want_assignment.serving}"
+            )
+        if got.total.hex() != want.total.hex():
+            raise AssertionError(f"stacked total {got.total!r} vs loop {want.total!r}")
+    return f"{count} draws, half with a duplicated user; assignments and totals identical"
 
 
 def check_fusion_routes(rng, count):
@@ -561,6 +604,7 @@ def oracle_check() -> list:
         ("multicast-recursion-vs-folded", check_recursion_vs_folded, 0, 300),
         ("multicast-closed-form-single-station", check_single_station_closed_form, 1, 300),
         ("multicast-solvers-and-bounds-vs-exhaustive", check_solvers_and_bounds, 2, 120),
+        ("multicast-exhaustive-stack-vs-loop", check_exhaustive_stack_vs_loop, 3, 100),
         ("fusion-sequential-vs-batch", check_fusion_routes, 4, 500),
         ("markov-stationary-fraction", check_markov_fraction, 5, 200_000),
         ("schedule-dual-vs-exact", check_dual_vs_exact, 6, 30),

@@ -18,7 +18,6 @@ solvers in this module pick which stations transmit each layer so that the
 summed cumulative powers are (near) minimal.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,8 @@ import numpy as np
 _SNR_REL_TOL = 1e-9
 # brute_force_multicast enumerates up to 2^K assignments
 _BRUTE_FORCE_MAX_USERS = 12
+# smallest accepted channel gain: the smallest normal float, whose 1/H is finite
+_MIN_GAIN = np.finfo(float).tiny
 
 
 def snr_threshold(target_rate_bps: float, bandwidth_hz: float) -> float:
@@ -393,9 +394,11 @@ def solve_case3(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float
 def brute_force_multicast(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float):
     """Exact optimum by enumerating every per-user connection choice.
 
-    Cost is up to 2^K power evaluations, so instances are refused above
-    _BRUTE_FORCE_MAX_USERS users. Ties keep the lexicographically first
-    assignment.
+    All A <= 2^K assignments are scored at once by _assignment_totals, whose
+    totals equal total_power's bit for bit, so instances are refused above
+    _BRUTE_FORCE_MAX_USERS users only to bound the (A, K) stack. Ties keep
+    the lexicographically first assignment. The winner is re-scored with
+    total_power, which gives the returned allocation.
     """
     gains = np.asarray(gains, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
@@ -405,15 +408,35 @@ def brute_force_multicast(demand: LevelDemand, gains: np.ndarray, thresholds, no
         raise ValueError(
             f"brute force refused: {K} users exceeds the limit of {_BRUTE_FORCE_MAX_USERS}"
         )
+    serving, totals = _assignment_totals(demand, gains, thresholds, noise)
+    best = tuple(int(m) for m in serving[np.argmin(totals)])
+    assignment = LevelAssignment(demand=demand, serving=best)
+    return assignment, total_power(assignment, gains, thresholds, noise)
 
-    best = None
-    options = [demand.options(k) for k in range(K)]
-    for serving in itertools.product(*options):
-        assignment = LevelAssignment(demand=demand, serving=serving)
-        allocation = total_power(assignment, gains, thresholds, noise)
-        if best is None or allocation.total < best[1].total:
-            best = (assignment, allocation)
-    return best
+
+def _assignment_totals(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float):
+    """(serving, totals): every assignment as an (A, K) array in
+    itertools.product order, and its total power.
+
+    The backward recursion runs for all assignments at once, one station
+    and layer at a time, with f_step's own arithmetic: a bucket's worst
+    user is its largest 1/H, and an empty bucket passes q_next through.
+    Station totals are summed along a contiguous axis, as total_power sums
+    its column of them, so each total is total_power's bit for bit.
+    """
+    grids = np.meshgrid(*(demand.options(k) for k in range(demand.num_users)), indexing="ij")
+    serving = np.stack([g.ravel() for g in grids], axis=1)
+    station_q = np.zeros((len(serving), gains.shape[0]))
+    for m, gamma in enumerate(thresholds):
+        q = np.zeros(len(serving))
+        for l in range(demand.num_levels, 0, -1):
+            users = list(demand.eligible(l, m))
+            if users:
+                hit = serving[:, users] == m
+                worst = np.where(hit, 1.0 / gains[m, users], 0.0).max(axis=1)
+                q = np.where(hit.any(axis=1), noise * gamma * worst + (1.0 + gamma) * q, q)
+        station_q[:, m] = q
+    return serving, station_q.sum(axis=1)
 
 
 def _check_inputs(demand: LevelDemand, gains: np.ndarray, thresholds, noise: float) -> None:
@@ -424,10 +447,18 @@ def _check_inputs(demand: LevelDemand, gains: np.ndarray, thresholds, noise: flo
         raise ValueError(f"gains give {n_users} users, demand has {demand.num_users}")
     if len(thresholds) != n_stations:
         raise ValueError("need one SNR threshold per station")
-    if np.any(gains <= 0):
-        raise ValueError("channel gains must be positive")
-    if np.any(np.asarray(thresholds) < 0):
+    if not np.isfinite(gains).all():
+        raise ValueError("channel gains must be finite")
+    # a subnormal gain's 1/H overflows, and 0 * inf is a NaN at Gamma = 0
+    if gains.min() < _MIN_GAIN:
+        raise ValueError("channel gains must be positive normal floats")
+    thresholds = np.asarray(thresholds)
+    if not np.isfinite(thresholds).all():
+        raise ValueError("SNR thresholds must be finite")
+    if (thresholds < 0).any():
         raise ValueError("SNR thresholds cannot be negative")
+    if not np.isfinite(noise):
+        raise ValueError("noise power must be finite")
     if noise <= 0:
         raise ValueError("noise power must be positive")
     if any(c >= n_stations for c in demand.coverage):

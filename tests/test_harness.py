@@ -127,6 +127,19 @@ BOOLEAN_NUMBERS = [
     )
 ]
 
+# NaN and Infinity, which Python's json module reads as floats; an infinite
+# noise or gain mean used to run to rows of inf
+NON_FINITE_NUMBERS = [
+    pytest.param(dict(MULTICAST_BASE, noise_w=math.inf), id="noise_w-inf"),
+    pytest.param(dict(MULTICAST_BASE, noise_w=math.nan), id="noise_w-nan"),
+    pytest.param(dict(MULTICAST_BASE, mbs_gain_mean=math.inf), id="mbs_gain_mean-inf"),
+    pytest.param(dict(STREAM_BASE, alpha_db=[math.nan, 30.0]), id="alpha_db-entry"),
+    pytest.param(
+        dict(FEMTO_MULTICAST, sweep={"parameter": "mbs_bandwidth_hz", "values": [2e6, math.inf]}),
+        id="mbs_bandwidth_hz-sweep",
+    ),
+]
+
 
 class TestConfigSchema:
     def test_every_shipped_scenario_parses(self):
@@ -437,6 +450,11 @@ class TestCli:
 
     @pytest.mark.parametrize("scenario", BOOLEAN_NUMBERS)
     def test_boolean_number_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
+        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
+        assert re.search("must be (a number|numbers)", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("scenario", NON_FINITE_NUMBERS)
+    def test_non_finite_number_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
         assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
         assert re.search("must be (a number|numbers)", capsys.readouterr().err)
 

@@ -1,12 +1,16 @@
 """Layered multicast power: recursion, closed forms, solvers, and bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtokit.harness.oracles import folded_total, random_multicast
+from femtokit.harness import oracles
+from femtokit.harness.oracles import enumerate_multicast, folded_total, random_multicast
 from femtokit.multicast import (
+    _assignment_totals,
     LevelAssignment,
     LevelDemand,
     bounds,
@@ -235,3 +239,102 @@ class TestExhaustiveGuard:
         demand = LevelDemand(num_levels=1, user_level=(1,) * 13, coverage=(0,) * 13)
         with pytest.raises(ValueError):
             brute_force_multicast(demand, np.ones((1, 13)), [1.0], noise=1.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-320])
+    def test_rejects_gains_that_are_not_positive_and_finite(self, bad):
+        # a NaN gain used to lose every comparison, so the search returned
+        # 2e-13 W; 1e-320 is positive but its 1/H overflows to inf
+        demand = LevelDemand(num_levels=1, user_level=(1, 1), coverage=(1, 1))
+        gains = np.ones((2, 2))
+        gains[1, 0] = bad
+        assignment = LevelAssignment(demand=demand, serving=(1, 1))
+        for route in (
+            lambda: brute_force_multicast(demand, gains, [1.0, 0.0], 1e-13),
+            lambda: total_power(assignment, gains, [1.0, 0.0], 1e-13),
+            lambda: solve_case3(demand, gains, [1.0, 0.0], 1e-13),
+            lambda: bounds(demand, gains, [1.0, 0.0], 1e-13),
+        ):
+            with pytest.raises(ValueError, match="channel gains"):
+                route()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_thresholds(self, bad):
+        demand = LevelDemand(num_levels=1, user_level=(1, 1), coverage=(1, 1))
+        with pytest.raises(ValueError, match="SNR thresholds must be finite"):
+            brute_force_multicast(demand, np.ones((2, 2)), [1.0, bad], 1e-13)
+        with pytest.raises(ValueError, match="SNR thresholds must be finite"):
+            total_power(LevelAssignment(demand, (0, 1)), np.ones((2, 2)), [bad, 1.0], 1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_noise(self, bad):
+        demand = LevelDemand(num_levels=1, user_level=(1, 1), coverage=(1, 1))
+        with pytest.raises(ValueError, match="noise power must be finite"):
+            brute_force_multicast(demand, np.ones((2, 2)), [1.0, 1.0], bad)
+        with pytest.raises(ValueError, match="noise power must be finite"):
+            total_power(LevelAssignment(demand, (0, 1)), np.ones((2, 2)), [1.0, 1.0], bad)
+
+
+@st.composite
+def exhaustive_instances(draw):
+    """Instances with exact ties (copied gain columns), empty layers, zero
+    thresholds, macro-only users, up to 12 users and up to 9 stations, so
+    that a station sum can cross numpy's 8-entry pairwise block."""
+    n_users = draw(st.integers(1, 12))
+    n_stations = draw(st.one_of(st.integers(1, 9), st.integers(8, 9)))
+    levels = draw(st.integers(1, 4))
+    per_user = {"min_size": n_users, "max_size": n_users}
+    user_level = draw(st.lists(st.integers(1, levels), **per_user))
+    coverage = draw(st.lists(st.integers(0, n_stations - 1), **per_user))
+    per_station = {"min_size": n_stations, "max_size": n_stations}
+    gains = np.array(draw(st.lists(st.lists(st.floats(1e-3, 1e3), **per_user), **per_station)))
+    # copy a user's gains from the user before it (user 0's from the last)
+    for k in draw(st.lists(st.integers(0, n_users - 1), max_size=3)):
+        gains[:, k] = gains[:, k - 1]
+    thresholds = np.array([
+        0.0 if draw(st.integers(0, 3)) == 3 else draw(st.floats(0.2, 4.0))
+        for _ in range(n_stations)
+    ])
+    noise = draw(st.sampled_from([1.0, 1e-13]))
+    demand = LevelDemand(levels, tuple(user_level), tuple(coverage))
+    return demand, gains, thresholds, noise
+
+
+class TestStackedExhaustive:
+    @settings(max_examples=40, deadline=None)
+    @given(exhaustive_instances())
+    def test_every_total_is_total_powers_and_the_winner_is_the_loops(self, instance):
+        demand, gains, thresholds, noise = instance
+        serving, totals = _assignment_totals(demand, gains, thresholds, noise)
+        options = [demand.options(k) for k in range(demand.num_users)]
+        assert [tuple(row) for row in serving.tolist()] == list(itertools.product(*options))
+        looped = np.array([
+            total_power(LevelAssignment(demand, tuple(row)), gains, thresholds, noise).total
+            for row in serving.tolist()
+        ])
+        assert (totals.view(np.int64) == looped.view(np.int64)).all()
+
+        assignment, alloc = brute_force_multicast(demand, gains, thresholds, noise)
+        want_assignment, want = enumerate_multicast(demand, gains, thresholds, noise)
+        assert assignment.serving == want_assignment.serving
+        assert alloc.total.hex() == want.total.hex()
+
+    def test_loop_route_catches_a_last_minimum_tie_break(self, monkeypatch):
+        # both stations cost the same, so all-macro ties with all-femto
+        demand = LevelDemand(num_levels=1, user_level=(1, 1), coverage=(1, 1))
+        gains = np.array([[1.0, 1.0], [1.0, 1.0]])
+
+        def last_minimum(demand, gains, thresholds, noise):
+            serving, totals = _assignment_totals(demand, gains, np.asarray(thresholds), noise)
+            pick = len(totals) - 1 - int(np.argmin(totals[::-1]))
+            assignment = LevelAssignment(demand, tuple(int(m) for m in serving[pick]))
+            return assignment, total_power(assignment, gains, thresholds, noise)
+
+        assert brute_force_multicast(demand, gains, [1.0, 1.0], 1.0)[0].serving == (0, 0)
+        assert last_minimum(demand, gains, [1.0, 1.0], 1.0)[0].serving == (1, 1)
+        monkeypatch.setattr(oracles, "brute_force_multicast", last_minimum)
+        check = oracles.check_exhaustive_stack_vs_loop
+        ok, detail = oracles.run_check(check, make_rng(2024, 3), 100)
+        assert not ok
+        assert detail.startswith("stacked search chose ")
