@@ -15,7 +15,6 @@ class ConfigError(Exception):
 
 MULTICAST_SWEEPS = ("num_levels", "mbs_bandwidth_hz")
 STREAM_SWEEPS = ("num_channels", "eta", "sensing_error", "common_bandwidth_bps", "budget")
-COVERAGE_MODES = ("none", "single", "random")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -73,7 +72,11 @@ def _check_sweep(cfg, allowed) -> None:
 
 @dataclass
 class MulticastConfig:
-    """One layered-multicast power experiment."""
+    """One layered-multicast power experiment.
+
+    Without femtos every user is macro-only. With them each user draws a
+    femto and is macro-only with probability macro_only_fraction.
+    """
 
     name: str
     kind: str
@@ -87,9 +90,7 @@ class MulticastConfig:
     total_bandwidth_hz: "float | None" = None
     mbs_gain_mean: float = 1.0
     fbs_gain_mean: "float | None" = None
-    coverage: str = "none"
     macro_only_fraction: float = 0.0
-    include_heuristic: bool = True
     sweep: "dict | None" = None
 
     def __post_init__(self):
@@ -103,14 +104,9 @@ class MulticastConfig:
         _require(self.noise_w > 0, "noise_w must be positive")
         _require(self.mbs_bandwidth_hz > 0, "mbs_bandwidth_hz must be positive")
         _require(self.mbs_gain_mean > 0, "mbs_gain_mean must be positive")
-        _require(self.coverage in COVERAGE_MODES, f"coverage must be one of {COVERAGE_MODES}")
         _require(0.0 <= self.macro_only_fraction < 1.0, "macro_only_fraction must be in [0, 1)")
-        if self.coverage == "none":
-            _require(self.num_fbs == 0, "coverage 'none' means no femto stations")
-        elif self.coverage == "single":
-            _require(self.num_fbs == 1, "coverage 'single' needs exactly one femto station")
-        else:
-            _require(self.num_fbs >= 1, "coverage 'random' needs at least one femto station")
+        _require(self.num_fbs > 0 or self.macro_only_fraction == 0.0,
+                 "macro_only_fraction needs femto stations: without them every user is macro-only")
         if self.num_fbs > 0:
             _require(self.fbs_gain_mean is not None and self.fbs_gain_mean > 0,
                      "femto scenarios need a positive fbs_gain_mean")
@@ -170,7 +166,6 @@ class StreamConfig:
     step: float = 0.01
     phi: float = 1e-6
     max_iters: int = 2000
-    alloc_iters: int = 300
     emit_trace: bool = False
     budget: "int | None" = None
     sweep: "dict | None" = None
@@ -180,7 +175,7 @@ class StreamConfig:
         _require(bool(self.name), "name must be non-empty")
         _require_scalars(self)
         for name in ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
-                     "max_iters", "alloc_iters"):
+                     "max_iters"):
             _require_count(self, name, 1)
         _require(self.num_slots % self.window_slots == 0,
                  "num_slots must be a positive multiple of window_slots")

@@ -134,7 +134,8 @@ def read_rows(path) -> list:
 
 def aggregate(rows) -> list:
     """Mean and 95% t-interval half-width per (scenario, sweep, algorithm,
-    metric) across seeds, in first-appearance order."""
+    metric) across seeds, in first-appearance order. One seed gives no
+    interval: its half-width is None."""
     groups = {}
     order = []
     for r in rows:
@@ -149,7 +150,7 @@ def aggregate(rows) -> list:
         n = len(values)
         mean = sum(values) / n
         if n == 1:
-            ci = 0.0
+            ci = None
         else:
             var = sum((v - mean) ** 2 for v in values) / (n - 1)
             ci = t_critical(n - 1) * math.sqrt(var / n)
@@ -165,4 +166,5 @@ def write_aggregate(target, rows) -> None:
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(AGG_COLUMNS)
     for scenario, sweep, algorithm, metric, n, mean, ci in aggregate(rows):
-        writer.writerow((scenario, sweep, algorithm, metric, n, format_value(mean), format_value(ci)))
+        ci95 = "" if ci is None else format_value(ci)
+        writer.writerow((scenario, sweep, algorithm, metric, n, format_value(mean), ci95))

@@ -59,6 +59,8 @@ ALGORITHMS = ("proposed", "equal", "diversity")
 _DECODE_THRESHOLD = 1.0
 # multicast instances this small also get exhaustive-search rows
 _EXHAUSTIVE_MAX_USERS = 8
+# price iterations per candidate solve of greedy channel allocation
+_ALLOC_ITERS = 120
 
 
 def run_multicast(cfg: MulticastConfig, seeds) -> list:
@@ -81,10 +83,8 @@ def multicast_instance(cfg: MulticastConfig, seed: int, sweep_index: int = 0):
     n_stations = 1 + cfg.num_fbs
     rng = make_rng(seed, _RNG_DEMAND, sweep_index)
     user_level = tuple(int(v) for v in 1 + rng.integers(0, cfg.num_levels, cfg.num_users))
-    if cfg.coverage == "none":
+    if cfg.num_fbs == 0:
         coverage = (0,) * cfg.num_users
-    elif cfg.coverage == "single":
-        coverage = (1,) * cfg.num_users
     else:
         femto = 1 + rng.integers(0, cfg.num_fbs, cfg.num_users)
         macro_only = rng.random(cfg.num_users) < cfg.macro_only_fraction
@@ -130,7 +130,8 @@ def _multicast_instance(cfg, seed, sweep_index, sweep):
 
     emit_power("proposed", allocation)
 
-    if cfg.include_heuristic:
+    # without femtos the heuristic is the all-macro assignment, proposed's own
+    if cfg.num_fbs > 0:
         h_assignment = heuristic_assign(demand, gains)
         h_allocation = total_power(h_assignment, gains, thresholds, cfg.noise_w)
         _assert_feasible("heuristic", h_allocation, h_assignment, gains, thresholds)
@@ -181,7 +182,7 @@ def _slot_template(cfg: StreamConfig) -> SlotProblem:
 
     def delivery_probability(mean_sinr):
         return np.array(
-            [success_probability(LossModel(_DECODE_THRESHOLD, mu), 0, 0) for mu in mean_sinr]
+            [success_probability(LossModel(_DECODE_THRESHOLD, mu)) for mu in mean_sinr]
         )
 
     return SlotProblem(
@@ -294,11 +295,10 @@ def _allocate(cfg, template, psnr, decision, p_idle, graph, tally) -> np.ndarray
         return np.array([decision.expected_available])
     base = replace(template, w_minus=psnr)
     evaluator = AllocationValue(
-        base, step=cfg.step, phi=cfg.phi, max_iters=_capped(cfg.alloc_iters, cfg.budget)
+        base, step=cfg.step, phi=cfg.phi, max_iters=_capped(_ALLOC_ITERS, cfg.budget)
     )
     avail = decision.available
     alloc, gtrace = greedy_alloc(base, avail, p_idle[list(avail)], graph, value=evaluator)
-    alloc.validate(graph)
     tally.upper_bound += evaluator.baseline + optbound_upper(gtrace)
     return alloc.gi()
 

@@ -548,10 +548,9 @@ def _best_link(problem: SlotProblem, g_user):
     return connect, np.where(connect, share, 0.0), np.where(connect, 0.0, share)
 
 
-def _heuristic_solution(problem: SlotProblem, gi, heuristic) -> ScheduleSolution:
-    """A baseline's schedule for one channel vector: its batch of one."""
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    g_user = gi[problem.assoc - 1]
+def _heuristic_solution(problem: SlotProblem, heuristic) -> ScheduleSolution:
+    """A baseline's schedule for the problem's channel vector: its batch of one."""
+    g_user = problem.fbs_gi[problem.assoc - 1]
     connect, rho0, rhof = (part[0] for part in heuristic(problem, g_user[None, :]))
     return ScheduleSolution(
         connect_mbs=connect,
@@ -566,15 +565,15 @@ def _heuristic_solution(problem: SlotProblem, gi, heuristic) -> ScheduleSolution
     )
 
 
-def heuristic_equal(problem: SlotProblem, gi=None) -> ScheduleSolution:
+def heuristic_equal(problem: SlotProblem) -> ScheduleSolution:
     """Baseline: users pick the better link, transmitters split time evenly."""
-    return _heuristic_solution(problem, gi, _equal_split)
+    return _heuristic_solution(problem, _equal_split)
 
 
-def heuristic_diversity(problem: SlotProblem, gi=None) -> ScheduleSolution:
+def heuristic_diversity(problem: SlotProblem) -> ScheduleSolution:
     """Baseline: users pick the better link, each transmitter then gives its
     whole slot to its best-link chooser; everyone else idles."""
-    return _heuristic_solution(problem, gi, _best_link)
+    return _heuristic_solution(problem, _best_link)
 
 
 @dataclass(frozen=True)

@@ -21,29 +21,27 @@ class LossModel:
     """Bernoulli slot-loss probabilities from an exponential SINR law.
 
     A packet is lost when the instantaneous SINR falls below
-    decode_threshold; with mean SINR mu that happens with probability
-    1 - exp(-threshold/mu).
+    decode_threshold; with the link's mean SINR mu that happens with
+    probability 1 - exp(-threshold/mu).
     """
 
     decode_threshold: float
-    mean_sinr: object
+    mean_sinr: float
 
     def __post_init__(self):
         if self.decode_threshold < 0:
             raise ValueError("decode threshold cannot be negative")
-        if np.any(np.asarray(self.mean_sinr, dtype=float) <= 0):
+        if not self.mean_sinr > 0:
             raise ValueError("mean SINR must be positive")
 
 
-def loss_probability(model: LossModel, station: int, user: int) -> float:
-    """P(loss) on the station->user link."""
-    mean = np.asarray(model.mean_sinr, dtype=float)
-    mu = float(mean[station, user]) if mean.ndim == 2 else float(mean)
-    return -math.expm1(-model.decode_threshold / mu)
+def loss_probability(model: LossModel) -> float:
+    """P(loss) on the model's link."""
+    return -math.expm1(-model.decode_threshold / model.mean_sinr)
 
 
-def success_probability(model: LossModel, station: int, user: int) -> float:
-    return 1.0 - loss_probability(model, station, user)
+def success_probability(model: LossModel) -> float:
+    return 1.0 - loss_probability(model)
 
 
 @dataclass
@@ -76,10 +74,6 @@ class StreamState:
             raise ValueError("rate constants cannot be negative")
         if self.psnr is None:
             self.psnr = self.alpha.copy()
-
-    @property
-    def num_users(self) -> int:
-        return self.alpha.shape[0]
 
     def reset_window(self) -> None:
         """New group of pictures: quality restarts from the base layer."""

@@ -1,6 +1,6 @@
 """End-to-end acceptance battery.
 
-Ten checks, each printing exactly one PASS/FAIL line with its headline
+Eleven checks, each printing exactly one PASS/FAIL line with its headline
 numbers and runtime. Run with `pytest -s tests/test_acceptance.py` to see
 the lines as they complete.
 """
@@ -81,7 +81,7 @@ def test_bound_sandwich_and_solver_feasibility():
     """Closed-form bounds bracket the exhaustive optimum, and the greedy
     whole-layer solvers are always feasible and never below it."""
     _report_check(
-        " 1/10 bound sandwich + solver feasibility",
+        " 1/11 bound sandwich + solver feasibility",
         check_solvers_and_bounds, make_rng(0, 100), 520, limit=120,
     )
 
@@ -91,7 +91,7 @@ def test_single_station_closed_form_routes_agree():
     form give the same totals; the two-layer worst-unit-gain case costs 15
     with every post-cancellation SNR exactly at threshold 3."""
     _report_check(
-        " 2/10 single-station closed form",
+        " 2/11 single-station closed form",
         check_single_station_closed_form, make_rng(0, 101), 1000,
     )
 
@@ -135,7 +135,7 @@ def test_power_savings_over_baselines():
     ok = split_mean >= 5.0 and all(v >= 2.0 for v in partition_means.values()) and elapsed < 60.0
     partitions = ", ".join(f"L={k}: {v:.2f} dB" for k, v in partition_means.items())
     _report(
-        " 3/10 power savings",
+        " 3/11 power savings",
         ok,
         f"band split saves {split_mean:.2f} dB (need >= 5); layer partition saves "
         f"{partitions} (need >= 2 each); 10 seeds, {elapsed:.1f}s (limit 60s)",
@@ -146,7 +146,7 @@ def test_fusion_routes_agree_on_all_sequences():
     """Sequential odds fusion equals the batch posterior on every
     six-report sequence, and the single even-prior idle report lands on
     0.7 exactly."""
-    _report_check(" 4/10 sensing fusion routes", check_fusion_routes, None, 0, limit=1)
+    _report_check(" 4/11 sensing fusion routes", check_fusion_routes, None, 0, limit=1)
 
 
 def test_collision_budget_respected():
@@ -174,7 +174,7 @@ def test_collision_budget_respected():
     elapsed = time.perf_counter() - start
     ok = all(r <= bound for r in rates) and elapsed < 60.0
     _report(
-        " 5/10 collision budget",
+        " 5/11 collision budget",
         ok,
         f"{n_channels} channels x {n_slots} slots, rates "
         f"{', '.join(f'{r:.4f}' for r in rates)} <= {bound:.4f}, "
@@ -211,7 +211,7 @@ def test_price_iteration_matches_enumeration():
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120.0
     _report(
-        " 6/10 price iteration vs enumeration",
+        " 6/11 price iteration vs enumeration",
         ok,
         f"{checked} supported instances ({skipped} kink instances excluded), worst "
         f"relative error {worst_rel:.2e} (tol 1e-4), worst duality gap {worst_gap:.2e} "
@@ -261,7 +261,7 @@ def test_greedy_allocation_guarantee():
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 300.0
     _report(
-        " 7/10 greedy allocation guarantee",
+        " 7/11 greedy allocation guarantee",
         ok,
         f"{n_instances} instances ({excluded} increasing-returns instances excluded), "
         f"0 violations expected, got {violations}; "
@@ -307,7 +307,7 @@ def test_scheduler_dominance_and_quality_trends():
     ok = more_channels_help and busier_primaries_hurt and bandwidth_saturates
     ok &= elapsed < 600.0
     _report(
-        " 8/10 scheduler dominance + trends",
+        " 8/11 scheduler dominance + trends",
         ok,
         f"baselines never beat the schedule on any of the "
         f"{3 * len(seeds)} runs; mean quality with channels "
@@ -341,7 +341,7 @@ def test_quality_telescopes_to_bit_ledger(monkeypatch):
     elapsed = time.perf_counter() - start
     ok = len(rows) > 0 and elapsed < 120.0
     _report(
-        " 9/10 quality telescoping",
+        " 9/11 quality telescoping",
         ok,
         f"{windows} windows matched the bit ledger within 1e-9 across {len(seeds)} seeds; "
         f"a poisoned ledger is detected; {elapsed:.1f}s",
@@ -371,8 +371,48 @@ def test_cli_byte_reproducibility(tmp_path):
     elapsed = time.perf_counter() - start
     ok = multicast_same and stream_same
     _report(
-        "10/10 byte reproducibility",
+        "10/11 byte reproducibility",
         ok,
         f"multicast identical={multicast_same}, stream sweep identical={stream_same}, "
         f"{elapsed:.1f}s",
+    )
+
+
+def test_scenario_slots_match_enumeration(monkeypatch):
+    """Every slot the runner schedules on kink-heavy scenario runs is within
+    1e-12 relative of the enumeration optimum, converged or not: exact
+    pattern refill recovers the optimum even where the prices oscillate."""
+    import femtokit.harness.runners as runners
+
+    start = time.perf_counter()
+    real = runners.solve_noninterfering
+    runs_slots = []  # per run: (relative gap to the optimum, converged) per slot
+
+    def checked_solve(prob, **kwargs):
+        sol = real(prob, **kwargs)
+        _, _, _, best, _ = exact_schedule(prob)
+        runs_slots[-1].append((abs(best - sol.objective) / abs(best), sol.converged))
+        return sol
+
+    monkeypatch.setattr(runners, "solve_noninterfering", checked_solve)
+    runs = (
+        ("fig10_utilization", 0.7, [0, 1]),
+        ("fig13_budget", 1, [0]),
+        ("fig9_channels", 12, [0]),
+    )
+    for scenario, value, seeds in runs:
+        runs_slots.append([])
+        run_streaming(load_config(SCENARIOS / f"{scenario}.json").at(value), seeds)
+    elapsed = time.perf_counter() - start
+    worst = max(gap for slots in runs_slots for gap, _ in slots)
+    ok = worst <= 1e-12 and elapsed < 120.0
+    counts = ", ".join(
+        f"{scenario} at {value}: {sum(not c for _, c in slots)} of {len(slots)} not converged"
+        for (scenario, value, _), slots in zip(runs, runs_slots)
+    )
+    _report(
+        "11/11 scenario slots vs enumeration",
+        ok,
+        f"{sum(map(len, runs_slots))} slots ({counts}), worst relative gap to the optimum "
+        f"{worst:.1e} (tol 1e-12), {elapsed:.1f}s (limit 120s)",
     )

@@ -68,9 +68,7 @@ STREAM_BASE = {
     "mean_sinr_fbs": 3.0,
 }
 
-FEMTO_MULTICAST = dict(
-    MULTICAST_BASE, num_fbs=1, coverage="single", fbs_gain_mean=1.0, total_bandwidth_hz=2.5e6
-)
+FEMTO_MULTICAST = dict(MULTICAST_BASE, num_fbs=1, fbs_gain_mean=1.0, total_bandwidth_hz=2.5e6)
 
 # per sweep parameter: a base config, one sweep value, and the fields that
 # value must set on the sweep point's config
@@ -100,7 +98,7 @@ FLOAT_COUNTS = [
     pytest.param(dict(base, **{name: 2.5}), id=f"{base['kind']}-{name}")
     for base, names in (
         (STREAM_BASE, ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
-                       "max_iters", "alloc_iters", "budget")),
+                       "max_iters", "budget")),
         (MULTICAST_BASE, ("num_users", "num_levels", "num_fbs")),
     )
     for name in names
@@ -168,7 +166,7 @@ class TestConfigSchema:
             config_from_dict([1, 2, 3])
 
     def test_femto_band_needs_exactly_one_spec(self):
-        data = dict(MULTICAST_BASE, num_fbs=1, coverage="single", fbs_gain_mean=1.0)
+        data = dict(MULTICAST_BASE, num_fbs=1, fbs_gain_mean=1.0)
         with pytest.raises(ConfigError):
             config_from_dict(data)
         both = dict(data, fbs_bandwidth_hz=1e6, total_bandwidth_hz=2e6)
@@ -325,8 +323,12 @@ class TestCsv:
         assert ci == pytest.approx(2.7764451 * math.sqrt(2.5 / 5.0), rel=1e-7)
 
     def test_single_sample_has_empty_interval(self):
-        ((*_, n, mean, ci),) = aggregate([ResultRow("s", 0, "", "a", "m", 7.0)])
-        assert (n, mean, ci) == (1, 7.0, 0.0)
+        rows = [ResultRow("s", 0, "", "a", "m", 7.0)]
+        ((*_, n, mean, ci),) = aggregate(rows)
+        assert (n, mean, ci) == (1, 7.0, None)
+        buf = io.StringIO()
+        write_aggregate(buf, rows)
+        assert buf.getvalue().splitlines()[1] == "s,,a,m,1,7,"
 
     def test_groups_keep_first_appearance_order(self):
         rows = [
@@ -377,6 +379,21 @@ class TestRunners:
         assert d0 == d1 and np.array_equal(g0, g1)
         assert not (d0 == d2 and np.array_equal(g0, g2))
         assert set(d0.user_level) <= set(range(1, 5))
+
+    def test_coverage_follows_femto_count(self):
+        # no femto: everyone on the macro; one femto at fraction 0: everyone covered
+        for seed in range(5):
+            none, _ = multicast_instance(config_from_dict(MULTICAST_BASE), seed)
+            assert none.coverage == (0,) * MULTICAST_BASE["num_users"]
+            full, _ = multicast_instance(config_from_dict(FEMTO_MULTICAST), seed)
+            assert full.coverage == (1,) * FEMTO_MULTICAST["num_users"]
+
+    @pytest.mark.parametrize(
+        "scenario, heuristic", [(MULTICAST_BASE, False), (FEMTO_MULTICAST, True)]
+    )
+    def test_heuristic_rows_iff_femtos(self, scenario, heuristic):
+        rows = run_multicast(config_from_dict(scenario), [0, 1])
+        assert ("heuristic" in {r.algorithm for r in rows}) is heuristic
 
     def test_budget_caps_solver_iterations(self):
         cfg = config_from_dict(dict(STREAM_BASE, max_iters=500, budget=1))
@@ -460,14 +477,28 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "scenario",
-        [
-            pytest.param(dict(MULTICAST_BASE, include_heuristic="no"), id="include_heuristic"),
-            pytest.param(dict(STREAM_BASE, emit_trace=1), id="emit_trace"),
-        ],
+        [pytest.param(dict(STREAM_BASE, emit_trace=1), id="emit_trace")],
     )
     def test_non_boolean_flag_exits_two(self, tmp_path, monkeypatch, capsys, scenario):
         assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
         assert "must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            pytest.param(dict(FEMTO_MULTICAST, coverage="single"), "unknown config keys",
+                         id="coverage"),
+            pytest.param(dict(FEMTO_MULTICAST, include_heuristic=True), "unknown config keys",
+                         id="include_heuristic"),
+            pytest.param(dict(STREAM_BASE, alloc_iters=120), "unknown config keys",
+                         id="alloc_iters"),
+            pytest.param(dict(MULTICAST_BASE, macro_only_fraction=0.2),
+                         "macro_only_fraction needs femto stations", id="macro_only_no_femto"),
+        ],
+    )
+    def test_derived_setting_exits_two(self, tmp_path, monkeypatch, capsys, scenario, message):
+        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
+        assert message in capsys.readouterr().err
 
     def test_bad_seed_spec_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"

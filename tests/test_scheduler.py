@@ -1,5 +1,6 @@
 """Slot scheduling: price iteration, heuristics, and channel allocation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -653,7 +654,7 @@ class TestHeuristics:
         for k, (stack, lone) in enumerate(stacks):
             objectives = scheduler._objective(prob, g_user, *stack)
             for r, gi in enumerate(gis):
-                sol = lone(prob, gi)
+                sol = lone(dataclasses.replace(prob, fbs_gi=gi))
                 reference = lone_heuristics(prob, gi)[k]
                 got = (sol.connect_mbs, sol.rho_mbs, sol.rho_fbs)
                 for row, one, ref in zip(stack, got, reference):

@@ -30,30 +30,26 @@ class TestRateQuality:
 class TestLossModel:
     def test_exponential_outage_hand_value(self):
         model = LossModel(decode_threshold=1.0, mean_sinr=2.0)
-        assert loss_probability(model, 0, 0) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
+        assert loss_probability(model) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
 
     def test_loss_and_success_are_complements(self):
         model = LossModel(1.5, 3.0)
-        assert loss_probability(model, 0, 0) + success_probability(model, 0, 0) == pytest.approx(1.0)
+        assert loss_probability(model) + success_probability(model) == pytest.approx(1.0)
 
     def test_zero_threshold_never_loses(self):
-        assert loss_probability(LossModel(0.0, 1.0), 0, 0) == 0.0
-
-    def test_per_link_matrix_lookup(self):
-        means = np.array([[1.0, 2.0], [4.0, 8.0]])
-        model = LossModel(1.0, means)
-        assert loss_probability(model, 1, 0) == pytest.approx(1.0 - math.exp(-0.25), rel=1e-12)
-        assert loss_probability(model, 0, 1) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
+        assert loss_probability(LossModel(0.0, 1.0)) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LossModel(-1.0, 1.0)
         with pytest.raises(ValueError):
             LossModel(1.0, 0.0)
+        with pytest.raises(ValueError):
+            LossModel(1.0, math.nan)
 
     @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.01, max_value=100.0))
     def test_loss_is_a_probability(self, threshold, mu):
-        p = loss_probability(LossModel(threshold, mu), 0, 0)
+        p = loss_probability(LossModel(threshold, mu))
         assert 0.0 <= p <= 1.0
 
 
