@@ -23,6 +23,11 @@ import numpy as np
 _OVERLOAD_TOL = 1e-6
 # bisection steps on a pool's price in _bisect_pools
 _POOL_BISECTIONS = 60
+# iterates whose Lagrangian values the price iteration keeps before folding
+# them into each row's lowest dual value
+_UNFOLDED_ITERATES = 64
+# 0-d operands, which numpy takes faster than Python floats
+_ZERO, _ONE = np.zeros(()), np.ones(())
 
 
 @dataclass
@@ -101,13 +106,6 @@ class ScheduleSolution:
     trace: "list | None" = None
 
 
-def dual_update(prices, load, step: float):
-    """Projected gradient step on the prices: [lam - step*(1 - load)]^+."""
-    if step <= 0:
-        raise ValueError("step size must be positive")
-    return np.maximum(np.asarray(prices, dtype=float) - step * (1.0 - np.asarray(load, dtype=float)), 0.0)
-
-
 def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs):
     """Expected log-quality sum along the last (user) axis of stacked schedules."""
     arg = np.where(
@@ -134,24 +132,42 @@ class _Responder:
     much the load can jump when a user switches branches. Both branches sit
     side by side on the last axis (macro first), so the price-independent
     terms are computed once per stack.
+
+    __call__ and load are the reference route; step fuses them with the
+    projected price step for the iteration's inner loop.
     """
 
     def __init__(self, problem: SlotProblem, g_user):
         rows, k = g_user.shape
-        n1 = problem.n_fbs + 1
         self.k = k
+        self.n1 = problem.n_fbs + 1
         self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
         self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
         self.w = np.concatenate([problem.w_minus, problem.w_minus])
         self.rate = np.concatenate(
             np.broadcast_arrays(problem.rate_mbs, problem.rate_fbs * g_user), axis=-1
         )
-        with np.errstate(divide="ignore", over="ignore"):
-            self.offset = self.w / self.rate
-        self.paid = self.rate > 0
+        self.unpaid = ~(self.rate > 0)
+        # every offset is finite, so no lane computes inf - inf: zero-rate
+        # lanes get 0 (their share is zeroed after clipping), and where a
+        # subnormal rate overflows w/rate the largest float still clips
+        # every priced share to 0
+        self.offset = np.zeros_like(self.rate)
+        with np.errstate(over="ignore"):
+            np.divide(self.w, self.rate, out=self.offset, where=~self.unpaid)
+        np.minimum(self.offset, np.finfo(float).max, out=self.offset)
+        self.any_unpaid = bool(self.unpaid.any())
         # each row's femto loads fill their own n1 bincount slots, row-major
-        self.bins = (problem.assoc + n1 * np.arange(rows)[:, None]).ravel()
-        self.n_bins = rows * n1
+        self.bins = (problem.assoc + self.n1 * np.arange(rows)[:, None]).ravel()
+        self.unpriced = np.full(self.rate.shape, math.inf)
+
+    def keep(self, live):
+        """Drop the rows of the stack where the boolean mask live is false."""
+        self.rate, self.offset, self.unpaid = self.rate[live], self.offset[live], self.unpaid[live]
+        self.any_unpaid = bool(self.unpaid.any())
+        # row r's bins are assoc + n1*r, so the first rows' bins are a stack's
+        self.bins = self.bins[: self.rate.shape[0] * self.k]
+        self.unpriced = self.unpriced[: self.rate.shape[0]]
 
     def __call__(self, prices):
         """Branch, shares with the losing one zeroed, and Lagrangian values,
@@ -161,10 +177,12 @@ class _Responder:
         # the contiguous user axis with the same rounding as a lone row
         price = prices.take(self.price_index, axis=1)
         priced = price > 0
-        interior = np.minimum(
-            np.maximum(self.pbar / np.where(priced, price, 1.0) - self.offset, 0.0), 1.0
-        )
-        rho = np.where(self.paid, np.where(priced, interior, 1.0), 0.0)
+        # a tiny price saturates pbar/price to +inf, which clips to 1
+        with np.errstate(over="ignore"):
+            interior = np.minimum(
+                np.maximum(self.pbar / np.where(priced, price, 1.0) - self.offset, 0.0), 1.0
+            )
+        rho = np.where(self.unpaid, 0.0, np.where(priced, interior, 1.0))
         value = self.pbar * np.log(self.w + rho * self.rate) - price * rho
         k = self.k
         connect = value[:, :k] >= value[:, k:]
@@ -177,10 +195,65 @@ class _Responder:
 
     def load(self, rho_mbs, rho_fbs):
         """Time load per transmitter, shape (B, n_fbs + 1), of stacked shares."""
-        load = np.bincount(self.bins, weights=rho_fbs.ravel(), minlength=self.n_bins)
+        load = np.bincount(self.bins, weights=rho_fbs.ravel(), minlength=len(rho_fbs) * self.n1)
         load = load.reshape(len(rho_fbs), -1)
         load[:, 0] = rho_mbs.sum(axis=1)
         return load
+
+    def step(self, prices, step):
+        """One iterate of the price iteration, fused: __call__, load and the
+        projected gradient step [prices - step*(1 - load)]^+ written out as
+        the same floating-point operations on the same operands, so every
+        output is theirs bit for bit. step is a 0-d array. Returns the
+        branches, the next prices, the squared price movement per row, and
+        both branches' Lagrangian values side by side, shape (B, 2K); the
+        chosen ones are np.where(connect, values[:, :k], values[:, k:]).
+        Call it with overflow ignored: a tiny price saturates pbar/price to
+        +inf."""
+        price = prices.take(self.price_index, axis=1)
+        # a zero price keeps the +inf share, which clips to the whole slot
+        rho = self.unpriced.copy()
+        np.divide(self.pbar, price, out=rho, where=price > _ZERO)
+        rho -= self.offset
+        np.maximum(rho, _ZERO, out=rho)
+        np.minimum(rho, _ONE, out=rho)
+        if self.any_unpaid:
+            np.copyto(rho, _ZERO, where=self.unpaid)
+        value = rho * self.rate
+        value += self.w
+        np.log(value, out=value)
+        value *= self.pbar
+        price *= rho
+        value -= price
+        k = self.k
+        connect = value[:, :k] >= value[:, k:]
+        rho_fbs = np.where(connect, _ZERO, rho[:, k:])
+        load = np.bincount(self.bins, weights=rho_fbs.ravel(), minlength=len(prices) * self.n1)
+        load = load.reshape(len(prices), -1)
+        # add.reduce is what ndarray.sum runs, without its Python wrapper
+        load[:, 0] = np.add.reduce(np.where(connect, rho[:, :k], _ZERO), axis=1)
+        np.subtract(_ONE, load, out=load)
+        load *= step
+        new_prices = np.subtract(prices, load, out=load)
+        np.maximum(new_prices, _ZERO, out=new_prices)
+        moved = new_prices - prices
+        moved *= moved
+        return connect, new_prices, np.add.reduce(moved, axis=1), value
+
+
+def _lowest_dual(iterates):
+    """Per row, the lowest Lagrangian value over a list of
+    (connect, values, prices) iterates of _Responder.step, all of one
+    stack. Row sums run along the contiguous last axis of the stacked
+    iterates, so each rounds as it would in its own iterate."""
+    rows, k = iterates[0][0].shape
+    connect, value, prices = (
+        np.concatenate(part).reshape(len(iterates), rows, -1) for part in zip(*iterates)
+    )
+    chosen = np.where(connect, value[..., :k], value[..., k:])
+    dual = np.add.reduce(chosen, axis=2)
+    dual += np.add.reduce(prices, axis=2)
+    return np.minimum.reduce(dual, axis=0)
 
 
 def _repaired(rho_mbs, rho_fbs, load, assoc):
@@ -256,7 +329,7 @@ def _refill_patterns(problem: SlotProblem, g_user, patterns):
     return rho[0], rho[1]
 
 
-def init_prices(problem: SlotProblem, gi=None) -> np.ndarray:
+def init_prices(problem: SlotProblem) -> np.ndarray:
     """Cold-start prices at each transmitter's demand threshold.
 
     A pool's clearing price never exceeds its users' largest marginal
@@ -265,8 +338,7 @@ def init_prices(problem: SlotProblem, gi=None) -> np.ndarray:
     scale instead of an arbitrary constant, which matters when quality
     rates are small against current quality.
     """
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
-    rf = problem.rate_fbs * gi[problem.assoc - 1]
+    rf = problem.rate_fbs * problem.fbs_gi[problem.assoc - 1]
     prices = np.zeros(problem.n_fbs + 1)
     prices[0] = float(
         np.max(problem.pbar_mbs * problem.rate_mbs / (problem.w_minus + problem.rate_mbs))
@@ -303,6 +375,10 @@ def _iterate(
     Without keep_iterates such a row runs on only to the iteration whose
     prices equal those after max_iters, and leaves the stack there. Repeats
     are found Brent-style against a snapshot taken at powers of two.
+
+    Each iterate is one fused _Responder.step. Its Lagrangian values are
+    kept and folded into the rows' lowest dual values only when rows leave,
+    every _UNFOLDED_ITERATES iterates and at the end.
     """
     n_rows = len(g_user)
     iterations = np.full(n_rows, max_iters)
@@ -318,62 +394,73 @@ def _iterate(
     respond = _Responder(problem, g_user)
     prices = np.tile(start, (n_rows, 1))
     dual = np.full(n_rows, math.inf)
+    # (connect, values, prices) of the iterates not yet folded into dual
+    unfolded = []
     last, last_code = None, b""
     due = np.zeros(n_rows, dtype=int)
     next_due = max_iters + 1
-    # prices of iterate snap_it, compared as integers so -0.0 differs from 0.0
-    snapshot, snap_it = prices.view(np.int64), 1
-    for it in range(1, max_iters + 1):
-        connect, rho0, rhof, values = respond(prices)
-        dual = np.minimum(dual, values.sum(axis=1) + prices.sum(axis=1))
-        # most iterates repeat the previous patterns; only changes can be new
-        code = connect.tobytes()
-        if code != last_code:
-            if last is None:
-                changed = np.ones(len(rows), dtype=bool)
-            else:
-                changed = np.any(connect != last, axis=1)
-            for i in np.flatnonzero(changed):
-                first_seen[rows[i]].setdefault(connect[i].tobytes())
-        if keep_iterates:
-            for i, r in enumerate(rows):
-                iterates[r].append((it, prices[i]))
-        last, last_code = connect, code
-        new_prices = dual_update(prices, respond.load(rho0, rhof), step)
-        moved = ((new_prices - prices) ** 2).sum(axis=1)
-        prices = new_prices
-        done = moved <= phi
-        leave = done
-        if not keep_iterates:
-            bits = prices.view(np.int64)
-            repeat = (bits == snapshot).all(axis=1)
-            if repeat.any():
-                # iterate it + 1 equals iterate snap_it: leave at the first
-                # iteration whose next prices are those after max_iters
-                period = it + 1 - snap_it
-                leave_at = it + (max_iters - it) % period
-                due[repeat] = leave_at
-                next_due = min(next_due, leave_at)
-            if it == next_due:
-                leave = done | (due == it)
-                pending = due[due > it]
-                next_due = pending.min() if pending.size else max_iters + 1
-            if not it & (it + 1):
-                snapshot, snap_it = bits, it + 1
-        if leave.any():
-            finished = rows[done]
-            converged[finished] = True
-            iterations[finished] = it
-            finished = rows[leave]
-            last_prices[finished] = prices[leave]
-            best_dual[finished] = dual[leave]
-            live = ~leave
-            rows, prices, dual, last = rows[live], prices[live], dual[live], last[live]
-            due, snapshot = due[live], snapshot[live]
-            if not rows.size:
-                break
-            respond = _Responder(problem, g_user[rows])
-            last_code = last.tobytes()
+    # prices of iterate snap_it, each row compared as raw bytes so -0.0
+    # differs from 0.0
+    row_bytes = np.dtype((np.void, prices.itemsize * len(start)))
+    snapshot, snap_it = prices.view(row_bytes)[:, 0], 1
+    step, phi = np.array(step, dtype=float), np.array(phi, dtype=float)
+    with np.errstate(over="ignore"):
+        for it in range(1, max_iters + 1):
+            connect, new_prices, moved, values = respond.step(prices, step)
+            unfolded.append((connect, values, prices))
+            # most iterates repeat the previous patterns; only changes can be new
+            code = connect.tobytes()
+            if code != last_code:
+                if last is None:
+                    changed = np.ones(len(rows), dtype=bool)
+                else:
+                    changed = np.any(connect != last, axis=1)
+                for i in np.flatnonzero(changed):
+                    first_seen[rows[i]].setdefault(connect[i].tobytes())
+            if keep_iterates:
+                for i, r in enumerate(rows):
+                    iterates[r].append((it, prices[i]))
+            last, last_code = connect, code
+            prices = new_prices
+            done = moved <= phi
+            leave = done
+            if not keep_iterates:
+                bits = prices.view(row_bytes)[:, 0]
+                repeat = bits == snapshot
+                if np.count_nonzero(repeat):
+                    # iterate it + 1 equals iterate snap_it: leave at the first
+                    # iteration whose next prices are those after max_iters
+                    period = it + 1 - snap_it
+                    leave_at = it + (max_iters - it) % period
+                    due[repeat] = leave_at
+                    next_due = min(next_due, leave_at)
+                if it == next_due:
+                    leave = done | (due == it)
+                    pending = due[due > it]
+                    next_due = pending.min() if pending.size else max_iters + 1
+                if not it & (it + 1):
+                    snapshot, snap_it = bits, it + 1
+            if np.count_nonzero(leave):
+                dual = np.minimum(dual, _lowest_dual(unfolded))
+                unfolded = []
+                finished = rows[done]
+                converged[finished] = True
+                iterations[finished] = it
+                finished = rows[leave]
+                last_prices[finished] = prices[leave]
+                best_dual[finished] = dual[leave]
+                live = ~leave
+                rows, prices, dual, last = rows[live], prices[live], dual[live], last[live]
+                due, snapshot = due[live], snapshot[live]
+                if not rows.size:
+                    break
+                respond.keep(live)
+                last_code = last.tobytes()
+            elif len(unfolded) == _UNFOLDED_ITERATES:
+                dual = np.minimum(dual, _lowest_dual(unfolded))
+                unfolded = []
+    if unfolded:
+        dual = np.minimum(dual, _lowest_dual(unfolded))
     last_prices[rows] = prices
     best_dual[rows] = dual
     return iterations, converged, last_prices, best_dual, first_seen, iterates
@@ -413,6 +500,8 @@ def solve_noninterfering_batch(
     traced first seed is 19 or 53, which is why a traced solve keeps them.
     Rows that hit max_iters are flagged converged=False.
     """
+    if step <= 0:
+        raise ValueError("step size must be positive")
     if phi < 0:
         raise ValueError("phi cannot be negative")
     if max_iters < 1:
@@ -494,19 +583,17 @@ def solve_noninterfering_batch(
 
 def solve_noninterfering(
     problem: SlotProblem,
-    gi=None,
     prices_init=None,
     step: float = 0.01,
     phi: float = 1e-6,
     max_iters: int = 10000,
     record_trace: bool = False,
 ) -> ScheduleSolution:
-    """Price iteration for one slot with a fixed per-femto channel vector
-    (problem.fbs_gi by default): the batch of one."""
-    gi = problem.fbs_gi if gi is None else np.asarray(gi, dtype=float)
+    """Price iteration for one slot under its channel vector problem.fbs_gi:
+    the batch of one."""
     return solve_noninterfering_batch(
         problem,
-        gi[None, :],
+        problem.fbs_gi[None, :],
         prices_init=prices_init,
         step=step,
         phi=phi,

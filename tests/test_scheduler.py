@@ -17,7 +17,6 @@ from femtokit.scheduler import (
     GreedyTrace,
     InterferenceGraph,
     SlotProblem,
-    dual_update,
     greedy_alloc,
     heuristic_diversity,
     heuristic_equal,
@@ -122,19 +121,45 @@ class TestBestResponse:
 
 
 class TestDualUpdate:
+    """The projected gradient step [prices - step*(1 - load)]^+, seen as
+    the prices after one iterate from prices_init."""
+
+    @staticmethod
+    def one_step(prob, prices):
+        sol = solve_noninterfering(prob, prices_init=prices, step=0.01, phi=0.0, max_iters=1)
+        return sol.prices
+
     def test_projected_gradient_step(self):
-        got = dual_update([0.6], [0.5], 0.01)
-        assert got == pytest.approx([0.595], abs=1e-15)
+        # the user takes 1/0.8 - 1/2 = 0.75 of the macro slot and no femto time
+        prob = one_user_problem(w=1.0, rate0=2.0, pbarf=0.0)
+        got = self.one_step(prob, [0.8, 1.0])
+        assert got == pytest.approx([0.8 - 0.01 * 0.25, 1.0 - 0.01], abs=1e-15)
 
     def test_prices_never_negative(self):
-        assert dual_update([0.001], [0.0], 0.01).tolist() == [0.0]
+        # nobody wants femto time, so its price would step below zero
+        prob = one_user_problem(w=1.0, rate0=2.0, pbarf=0.0)
+        assert self.one_step(prob, [0.001, 0.001]).tolist() == [0.001, 0.0]
 
     def test_overloaded_pool_raises_price(self):
-        assert dual_update([0.5], [1.8], 0.01)[0] > 0.5
+        # both users take the whole macro slot at a low price: load 2
+        prob = SlotProblem(
+            w_minus=[1.0, 1.0],
+            pbar_mbs=[1.0, 1.0],
+            pbar_fbs=[0.0, 0.0],
+            rate_mbs=[2.0, 2.0],
+            rate_fbs=[1.0, 1.0],
+            assoc=[1, 1],
+            n_fbs=1,
+            fbs_gi=[1.0],
+        )
+        assert self.one_step(prob, [0.1, 1.0])[0] == pytest.approx(0.11, abs=1e-15)
 
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            dual_update([0.5], [1.0], 0.0)
+    def test_step_must_be_positive(self, monkeypatch):
+        # the step is checked before any iterate runs
+        monkeypatch.setattr(scheduler, "_iterate", None)
+        for step in (0.0, -0.01):
+            with pytest.raises(ValueError, match="step"):
+                solve_noninterfering(one_user_problem(), step=step)
 
 
 class TestObjectiveValue:
@@ -237,6 +262,10 @@ class TestPriceIteration:
             solve_noninterfering(prob, phi=-1.0)
         with pytest.raises(ValueError):
             solve_noninterfering(prob, max_iters=0)
+        with pytest.raises(ValueError):
+            solve_noninterfering(prob, step=0.0)
+        with pytest.raises(ValueError):
+            solve_noninterfering_batch(prob, [[1.0]], step=-0.01)
         with pytest.raises(ValueError):
             solve_noninterfering_batch(prob, [1.0])
 
@@ -400,11 +429,12 @@ class TestBatchedPriceIteration:
             record_trace=data.draw(st.booleans()),
         )
         if data.draw(st.booleans()):
-            opts["prices_init"] = init_prices(prob, gi=gis[0])
+            opts["prices_init"] = init_prices(dataclasses.replace(prob, fbs_gi=gis[0]))
         batch = solve_noninterfering_batch(prob, gis, **opts)
         assert len(batch) == len(gis)
         for gi, got in zip(gis, batch):
-            assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
+            lone = solve_noninterfering(dataclasses.replace(prob, fbs_gi=gi), **opts)
+            assert_same_solution(got, lone)
 
     def test_rows_stop_at_their_own_iteration(self):
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
@@ -417,7 +447,8 @@ class TestBatchedPriceIteration:
         assert any(sol.converged for sol in batch)
         assert any(not sol.converged and sol.iterations == 150 for sol in batch)
         for gi, got in zip(gis, batch):
-            assert_same_solution(got, solve_noninterfering(prob, gi=gi, **opts))
+            lone = solve_noninterfering(dataclasses.replace(prob, fbs_gi=gi), **opts)
+            assert_same_solution(got, lone)
 
     def test_shared_pools_are_bisected_once(self, monkeypatch):
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
@@ -483,7 +514,8 @@ def plain_price_iteration(prob, gi, start, step, phi, max_iters):
     per_cap = []
     for it in range(1, max_iters + 1):
         low = min(low, here)
-        new_prices = dual_update(prices, load, step)
+        # the projected gradient step
+        new_prices = np.maximum(prices - step * (1.0 - load), 0.0)
         moved = ((new_prices - prices) ** 2).sum(axis=1)[0]
         prices = new_prices
         load, here = lagrangian(prices)
@@ -569,7 +601,7 @@ class TestCycleExit:
         if warm == "ones":
             start = np.ones(prob.n_fbs + 1)
         elif warm == "demand":
-            start = init_prices(prob, gi=gis[0])
+            start = init_prices(dataclasses.replace(prob, fbs_gi=gis[0]))
         else:
             n = prob.n_fbs + 1
             start = data.draw(st.lists(st.floats(0.0, 0.2), min_size=n, max_size=n))
@@ -621,6 +653,115 @@ class TestCycleExit:
         assert bits(untraced.prices) == bits(sol.prices)
         assert bits(untraced.dual_value) == bits(sol.dual_value)
         assert untraced.objective == sol.objective
+
+
+# prices at and around the edges of the best response: zero (either sign),
+# the smallest subnormal, which saturates pbar/price to +inf, and ordinary
+prices_at_the_edges = st.sampled_from([0.0, -0.0, 5e-324, 1e-300]) | st.floats(0.0, 2.0)
+
+
+@st.composite
+def fused_stacks(draw):
+    """A slot problem of 1 to 16 users, often 8 or more, where numpy
+    switches from a running sum to pairwise sums; some users have zero or
+    subnormal rates or zero weights. A stack of channel rows, some zero,
+    and a price row per channel row."""
+    n_fbs = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 7) | st.integers(8, 16))
+
+    def per_user(values):
+        return draw(st.lists(values, min_size=k, max_size=k))
+
+    prob = SlotProblem(
+        w_minus=per_user(st.floats(1.0, 45.0)),
+        pbar_mbs=per_user(st.just(0.0) | st.floats(0.3, 1.0)),
+        pbar_fbs=per_user(st.just(0.0) | st.floats(0.3, 1.0)),
+        rate_mbs=per_user(st.sampled_from([0.0, 5e-324]) | st.floats(1e-3, 120.0)),
+        rate_fbs=per_user(st.sampled_from([0.0, 5e-324]) | st.floats(1e-3, 120.0)),
+        assoc=per_user(st.integers(1, n_fbs)),
+        n_fbs=n_fbs,
+        fbs_gi=np.zeros(n_fbs),
+    )
+    gis = np.array(draw(channel_stacks(n_fbs)))
+    edge_row = st.lists(prices_at_the_edges, min_size=n_fbs + 1, max_size=n_fbs + 1)
+    scale_row = st.lists(st.floats(0.8, 2.0), min_size=n_fbs + 1, max_size=n_fbs + 1)
+
+    def price_row(gi):
+        if draw(st.booleans()):
+            return draw(edge_row)
+        # around the demand thresholds many shares are interior, so the
+        # order in which a transmitter's load is summed shows in its bits
+        return init_prices(dataclasses.replace(prob, fbs_gi=gi)) * draw(scale_row)
+
+    prices = np.array([price_row(gi) for gi in gis])
+    return prob, gis, prices
+
+
+def unfused_step(respond, prices, step):
+    """The reference route of one iterate: __call__, load, then the
+    projected gradient step. Returns branches, next prices, squared
+    movement and the Lagrangian value per row."""
+    connect, rho0, rhof, values = respond(prices)
+    new_prices = np.maximum(prices - step * (1.0 - respond.load(rho0, rhof)), 0.0)
+    moved = ((new_prices - prices) ** 2).sum(axis=1)
+    return connect, new_prices, moved, values.sum(axis=1) + prices.sum(axis=1)
+
+
+class TestFusedStep:
+    """The price iteration's fused iterate is the reference route bit for
+    bit, on every row of a stack and after rows leave it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fused_iterates_match_the_reference_route(self, data):
+        prob, gis, prices = data.draw(fused_stacks())
+        step = data.draw(st.sampled_from([0.005, 0.01, 0.05, 0.5]))
+        g_user = np.take(gis, prob.assoc - 1, axis=1)
+        fused = scheduler._Responder(prob, g_user)
+        # the reference's running lowest dual, and the fused one folded at
+        # the last time rows left plus the iterates since then
+        lowest = folded = np.full(len(gis), math.inf)
+        iterates, live = [], np.arange(len(gis))
+        for _ in range(data.draw(st.integers(1, 12))):
+            reference = scheduler._Responder(prob, g_user[live])
+            connect, new_prices, moved, dual = unfused_step(reference, prices, step)
+            with np.errstate(over="ignore"):
+                got = fused.step(prices, np.array(step))
+            assert got[0].tobytes() == connect.tobytes()
+            assert bits(got[1]) == bits(new_prices)
+            assert bits(got[2]) == bits(moved)
+            iterates.append((got[0], got[3], prices))
+            lowest = np.minimum(lowest, dual)
+            assert bits(np.minimum(folded, scheduler._lowest_dual(iterates))) == bits(lowest)
+            prices = new_prices
+            if len(live) > 1 and data.draw(st.booleans()):
+                n = len(live)
+                keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                keep[0] = True
+                folded = np.minimum(folded, scheduler._lowest_dual(iterates))[keep]
+                fused.keep(keep)
+                live, prices, lowest, iterates = live[keep], prices[keep], lowest[keep], []
+
+    def test_a_crowded_stack_iterates_as_the_reference(self):
+        # 12 users: numpy sums each macro load, movement and dual row of 8
+        # or more entries pairwise, which a running sum (bincount's, or a
+        # matmul's) would round differently; interior shares make it show
+        prob = random_problem(make_rng(44, 99), n_users=12, n_fbs=2)
+        gis = np.array([[0.5, 1.0], [1.5, 0.7], [3.0, 0.0], [2.0, 2.4]])
+        g_user = np.take(gis, prob.assoc - 1, axis=1)
+        respond = scheduler._Responder(prob, g_user)
+        prices = np.tile(init_prices(prob), (len(gis), 1))
+        iterates, lowest = [], np.full(len(gis), math.inf)
+        for _ in range(300):
+            connect, new_prices, moved, dual = unfused_step(respond, prices, 0.01)
+            got = respond.step(prices, np.array(0.01))
+            assert got[0].tobytes() == connect.tobytes()
+            assert bits(got[1]) == bits(new_prices)
+            assert bits(got[2]) == bits(moved)
+            iterates.append((got[0], got[3], prices))
+            lowest = np.minimum(lowest, dual)
+            prices = new_prices
+        assert bits(scheduler._lowest_dual(iterates)) == bits(lowest)
 
 
 def lone_heuristics(prob, gi):
