@@ -14,6 +14,7 @@ the scheduling objective it enables, measured against the no-channel
 baseline so the greedy trace telescopes exactly.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ import numpy as np
 _OVERLOAD_TOL = 1e-6
 # bisection steps on a pool's price in _bisect_pools
 _POOL_BISECTIONS = 60
+# prices per pool that each round of _filling_thresholds tests
+_PROBES = 63
 # iterates whose Lagrangian values the price iteration keeps before folding
 # them into each row's lowest dual value
 _UNFOLDED_ITERATES = 64
@@ -68,18 +71,19 @@ class SlotProblem:
             raise ValueError("need at least one femto station")
         if self.fbs_gi.shape != (self.n_fbs,):
             raise ValueError("fbs_gi must have one entry per femto station")
-        if np.any(self.w_minus <= 0):
+        # each check passes only on the valid values, so NaN fails it
+        if not np.all(self.w_minus > 0):
             raise ValueError("current quality must be positive")
         for name in ("pbar_mbs", "pbar_fbs"):
             p = getattr(self, name)
-            if np.any((p < 0) | (p > 1)):
+            if not np.all((p >= 0) & (p <= 1)):
                 raise ValueError(f"{name} must be probabilities")
-        if np.any(self.rate_mbs < 0) or np.any(self.rate_fbs < 0):
-            raise ValueError("rates cannot be negative")
+        if not (np.all(self.rate_mbs >= 0) and np.all(self.rate_fbs >= 0)):
+            raise ValueError("rates must be nonnegative")
         if np.any((self.assoc < 1) | (self.assoc > self.n_fbs)):
             raise ValueError("assoc entries must be femto ids in 1..n_fbs")
-        if np.any(self.fbs_gi < 0):
-            raise ValueError("expected channel counts cannot be negative")
+        if not np.all(self.fbs_gi >= 0):
+            raise ValueError("expected channel counts must be nonnegative")
 
     @property
     def num_users(self) -> int:
@@ -113,7 +117,7 @@ def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs):
         problem.w_minus + rho_mbs * problem.rate_mbs,
         problem.w_minus + rho_fbs * g_user * problem.rate_fbs,
     )
-    if np.any(arg <= 0):
+    if not np.all(arg > 0):
         raise ValueError("log argument must stay positive")
     weight = np.where(connect_mbs, problem.pbar_mbs, problem.pbar_fbs)
     return np.sum(weight * np.log(arg), axis=-1)
@@ -262,23 +266,96 @@ def _repaired(rho_mbs, rho_fbs, load, assoc):
     return rho_mbs * scale[:, :1], rho_fbs * np.take(scale, assoc, axis=1)
 
 
+def _clearing_prices(pbar, ratio, offset):
+    """Per pool of a (P, n) stack, the closed-form waterfill price (Boyd &
+    Vandenberghe, Convex Optimization, 5.5.3): sorted by ratio = pbar*rate/w,
+    largest first, the first m members clear the slot at
+    sum pbar / (1 + sum offset), m being the number still above that price."""
+    # add.accumulate and add.reduce are what cumsum and sum run, without
+    # their Python wrappers
+    rows = np.arange(len(pbar))
+    order = np.argsort(-ratio, axis=1, kind="stable")
+    pb, off = pbar[rows[:, None], order], offset[rows[:, None], order]
+    mus = np.add.accumulate(pb, axis=1) / (1.0 + np.add.accumulate(off, axis=1))
+    served = np.add.reduce(pb > mus * off, axis=1)
+    return mus[rows, np.maximum(served - 1, 0)]
+
+
+def _filling_thresholds(pbar, offset, hi, seed):
+    """Per pool of a (P, n) stack, the largest price in (0, hi] whose
+    box-clipped shares fill the slot by _bisect_pools' own test, or 0.0 if
+    none does.
+
+    The test is monotone in the price in floating point: pbar/price is
+    correctly rounded, then a constant is subtracted, the result clipped and
+    summed in a fixed order, and each step preserves order. So the prices
+    that fill are exactly the positive floats up to the threshold. Positive
+    floats sort like their int64 bit patterns, so each round tests
+    _PROBES prices of every open pool as one stack and keeps the tightest
+    bracket (a fills, b does not) in bit space, until b is a's successor.
+    The first round probes consecutive floats around seed, the later ones
+    spread their probes evenly over the bracket; seed only sets how many
+    rounds run, never the result."""
+    # 0.0 stands in for "no price fills", and the float after hi is never
+    # tested by the bisection, so neither bracket end needs a test
+    a = np.zeros(len(hi), dtype=np.int64)
+    b = hi.view(np.int64) + 1
+    start = np.minimum(np.maximum(seed.view(np.int64), a), b) - _PROBES // 2
+    stride = np.ones_like(a)
+    pools = np.arange(len(hi))
+    # a tiny probe saturates pbar/price to +inf, which clips to 1; the
+    # reductions are the ufunc methods that sum, max and min run
+    with np.errstate(over="ignore"):
+        while pools.size:
+            lo, up = a[pools, None], b[pools, None]
+            probe = start[:, None] + stride[:, None] * np.arange(_PROBES)
+            probe = np.minimum(np.maximum(probe, lo + 1), up - 1)
+            shares = pbar[pools, None, :] / probe.view(float)[:, :, None] - offset[pools, None, :]
+            fill = np.add.reduce(np.minimum(np.maximum(shares, 0.0), 1.0), axis=2) >= 1.0
+            a[pools] = np.maximum.reduce(np.where(fill, probe, lo), axis=1)
+            b[pools] = np.minimum.reduce(np.where(fill, up, probe), axis=1)
+            pools = pools[b[pools] - a[pools] > 1]
+            # (b - a) // (_PROBES + 1) * j stays below b - a, so no probe
+            # overflows int64
+            stride = np.maximum((b[pools] - a[pools]) // (_PROBES + 1), 1)
+            start = a[pools] + stride
+    return a.view(float)
+
+
 def _bisect_pools(pbar, w, rate):
     """Optimal shares for a (P, n) stack of pools, each bound to one
-    transmitter and every rate positive: bisect each pool's price until its
-    box-clipped stationary shares fill the slot. Sums run along the
-    contiguous member axis, so each row's shares are bit for bit those of
-    its pool alone."""
-    offset = w / rate
-    hi = np.max(pbar * rate / w, axis=1) * 2.0 + 1.0
-    lo = np.zeros(len(hi))
-    for _ in range(_POOL_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        full = np.minimum(np.maximum(pbar / mid[:, None] - offset, 0.0), 1.0).sum(axis=1) >= 1.0
-        lo = np.where(full, mid, lo)
-        hi = np.where(full, hi, mid)
+    transmitter and every rate positive: _POOL_BISECTIONS bisection steps on
+    each pool's price, keeping the half whose box-clipped stationary shares
+    fill the slot, then the shares at the upper end.
+
+    The steps are replayed in Python floats against each pool's filling
+    threshold (the largest price that fills, see _filling_thresholds):
+    0.5*(lo + hi) rounds as numpy's does, and a price fills exactly when it
+    is at most the threshold, so the result is the stacked numpy bisection's
+    bit for bit. Sums run along the contiguous member axis, so each row's
+    shares are bit for bit those of its pool alone."""
+    # where a subnormal rate overflows w/rate, the largest float still clips
+    # the member's share to 0 at every price the bisection tests, and keeps
+    # the test monotone at the subnormal prices a probe may try
+    with np.errstate(over="ignore"):
+        offset = np.minimum(w / rate, np.finfo(float).max)
+        ratio = pbar * rate / w
+        hi0 = np.max(ratio, axis=1) * 2.0 + 1.0
+        seed = _clearing_prices(pbar, ratio, offset)
+    thresholds = _filling_thresholds(pbar, offset, hi0, seed)
+    his = []
+    for threshold, hi in zip(thresholds.tolist(), hi0.tolist()):
+        lo = 0.0
+        for _ in range(_POOL_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if mid <= threshold:
+                lo = mid
+            else:
+                hi = mid
+        his.append(hi)
     # hi only ever takes prices whose shares sum below 1 (the first hi gives
     # nobody a share), so the shares at hi never overfill the slot
-    return np.minimum(np.maximum(pbar / hi[:, None] - offset, 0.0), 1.0)
+    return np.minimum(np.maximum(pbar / np.array(his)[:, None] - offset, 0.0), 1.0)
 
 
 def _pool_shares(pools) -> list:
@@ -353,15 +430,15 @@ def init_prices(problem: SlotProblem) -> np.ndarray:
 
 
 def _iterate(
-    problem: SlotProblem,
-    g_user,
+    respond: _Responder,
     start,
     step: float,
     phi: float,
     max_iters: int,
     keep_iterates: bool,
 ):
-    """Projected gradient price iteration on every row of a stack at once.
+    """Projected gradient price iteration on every row of respond's stack
+    at once; respond itself keeps every row.
 
     A row leaves the stack once its squared price movement drops to phi.
     Returns per-row iteration counts, converged flags, last prices and
@@ -380,7 +457,7 @@ def _iterate(
     kept and folded into the rows' lowest dual values only when rows leave,
     every _UNFOLDED_ITERATES iterates and at the end.
     """
-    n_rows = len(g_user)
+    n_rows = len(respond.rate)
     iterations = np.full(n_rows, max_iters)
     converged = np.zeros(n_rows, dtype=bool)
     last_prices = np.empty((n_rows, len(start)))
@@ -391,7 +468,8 @@ def _iterate(
     # values so far, the branch patterns of their previous iterate, and the
     # iteration at which a cycling row leaves (0 until it repeats)
     rows = np.arange(n_rows)
-    respond = _Responder(problem, g_user)
+    # keep rebinds the copy's arrays, so the caller's stay whole
+    respond = copy.copy(respond)
     prices = np.tile(start, (n_rows, 1))
     dual = np.full(n_rows, math.inf)
     # (connect, values, prices) of the iterates not yet folded into dual
@@ -518,10 +596,11 @@ def solve_noninterfering_batch(
         raise ValueError("prices_init must be a nonnegative price per transmitter")
     g_user = np.take(gis, problem.assoc - 1, axis=1)
 
+    respond = _Responder(problem, g_user)
     iterations, converged, last_prices, best_dual, first_seen, iterates = _iterate(
-        problem, g_user, start, step, phi, max_iters, keep_iterates=record_trace
+        respond, start, step, phi, max_iters, keep_iterates=record_trace
     )
-    connect, _, _, values = _Responder(problem, g_user)(last_prices)
+    connect, _, _, values = respond(last_prices)
     dual = np.minimum(best_dual, values.sum(axis=1) + last_prices.sum(axis=1))
 
     # primal recovery: the dual iteration fixes each visited branch pattern,

@@ -82,6 +82,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SlotProblem([1.0], [1.0, 1.0], [1.0], [1.0], [1.0], [1], 1, [1.0])
 
+    @pytest.mark.parametrize(
+        "field", ["w_minus", "pbar_mbs", "pbar_fbs", "rate_mbs", "rate_fbs", "fbs_gi"]
+    )
+    def test_nan_rejected(self, field):
+        fields = dataclasses.asdict(one_user_problem())
+        fields[field] = [math.nan]
+        with pytest.raises(ValueError):
+            SlotProblem(**fields)
+
 
 def best_response(prob, prices):
     """Branch and shares of every user from the vector best response."""
@@ -183,6 +192,10 @@ class TestObjectiveValue:
         prob = one_user_problem(w=1.0, rate0=2.0)
         with pytest.raises(ValueError):
             scheduler._objective(prob, np.ones(1), np.array([True]), np.array([-1.0]), np.zeros(1))
+        with pytest.raises(ValueError):
+            scheduler._objective(
+                prob, np.ones(1), np.array([True]), np.array([math.nan]), np.zeros(1)
+            )
 
 
 class TestPriceIteration:
@@ -328,6 +341,18 @@ def lone_bisection(pbar, w, rate):
     return shares
 
 
+def far_seed(seed):
+    """A stand-in for the threshold search's closed-form seed: every pool
+    seeded at its bisection's first upper price ("hi") or at one price."""
+
+    def seeds(pbar, ratio, offset):
+        if seed == "hi":
+            return np.max(ratio, axis=1) * 2.0 + 1.0
+        return np.full(len(pbar), seed)
+
+    return seeds
+
+
 class TestWaterfillPool:
     @settings(max_examples=300, deadline=None)
     @given(pool=pools())
@@ -358,6 +383,50 @@ class TestWaterfillPool:
             # the shares stay below the slot, so the reference's
             # renormalisation never fires
             assert not np.any(rate > 0) or got[rate > 0].sum() < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=pool_stacks(), seed=st.sampled_from(["hi", 1e-300, 0.0]))
+    def test_far_seeds_reach_the_lone_bisection(self, stack, seed):
+        # no workload's seed is this far off, so only here do the threshold
+        # search's later rounds run
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheduler, "_clearing_prices", far_seed(seed))
+            shares = scheduler._pool_shares(stack)
+        for (pbar, w, rate), got in zip(stack, shares):
+            assert bits(got) == bits(lone_bisection(pbar, w, rate))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool=pools(), seed=st.sampled_from([None, "hi", 1e-300, 0.0]))
+    def test_threshold_is_the_last_filling_price(self, pool, seed):
+        pbar, w, rate = (part[pool[2] > 0][None, :] for part in pool)
+        if not rate.size:
+            return
+        offset = w / rate
+        ratio = pbar * rate / w
+        hi = np.max(ratio, axis=1) * 2.0 + 1.0
+        start = (scheduler._clearing_prices if seed is None else far_seed(seed))(
+            pbar, ratio, offset
+        )
+        [threshold] = scheduler._filling_thresholds(pbar, offset, hi, start)
+
+        def fills(price):
+            with np.errstate(over="ignore"):
+                return np.minimum(np.maximum(pbar[0] / price - offset[0], 0.0), 1.0).sum() >= 1.0
+
+        assert 0.0 <= threshold < hi[0]
+        assert threshold == 0.0 or fills(threshold)
+        assert not fills(np.nextafter(threshold, math.inf))
+
+    @pytest.mark.parametrize("seed", [None, 0.0])
+    def test_a_member_whose_offset_overflows_takes_no_time(self, seed):
+        pbar, w, rate = np.array([0.9, 0.8]), np.array([30.0, 35.0]), np.array([5e-324, 60.0])
+        with pytest.MonkeyPatch.context() as patch:
+            if seed is not None:
+                patch.setattr(scheduler, "_clearing_prices", far_seed(seed))
+            [got] = scheduler._pool_shares([(pbar, w, rate)])
+        with np.errstate(over="ignore"):
+            want = lone_bisection(pbar, w, rate)
+        assert bits(got) == bits(want) and got[0] == 0.0
 
     def test_all_inactive_pool_takes_no_time_at_price_zero(self):
         shares, value, mu = waterfill_pool([0.0, 0.7, 0.0], [30.0, 35.0, 40.0], [50.0, 0.0, 0.0])
@@ -479,6 +548,23 @@ class TestBatchedPriceIteration:
                     uses += 1
                     keys.add((s, members.tobytes(), rates[members].tobytes()))
         assert sum(bisected) == len(keys) < uses
+
+    def test_an_untraced_solve_builds_one_responder(self, monkeypatch):
+        built = []
+
+        class CountingResponder(scheduler._Responder):
+            def __init__(self, problem, g_user):
+                built.append(len(g_user))
+                super().__init__(problem, g_user)
+
+        monkeypatch.setattr(scheduler, "_Responder", CountingResponder)
+        prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
+        gis = [[0.0, 0.0], [0.5, 1.0], [2.5, 0.2], [3.0, 3.0]]
+        batch = solve_noninterfering_batch(prob, gis, max_iters=150)
+        # rows leave the stack at different iterations, so the iteration
+        # compacts its responder while the final dual evaluation needs all rows
+        assert len({sol.iterations for sol in batch}) > 1
+        assert built == [len(gis)]
 
     def test_rejects_malformed_stacks(self):
         prob = random_problem(make_rng(42, 97), n_fbs=2)
