@@ -15,6 +15,7 @@ baseline so the greedy trace telescopes exactly.
 """
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,13 @@ _OVERLOAD_TOL = 1e-6
 _POOL_BISECTIONS = 60
 # prices per pool that each round of _filling_thresholds tests
 _PROBES = 63
-# iterates whose Lagrangian values the price iteration keeps before folding
-# them into each row's lowest dual value
-_UNFOLDED_ITERATES = 64
-# 0-d operands, which numpy takes faster than Python floats
-_ZERO, _ONE = np.zeros(()), np.ones(())
+# iterates a row of the price iteration runs between two checks of its
+# branches: a solve's rows start with blocks of _FIRST_BLOCK, a row whose
+# branches switched starts again from 1, and each block that checks out
+# doubles the next, up to _BLOCK. A check costs about as much as 30
+# iterates, and branches rarely switch.
+_FIRST_BLOCK = 8
+_BLOCK = 64
 
 
 @dataclass
@@ -71,19 +74,22 @@ class SlotProblem:
             raise ValueError("need at least one femto station")
         if self.fbs_gi.shape != (self.n_fbs,):
             raise ValueError("fbs_gi must have one entry per femto station")
-        # each check passes only on the valid values, so NaN fails it
-        if not np.all(self.w_minus > 0):
-            raise ValueError("current quality must be positive")
+        # each check passes only on the valid values, and min and max
+        # return NaN if any entry is NaN, so NaN fails it
+        if not (self.w_minus.min() > 0 and self.w_minus.max() < math.inf):
+            raise ValueError("current quality must be positive and finite")
         for name in ("pbar_mbs", "pbar_fbs"):
             p = getattr(self, name)
             if not np.all((p >= 0) & (p <= 1)):
                 raise ValueError(f"{name} must be probabilities")
-        if not (np.all(self.rate_mbs >= 0) and np.all(self.rate_fbs >= 0)):
-            raise ValueError("rates must be nonnegative")
+        for name in ("rate_mbs", "rate_fbs"):
+            rate = getattr(self, name)
+            if not (rate.min() >= 0 and rate.max() < math.inf):
+                raise ValueError("rates must be nonnegative and finite")
         if np.any((self.assoc < 1) | (self.assoc > self.n_fbs)):
             raise ValueError("assoc entries must be femto ids in 1..n_fbs")
-        if not np.all(self.fbs_gi >= 0):
-            raise ValueError("expected channel counts must be nonnegative")
+        if not (self.fbs_gi.min() >= 0 and self.fbs_gi.max() < math.inf):
+            raise ValueError("expected channel counts must be nonnegative and finite")
 
     @property
     def num_users(self) -> int:
@@ -137,14 +143,16 @@ class _Responder:
     side by side on the last axis (macro first), so the price-independent
     terms are computed once per stack.
 
-    __call__ and load are the reference route; step fuses them with the
-    projected price step for the iteration's inner loop.
+    __call__ and load are the reference route of an iterate; the price
+    iteration checks its branches and takes its Lagrangian values from
+    __call__.
     """
 
     def __init__(self, problem: SlotProblem, g_user):
-        rows, k = g_user.shape
+        k = g_user.shape[1]
         self.k = k
         self.n1 = problem.n_fbs + 1
+        self.assoc = problem.assoc
         self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
         self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
         self.w = np.concatenate([problem.w_minus, problem.w_minus])
@@ -160,18 +168,15 @@ class _Responder:
         with np.errstate(over="ignore"):
             np.divide(self.w, self.rate, out=self.offset, where=~self.unpaid)
         np.minimum(self.offset, np.finfo(float).max, out=self.offset)
-        self.any_unpaid = bool(self.unpaid.any())
-        # each row's femto loads fill their own n1 bincount slots, row-major
-        self.bins = (problem.assoc + self.n1 * np.arange(rows)[:, None]).ravel()
-        self.unpriced = np.full(self.rate.shape, math.inf)
 
-    def keep(self, live):
-        """Drop the rows of the stack where the boolean mask live is false."""
-        self.rate, self.offset, self.unpaid = self.rate[live], self.offset[live], self.unpaid[live]
-        self.any_unpaid = bool(self.unpaid.any())
-        # row r's bins are assoc + n1*r, so the first rows' bins are a stack's
-        self.bins = self.bins[: self.rate.shape[0] * self.k]
-        self.unpriced = self.unpriced[: self.rate.shape[0]]
+    def take(self, rows):
+        """The responder whose stack is this one's rows at the index array
+        rows, in that order."""
+        taken = copy.copy(self)
+        taken.rate, taken.offset, taken.unpaid = (
+            part[rows] for part in (self.rate, self.offset, self.unpaid)
+        )
+        return taken
 
     def __call__(self, prices):
         """Branch, shares with the losing one zeroed, and Lagrangian values,
@@ -199,65 +204,167 @@ class _Responder:
 
     def load(self, rho_mbs, rho_fbs):
         """Time load per transmitter, shape (B, n_fbs + 1), of stacked shares."""
-        load = np.bincount(self.bins, weights=rho_fbs.ravel(), minlength=len(rho_fbs) * self.n1)
-        load = load.reshape(len(rho_fbs), -1)
+        rows = len(rho_fbs)
+        # each row's femto loads fill their own n1 bincount slots, row-major
+        bins = (self.assoc + self.n1 * np.arange(rows)[:, None]).ravel()
+        load = np.bincount(bins, weights=rho_fbs.ravel(), minlength=rows * self.n1)
+        load = load.reshape(rows, -1)
         load[:, 0] = rho_mbs.sum(axis=1)
         return load
 
-    def step(self, prices, step):
-        """One iterate of the price iteration, fused: __call__, load and the
-        projected gradient step [prices - step*(1 - load)]^+ written out as
-        the same floating-point operations on the same operands, so every
-        output is theirs bit for bit. step is a 0-d array. Returns the
-        branches, the next prices, the squared price movement per row, and
-        both branches' Lagrangian values side by side, shape (B, 2K); the
-        chosen ones are np.where(connect, values[:, :k], values[:, k:]).
-        Call it with overflow ignored: a tiny price saturates pbar/price to
-        +inf."""
-        price = prices.take(self.price_index, axis=1)
-        # a zero price keeps the +inf share, which clips to the whole slot
-        rho = self.unpriced.copy()
-        np.divide(self.pbar, price, out=rho, where=price > _ZERO)
-        rho -= self.offset
-        np.maximum(rho, _ZERO, out=rho)
-        np.minimum(rho, _ONE, out=rho)
-        if self.any_unpaid:
-            np.copyto(rho, _ZERO, where=self.unpaid)
-        value = rho * self.rate
-        value += self.w
-        np.log(value, out=value)
-        value *= self.pbar
-        price *= rho
-        value -= price
+
+def _pairwise_sum(terms) -> float:
+    """The sum of a list of floats, rounded as numpy's add.reduce rounds it
+    along a contiguous axis (numpy 2.4's pairwise summation): a running sum
+    below 8 terms; up to 128 terms, eight running sums over the terms'
+    positions mod 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the terms past the last multiple of 8 added in order;
+    beyond that, the sums of two halves, the first half's length rounded
+    down to a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for x in terms:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = terms[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        for j in range(8):
+            r[j] += terms[i + j]
+    # add.reduce starts from its identity, so a sum of -0.0s is 0.0
+    total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    for x in terms[end:]:
+        total += x
+    return total
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two equal lists of finite floats agree in the signs of their
+    zeros too, so that they are the same bit for bit."""
+    return all(math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(a, b))
+
+
+class _PriceRow:
+    """One row of the price iteration, advanced in Python floats under the
+    branch pattern it assumes since its last check.
+
+    Every operation of an iterate but the log, which only the branch choice
+    and the Lagrangian value need, is an IEEE division, subtraction,
+    multiplication, comparison or sum, so with the sums in numpy's order
+    the floats are those of _Responder's reference route bit for bit.
+    stations holds, per transmitter, the (pbar, offset) of each paid user
+    the pattern puts on it, in user order, the load at a zero price, and
+    for the macro station the members' positions when its load, a sum over
+    all users, is summed pairwise and the order matters. inputs holds the
+    input prices of each iterate of the open block and trail the cycle
+    check's (snapshot, snap_it, leave_at) before each, so the block can
+    restart from any of its iterates.
+    """
+
+    def __init__(self, respond, r, start, connect):
+        self.index = r
+        self.k, self.n1 = respond.k, respond.n1
+        self.lanes = (respond.price_index, respond.pbar, respond.offset[r], respond.unpaid[r])
+        self.prices, self.it, self.length = start, 1, _FIRST_BLOCK
+        self.snapshot, self.snap_it, self.leave_at = start, 1, 0
+        self.dual = math.inf
+        self.converged = self.left = False
+        self.seen, self.iterates = {}, []
+        self.assume(connect)
+
+    def assume(self, connect):
+        """Take the boolean branch pattern connect for the next iterates."""
+        self.code = connect.tobytes()
+        self.seen.setdefault(self.code)
         k = self.k
-        connect = value[:, :k] >= value[:, k:]
-        rho_fbs = np.where(connect, _ZERO, rho[:, k:])
-        load = np.bincount(self.bins, weights=rho_fbs.ravel(), minlength=len(prices) * self.n1)
-        load = load.reshape(len(prices), -1)
-        # add.reduce is what ndarray.sum runs, without its Python wrapper
-        load[:, 0] = np.add.reduce(np.where(connect, rho[:, :k], _ZERO), axis=1)
-        np.subtract(_ONE, load, out=load)
-        load *= step
-        new_prices = np.subtract(prices, load, out=load)
-        np.maximum(new_prices, _ZERO, out=new_prices)
-        moved = new_prices - prices
-        moved *= moved
-        return connect, new_prices, np.add.reduce(moved, axis=1), value
+        lane = np.arange(k) + k * ~connect
+        station, pbar, offset, unpaid = (part[lane].tolist() for part in self.lanes)
+        members = [[] for _ in range(self.n1)]
+        for s, pb, off, u in zip(station, pbar, offset, unpaid):
+            if not u:
+                members[s].append((pb, off))
+        # at a zero price every paid member takes the whole slot, and a sum
+        # of ones is exact in any order
+        self.stations = [(m, float(len(m)), None) for m in members]
+        # the other users add +0.0 to a pairwise sum, which leaves any
+        # partial sum as it is, so up to two members sum in either order
+        if k >= 8 and len(members[0]) > 2:
+            at = [j for j in range(k) if station[j] == 0 and not unpaid[j]]
+            self.stations[0] = (members[0], float(len(at)), at)
 
+    def advance(self, step, phi, max_iters, detect):
+        """Run the row's next iterates, up to its block length, under its
+        branch pattern. The row leaves when its squared price movement drops
+        to phi, at max_iters, and, with detect, where a cycle's prices equal
+        those after max_iters."""
+        stations, k, wide = self.stations, self.k, self.n1 >= 8
+        prices, it0 = self.prices, self.it
+        snapshot, snap_it, leave_at = self.snapshot, self.snap_it, self.leave_at
+        inputs, trail = self.inputs, self.trail = [], []
+        for it in range(it0, min(it0 + self.length, max_iters + 1)):
+            inputs.append(prices)
+            trail.append((snapshot, snap_it, leave_at))
+            new = []
+            moved = 0.0
+            for p, (members, full, at) in zip(prices, stations):
+                # -0.0 is no price either
+                if not p > 0.0:
+                    load = full
+                elif at is None:
+                    # a running sum over the users, as bincount's and a
+                    # reduction of fewer than 8 terms are
+                    load = 0.0
+                    for pb, off in members:
+                        x = pb / p - off
+                        if x > 0.0:
+                            load += x if x < 1.0 else 1.0
+                else:
+                    terms = [0.0] * k
+                    for j, (pb, off) in zip(at, members):
+                        x = pb / p - off
+                        if x > 0.0:
+                            terms[j] = x if x < 1.0 else 1.0
+                    load = _pairwise_sum(terms)
+                q = p - (1.0 - load) * step
+                # np.maximum(q, 0.0) returns its second operand on a tie, so
+                # -0.0 becomes 0.0 as well
+                if not q > 0.0:
+                    q = 0.0
+                d = q - p
+                moved += d * d
+                new.append(q)
+            if wide:
+                moved = _pairwise_sum([(q - p) * (q - p) for p, q in zip(prices, new)])
+            prices = new
+            if moved <= phi:
+                self.converged = True
+                break
+            if detect:
+                # a row's prices are its whole state: once they repeat those
+                # of iterate snap_it they repeat with that period
+                if not leave_at and new == snapshot and _same_bits(new, snapshot):
+                    leave_at = it + (max_iters - it) % (it + 1 - snap_it)
+                if it == leave_at:
+                    break
+                if not it & (it + 1):
+                    snapshot, snap_it = new, it + 1
+        self.left = self.converged or it == leave_at or it == max_iters
+        self.prices, self.it = prices, it + 1
+        self.snapshot, self.snap_it, self.leave_at = snapshot, snap_it, leave_at
 
-def _lowest_dual(iterates):
-    """Per row, the lowest Lagrangian value over a list of
-    (connect, values, prices) iterates of _Responder.step, all of one
-    stack. Row sums run along the contiguous last axis of the stacked
-    iterates, so each rounds as it would in its own iterate."""
-    rows, k = iterates[0][0].shape
-    connect, value, prices = (
-        np.concatenate(part).reshape(len(iterates), rows, -1) for part in zip(*iterates)
-    )
-    chosen = np.where(connect, value[..., :k], value[..., k:])
-    dual = np.add.reduce(chosen, axis=2)
-    dual += np.add.reduce(prices, axis=2)
-    return np.minimum.reduce(dual, axis=0)
+    def restart(self, m, connect):
+        """Go back to the open block's iterate m, whose input prices are
+        right but whose branches are connect, not those assumed."""
+        self.it -= len(self.inputs) - m
+        self.prices = self.inputs[m]
+        self.snapshot, self.snap_it, self.leave_at = self.trail[m]
+        self.converged = self.left = False
+        self.length = 1
+        self.assume(connect)
 
 
 def _repaired(rho_mbs, rho_fbs, load, assoc):
@@ -437,120 +544,81 @@ def _iterate(
     max_iters: int,
     keep_iterates: bool,
 ):
-    """Projected gradient price iteration on every row of respond's stack
-    at once; respond itself keeps every row.
+    """Projected gradient price iteration on every row of respond's stack.
 
-    A row leaves the stack once its squared price movement drops to phi.
-    Returns per-row iteration counts, converged flags, last prices and
-    lowest dual values; per row, its branch patterns in order of first
-    appearance (as dict keys); and, with keep_iterates, per row its
-    (iteration, prices) at every iterate.
+    A row stops once its squared price movement drops to phi. Returns
+    per-row iteration counts, converged flags, last prices and lowest dual
+    values; per row, its branch patterns in order of first appearance (as
+    dict keys); and, with keep_iterates, per row its (iteration, prices) at
+    every iterate.
 
     A row's prices are its whole state, so once they repeat an earlier
     iterate bit for bit every later iterate repeats with that period: its
     lowest dual value and branch patterns are final and it never converges.
     Without keep_iterates such a row runs on only to the iteration whose
-    prices equal those after max_iters, and leaves the stack there. Repeats
-    are found Brent-style against a snapshot taken at powers of two.
+    prices equal those after max_iters, and stops there. Repeats are found
+    Brent-style against a snapshot taken at powers of two.
 
-    Each iterate is one fused _Responder.step. Its Lagrangian values are
-    kept and folded into the rows' lowest dual values only when rows leave,
-    every _UNFOLDED_ITERATES iterates and at the end.
+    Each row advances in Python floats under the branch pattern of its last
+    checked iterate (_PriceRow), in blocks of _FIRST_BLOCK, twice that, ...
+    up to _BLOCK iterates. After each round of blocks one stacked __call__
+    on every block's input prices checks the branches and gives the
+    Lagrangian values, which fold into the rows' lowest dual values. A row
+    whose true branches differ at some iterate goes back to it, takes the
+    true branches and starts again from blocks of 1. Rows never interact,
+    so every row's numbers are those of iterating it alone.
     """
     n_rows = len(respond.rate)
-    iterations = np.full(n_rows, max_iters)
-    converged = np.zeros(n_rows, dtype=bool)
-    last_prices = np.empty((n_rows, len(start)))
-    best_dual = np.empty(n_rows)
-    first_seen = [{} for _ in range(n_rows)]
-    iterates = [[] for _ in range(n_rows)]
-    # the active stack: rows still iterating, their prices and lowest dual
-    # values so far, the branch patterns of their previous iterate, and the
-    # iteration at which a cycling row leaves (0 until it repeats)
-    rows = np.arange(n_rows)
-    # keep rebinds the copy's arrays, so the caller's stay whole
-    respond = copy.copy(respond)
-    prices = np.tile(start, (n_rows, 1))
-    dual = np.full(n_rows, math.inf)
-    # (connect, values, prices) of the iterates not yet folded into dual
-    unfolded = []
-    last, last_code = None, b""
-    due = np.zeros(n_rows, dtype=int)
-    next_due = max_iters + 1
-    # prices of iterate snap_it, each row compared as raw bytes so -0.0
-    # differs from 0.0
-    row_bytes = np.dtype((np.void, prices.itemsize * len(start)))
-    snapshot, snap_it = prices.view(row_bytes)[:, 0], 1
-    step, phi = np.array(step, dtype=float), np.array(phi, dtype=float)
-    with np.errstate(over="ignore"):
-        for it in range(1, max_iters + 1):
-            connect, new_prices, moved, values = respond.step(prices, step)
-            unfolded.append((connect, values, prices))
-            # most iterates repeat the previous patterns; only changes can be new
-            code = connect.tobytes()
-            if code != last_code:
-                if last is None:
-                    changed = np.ones(len(rows), dtype=bool)
-                else:
-                    changed = np.any(connect != last, axis=1)
-                for i in np.flatnonzero(changed):
-                    first_seen[rows[i]].setdefault(connect[i].tobytes())
+    step, phi = float(step), float(phi)
+    connect = respond(np.tile(start, (n_rows, 1)))[0]
+    rows = [_PriceRow(respond, r, start.tolist(), connect[r]) for r in range(n_rows)]
+    k = respond.k
+    live = rows
+    while live:
+        for row in live:
+            row.advance(step, phi, max_iters, not keep_iterates)
+        counts = [len(row.inputs) for row in live]
+        starts = [0, *itertools.accumulate(counts)]
+        prices = np.array([p for row in live for p in row.inputs])
+        connect, _, _, values = respond.take(np.repeat([row.index for row in live], counts))(prices)
+        dual = values.sum(axis=1) + prices.sum(axis=1)
+        lowest = np.minimum.reduceat(dual, starts[:-1]).tolist()
+        code = connect.tobytes()
+        for row, a, b, low in zip(live, starts, starts[1:], lowest):
+            block = code[a * k : b * k]
+            if block == row.code * (b - a):
+                row.dual = min(row.dual, low)
+                row.length = min(2 * row.length, _BLOCK)
+                switch = b
+            else:
+                # the iterates before the first wrong one stand
+                switch = a + next(
+                    i for i in range(b - a) if block[i * k : (i + 1) * k] != row.code
+                )
+                if switch > a:
+                    row.dual = min(row.dual, float(dual[a:switch].min()))
             if keep_iterates:
-                for i, r in enumerate(rows):
-                    iterates[r].append((it, prices[i]))
-            last, last_code = connect, code
-            prices = new_prices
-            done = moved <= phi
-            leave = done
-            if not keep_iterates:
-                bits = prices.view(row_bytes)[:, 0]
-                repeat = bits == snapshot
-                if np.count_nonzero(repeat):
-                    # iterate it + 1 equals iterate snap_it: leave at the first
-                    # iteration whose next prices are those after max_iters
-                    period = it + 1 - snap_it
-                    leave_at = it + (max_iters - it) % period
-                    due[repeat] = leave_at
-                    next_due = min(next_due, leave_at)
-                if it == next_due:
-                    leave = done | (due == it)
-                    pending = due[due > it]
-                    next_due = pending.min() if pending.size else max_iters + 1
-                if not it & (it + 1):
-                    snapshot, snap_it = bits, it + 1
-            if np.count_nonzero(leave):
-                dual = np.minimum(dual, _lowest_dual(unfolded))
-                unfolded = []
-                finished = rows[done]
-                converged[finished] = True
-                iterations[finished] = it
-                finished = rows[leave]
-                last_prices[finished] = prices[leave]
-                best_dual[finished] = dual[leave]
-                live = ~leave
-                rows, prices, dual, last = rows[live], prices[live], dual[live], last[live]
-                due, snapshot = due[live], snapshot[live]
-                if not rows.size:
-                    break
-                respond.keep(live)
-                last_code = last.tobytes()
-            elif len(unfolded) == _UNFOLDED_ITERATES:
-                dual = np.minimum(dual, _lowest_dual(unfolded))
-                unfolded = []
-    if unfolded:
-        dual = np.minimum(dual, _lowest_dual(unfolded))
-    last_prices[rows] = prices
-    best_dual[rows] = dual
-    return iterations, converged, last_prices, best_dual, first_seen, iterates
+                row.iterates.extend(zip(range(row.it - len(row.inputs), row.it), prices[a:switch]))
+            if switch < b:
+                row.restart(switch - a, connect[switch])
+        live = [row for row in live if not row.left]
+    return (
+        np.array([row.it - 1 if row.converged else max_iters for row in rows]),
+        np.array([row.converged for row in rows]),
+        np.array([row.prices for row in rows]),
+        np.array([row.dual for row in rows]),
+        [row.seen for row in rows],
+        [row.iterates for row in rows],
+    )
 
 
 def _repaired_iterates(problem: SlotProblem, g_user, iterate_prices):
-    """Branch patterns, repaired shares and objectives of the iterates at
-    the rows of iterate_prices, under one row of per-user channel counts."""
+    """Objectives of the repaired iterates at the rows of iterate_prices,
+    under one row of per-user channel counts."""
     replay = _Responder(problem, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
     connect, rho0, rhof, _ = replay(iterate_prices)
     rho0, rhof = _repaired(rho0, rhof, replay.load(rho0, rhof), problem.assoc)
-    return connect, rho0, rhof, _objective(problem, g_user, connect, rho0, rhof)
+    return _objective(problem, g_user, connect, rho0, rhof)
 
 
 def solve_noninterfering_batch(
@@ -567,16 +635,14 @@ def solve_noninterfering_batch(
 
     Every row starts from prices_init (all ones by default; a warm start
     from an earlier solve goes here) and follows its own projected gradient
-    iterates until its squared price movement drops to phi. Row sums run
-    along the contiguous user axis, so each row's numbers are exactly those
-    of solving it alone. The returned schedule is the best feasible point
-    known: every visited branch pattern refilled exactly, the repaired
-    iterates when tracing, and the two heuristics. Refilling a pattern
-    dominates any repaired iterate of it in exact arithmetic, so untraced
-    solves keep no iterates. In floating point it does not always: without
-    the traced candidates, fig8's psnr rows move by about 1.4e-7 dB when the
-    traced first seed is 19 or 53, which is why a traced solve keeps them.
-    Rows that hit max_iters are flagged converged=False.
+    iterates until its squared price movement drops to phi. Rows never
+    interact and every sum runs over one row, so each row's numbers are
+    exactly those of solving it alone. The returned schedule is the best
+    feasible point known: every visited branch pattern refilled exactly,
+    and the two heuristics. A traced solve records the repaired iterates'
+    objectives in its trace but never picks from them, so tracing leaves
+    the schedule, and every later slot, as it is. Rows that hit max_iters
+    are flagged converged=False.
     """
     if step <= 0:
         raise ValueError("step size must be positive")
@@ -592,8 +658,8 @@ def solve_noninterfering_batch(
         if prices_init is None
         else np.array(prices_init, dtype=float)
     )
-    if start.shape != (problem.n_fbs + 1,) or np.any(start < 0):
-        raise ValueError("prices_init must be a nonnegative price per transmitter")
+    if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
+        raise ValueError("prices_init must be a nonnegative finite price per transmitter")
     g_user = np.take(gis, problem.assoc - 1, axis=1)
 
     respond = _Responder(problem, g_user)
@@ -636,10 +702,9 @@ def solve_noninterfering_batch(
         if record_trace:
             tracked_prices = np.array([p for _, p in iterates[r]]).reshape(-1, len(start))
             traced = _repaired_iterates(problem, g_user[r], tracked_prices)
-            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(iterates[r], traced[3])]
-            cand = tuple(np.concatenate(pair) for pair in zip(traced, cand))
-        # argmax keeps the first of equal objectives, in the order traced
-        # iterates, refilled patterns, equal split, best link
+            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(iterates[r], traced)]
+        # argmax keeps the first of equal objectives, in the order refilled
+        # patterns, equal split, best link
         k = int(np.argmax(cand[3]))
         objective = float(cand[3][k])
         d = float(dual[r])
@@ -828,7 +893,8 @@ class AllocationValue:
     Evaluations run the price iteration at a configurable budget and are
     memoized by the per-femto expected-channel vector; candidate solves warm
     start from the allocation they extend, and a batch of candidates is
-    solved as one stack. A custom solver callable
+    solved as the rows of one solve_noninterfering_batch, whose branch
+    checks are shared. A custom solver callable
     (problem, gi, prices_init) -> (objective, prices_or_None) replaces the
     price iteration, e.g. with an exact enumeration on tiny instances, and
     is called once per fresh vector.

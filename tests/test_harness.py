@@ -370,6 +370,14 @@ class TestRunners:
         metrics = {r.metric for r in a}
         assert "psnr_mean" in metrics and "collision_rate_max" in metrics
 
+    def test_a_seeds_rows_do_not_depend_on_its_place_in_the_list(self):
+        # fig8 traces the first seed of the list; tracing seed 0 first must
+        # leave seed 19's rows as they are when it runs alone
+        cfg = load_config(SCENARIOS / "fig8_convergence.json")
+        alone = [r for r in run_streaming(cfg, [19]) if r.metric != "trace_objective"]
+        after = [r for r in run_streaming(cfg, [0, 19]) if r.seed == 19]
+        assert after == alone
+
     def test_instance_draws_fixed_by_seed_and_sweep(self):
         cfg = load_config(SCENARIOS / "fig4_levels.json")
         point = cfg.at(4)

@@ -30,6 +30,7 @@ from femtokit.harness.oracles import (
     diminishing_gains_margin,
     exact_allocation_solver,
     exact_schedule,
+    random_slot_problem,
     support_margin,
     waterfill_pool,
 )
@@ -89,6 +90,14 @@ class TestProblemValidation:
         fields = dataclasses.asdict(one_user_problem())
         fields[field] = [math.nan]
         with pytest.raises(ValueError):
+            SlotProblem(**fields)
+
+    @pytest.mark.parametrize("field", ["w_minus", "rate_mbs", "rate_fbs", "fbs_gi"])
+    def test_infinity_rejected(self, field):
+        # with w_minus = [inf, 35] a solve once returned objective inf
+        fields = dataclasses.asdict(one_user_problem())
+        fields[field] = [math.inf]
+        with pytest.raises(ValueError, match="finite"):
             SlotProblem(**fields)
 
 
@@ -281,6 +290,9 @@ class TestPriceIteration:
             solve_noninterfering_batch(prob, [[1.0]], step=-0.01)
         with pytest.raises(ValueError):
             solve_noninterfering_batch(prob, [1.0])
+        for prices_init in ([1.0, -1.0], [1.0, math.inf], [math.nan, 1.0]):
+            with pytest.raises(ValueError, match="prices_init"):
+                solve_noninterfering(prob, prices_init=prices_init)
 
     def test_cold_start_prices_sit_on_the_demand_scale(self):
         prob = one_user_problem(w=3.0, pbar0=0.5, pbarf=0.25, rate0=1.0, ratef=2.0, gi=1.0)
@@ -561,10 +573,26 @@ class TestBatchedPriceIteration:
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
         gis = [[0.0, 0.0], [0.5, 1.0], [2.5, 0.2], [3.0, 3.0]]
         batch = solve_noninterfering_batch(prob, gis, max_iters=150)
-        # rows leave the stack at different iterations, so the iteration
-        # compacts its responder while the final dual evaluation needs all rows
+        # rows leave the stack at different iterations, so the block checks
+        # take fewer rows than the final dual evaluation
         assert len({sol.iterations for sol in batch}) > 1
         assert built == [len(gis)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_users=st.integers(1, 9),
+        n_fbs=st.integers(1, 3),
+        max_iters=st.integers(1, 400),
+    )
+    def test_tracing_leaves_the_schedule_as_it_is(self, seed, n_users, n_fbs, max_iters):
+        # the runner traces only the first seed of a list, so a seed's rows
+        # would otherwise depend on its place in the list
+        prob = random_slot_problem(make_rng(seed), n_users, n_fbs)
+        traced = solve_noninterfering(prob, max_iters=max_iters, record_trace=True)
+        untraced = solve_noninterfering(prob, max_iters=max_iters)
+        assert len(traced.trace) == traced.iterations
+        assert_same_solution(dataclasses.replace(traced, trace=None), untraced)
 
     def test_rejects_malformed_stacks(self):
         prob = random_problem(make_rng(42, 97), n_fbs=2)
@@ -669,6 +697,18 @@ FIG10_SLOT = SlotProblem(
     fbs_gi=[0.3103448275862069],
 )
 FIG10_START = [0.0, 0.05916348741607141]
+
+# a slot whose users switch branches often once the femto price settles
+SWITCHING_SLOT = SlotProblem(
+    w_minus=[25.6, 27.5, 44.3],
+    pbar_mbs=[0.76, 0.6, 0.67],
+    pbar_fbs=[0.91, 0.54, 0.71],
+    rate_mbs=[92.0, 62.0, 77.0],
+    rate_fbs=[99.0, 112.0, 44.0],
+    assoc=[1, 1, 1],
+    n_fbs=1,
+    fbs_gi=[2.8],
+)
 
 
 class TestCycleExit:
@@ -793,61 +833,121 @@ def unfused_step(respond, prices, step):
     return connect, new_prices, moved, values.sum(axis=1) + prices.sum(axis=1)
 
 
-class TestFusedStep:
-    """The price iteration's fused iterate is the reference route bit for
-    bit, on every row of a stack and after rows leave it."""
+def recurrence_iterate(respond, r, prices, connect, step, phi):
+    """One iterate of the price recurrence on row r of respond's stack,
+    from the price row prices under branches connect: the next prices, and
+    whether the squared price movement dropped to phi."""
+    row = scheduler._PriceRow(respond, r, prices.tolist(), connect)
+    row.advance(step, phi, max_iters=1, detect=False)
+    return row.prices, row.converged
+
+
+class TestRecurrence:
+    """An iterate of the price recurrence in Python floats is the reference
+    route's bit for bit, and so are whole solves, also where branches
+    switch."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_fused_iterates_match_the_reference_route(self, data):
+    def test_recurrence_iterates_match_the_reference_route(self, data):
         prob, gis, prices = data.draw(fused_stacks())
         step = data.draw(st.sampled_from([0.005, 0.01, 0.05, 0.5]))
         g_user = np.take(gis, prob.assoc - 1, axis=1)
-        fused = scheduler._Responder(prob, g_user)
-        # the reference's running lowest dual, and the fused one folded at
-        # the last time rows left plus the iterates since then
-        lowest = folded = np.full(len(gis), math.inf)
-        iterates, live = [], np.arange(len(gis))
+        respond = scheduler._Responder(prob, g_user)
         for _ in range(data.draw(st.integers(1, 12))):
-            reference = scheduler._Responder(prob, g_user[live])
-            connect, new_prices, moved, dual = unfused_step(reference, prices, step)
-            with np.errstate(over="ignore"):
-                got = fused.step(prices, np.array(step))
-            assert got[0].tobytes() == connect.tobytes()
-            assert bits(got[1]) == bits(new_prices)
-            assert bits(got[2]) == bits(moved)
-            iterates.append((got[0], got[3], prices))
-            lowest = np.minimum(lowest, dual)
-            assert bits(np.minimum(folded, scheduler._lowest_dual(iterates))) == bits(lowest)
+            connect, new_prices, moved, _ = unfused_step(respond, prices, step)
+            for r in range(len(gis)):
+                got, _ = recurrence_iterate(respond, r, prices[r], connect[r], step, -1.0)
+                assert bits(got) == bits(new_prices[r])
+                # the squared movement, seen through the convergence test
+                # at exactly that value and at the float below it
+                at, below = float(moved[r]), float(np.nextafter(moved[r], -math.inf))
+                assert recurrence_iterate(respond, r, prices[r], connect[r], step, at)[1]
+                assert not recurrence_iterate(respond, r, prices[r], connect[r], step, below)[1]
             prices = new_prices
-            if len(live) > 1 and data.draw(st.booleans()):
-                n = len(live)
-                keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-                keep[0] = True
-                folded = np.minimum(folded, scheduler._lowest_dual(iterates))[keep]
-                fused.keep(keep)
-                live, prices, lowest, iterates = live[keep], prices[keep], lowest[keep], []
 
     def test_a_crowded_stack_iterates_as_the_reference(self):
-        # 12 users: numpy sums each macro load, movement and dual row of 8
-        # or more entries pairwise, which a running sum (bincount's, or a
-        # matmul's) would round differently; interior shares make it show
+        # 12 users: numpy sums each macro load and dual row of 8 or more
+        # entries pairwise, which a running sum would round differently;
+        # interior shares make it show
         prob = random_problem(make_rng(44, 99), n_users=12, n_fbs=2)
-        gis = np.array([[0.5, 1.0], [1.5, 0.7], [3.0, 0.0], [2.0, 2.4]])
-        g_user = np.take(gis, prob.assoc - 1, axis=1)
-        respond = scheduler._Responder(prob, g_user)
-        prices = np.tile(init_prices(prob), (len(gis), 1))
-        iterates, lowest = [], np.full(len(gis), math.inf)
-        for _ in range(300):
-            connect, new_prices, moved, dual = unfused_step(respond, prices, 0.01)
-            got = respond.step(prices, np.array(0.01))
-            assert got[0].tobytes() == connect.tobytes()
-            assert bits(got[1]) == bits(new_prices)
-            assert bits(got[2]) == bits(moved)
-            iterates.append((got[0], got[3], prices))
-            lowest = np.minimum(lowest, dual)
-            prices = new_prices
-        assert bits(scheduler._lowest_dual(iterates)) == bits(lowest)
+        gis = [[0.5, 1.0], [1.5, 0.7], [3.0, 0.0], [2.0, 2.4]]
+        start = init_prices(prob)
+        plain = [plain_price_iteration(prob, gi, start, 0.01, 1e-9, 300) for gi in gis]
+        for cap in (1, 37, 300):
+            batch = solve_noninterfering_batch(
+                prob, gis, prices_init=start, step=0.01, phi=1e-9, max_iters=cap
+            )
+            assert_matches_plain(batch, plain, cap)
+
+    def test_rows_whose_branches_switch_restart_from_the_switch(self, monkeypatch):
+        restarted = []
+        restart = scheduler._PriceRow.restart
+
+        def counting_restart(row, m, connect):
+            restarted.append(row.index)
+            restart(row, m, connect)
+
+        monkeypatch.setattr(scheduler._PriceRow, "restart", counting_restart)
+        # the first and last rows' users switch branches from iterates 55
+        # and 46 on, more and more often; the middle row switches once, at
+        # iterate 66, and converges there
+        gis = [[2.8], [4.0], [0.0]]
+        start, horizon = np.ones(2), 150
+        plain = [
+            plain_price_iteration(SWITCHING_SLOT, gi, start, 0.01, 1e-6, horizon) for gi in gis
+        ]
+        for cap in range(1, horizon + 1):
+            batch = solve_noninterfering_batch(
+                SWITCHING_SLOT, gis, prices_init=start, step=0.01, phi=1e-6, max_iters=cap
+            )
+            assert_matches_plain(batch, plain, cap)
+        assert len(restarted) > horizon and set(restarted) == {0, 1, 2}
+        traced = solve_noninterfering(
+            SWITCHING_SLOT, prices_init=start, max_iters=horizon, record_trace=True
+        )
+        prices, iterations, _, dual = plain[0][0][-1]
+        assert [it for it, _, _ in traced.trace] == list(range(1, iterations + 1))
+        assert bits(traced.prices) == bits(prices) and bits(traced.dual_value) == bits(dual)
+
+    def test_a_restart_restores_the_state_of_its_iterate(self):
+        # fig10's cycling row: in its first block of 8 the cycle check takes
+        # snapshots at iterates 2, 4 and 8, finds the period-3 cycle at
+        # iterate 6 and leaves at 8
+        g_user = FIG10_SLOT.fbs_gi[FIG10_SLOT.assoc - 1][None, :]
+        respond = scheduler._Responder(FIG10_SLOT, g_user)
+        connect = respond(np.array([FIG10_START]))[0][0]
+
+        def state(row):
+            return row.it, bits(row.prices), bits(row.snapshot), row.snap_it, row.leave_at
+
+        def run(m):
+            row = scheduler._PriceRow(respond, 0, list(FIG10_START), connect)
+            if m:
+                row.length = m
+                row.advance(0.01, 1e-6, 2000, True)
+            return row
+
+        assert run(8).leave_at == 8
+        for m in range(8):
+            row = run(8)
+            row.restart(m, connect)
+            assert state(row) == state(run(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0])
+            | st.floats(-1e300, 1e300)
+            | st.floats(-1e-300, 1e-300),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_pairwise_sum_rounds_as_numpy(self, terms):
+        # the recurrence's macro loads follow numpy's reduction order; a
+        # numpy whose order differs fails here rather than moving bytes
+        assert bits(scheduler._pairwise_sum(terms)) == bits(np.add.reduce(np.array(terms)))
 
 
 def lone_heuristics(prob, gi):
