@@ -644,9 +644,10 @@ def solve_noninterfering_batch(
     the schedule, and every later slot, as it is. Rows that hit max_iters
     are flagged converged=False.
     """
-    if step <= 0:
-        raise ValueError("step size must be positive")
-    if phi < 0:
+    # written so that NaN fails each check
+    if not 0 < step < math.inf:
+        raise ValueError("step size must be positive and finite")
+    if not phi >= 0:
         raise ValueError("phi cannot be negative")
     if max_iters < 1:
         raise ValueError("need at least one iteration")

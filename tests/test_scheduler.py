@@ -290,6 +290,9 @@ class TestPriceIteration:
             solve_noninterfering_batch(prob, [[1.0]], step=-0.01)
         with pytest.raises(ValueError):
             solve_noninterfering_batch(prob, [1.0])
+        for opts in (dict(step=math.nan), dict(step=math.inf), dict(phi=math.nan)):
+            with pytest.raises(ValueError):
+                solve_noninterfering(prob, **opts)
         for prices_init in ([1.0, -1.0], [1.0, math.inf], [math.nan, 1.0]):
             with pytest.raises(ValueError, match="prices_init"):
                 solve_noninterfering(prob, prices_init=prices_init)
