@@ -790,7 +790,7 @@ prices_at_the_edges = st.sampled_from([0.0, -0.0, 5e-324, 1e-300]) | st.floats(0
 
 
 @st.composite
-def fused_stacks(draw):
+def recurrence_stacks(draw):
     """A slot problem of 1 to 16 users, often 8 or more, where numpy
     switches from a running sum to pairwise sums; some users have zero or
     subnormal rates or zero weights. A stack of channel rows, some zero,
@@ -826,7 +826,7 @@ def fused_stacks(draw):
     return prob, gis, prices
 
 
-def unfused_step(respond, prices, step):
+def reference_step(respond, prices, step):
     """The reference route of one iterate: __call__, load, then the
     projected gradient step. Returns branches, next prices, squared
     movement and the Lagrangian value per row."""
@@ -853,12 +853,12 @@ class TestRecurrence:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_recurrence_iterates_match_the_reference_route(self, data):
-        prob, gis, prices = data.draw(fused_stacks())
+        prob, gis, prices = data.draw(recurrence_stacks())
         step = data.draw(st.sampled_from([0.005, 0.01, 0.05, 0.5]))
         g_user = np.take(gis, prob.assoc - 1, axis=1)
         respond = scheduler._Responder(prob, g_user)
         for _ in range(data.draw(st.integers(1, 12))):
-            connect, new_prices, moved, _ = unfused_step(respond, prices, step)
+            connect, new_prices, moved, _ = reference_step(respond, prices, step)
             for r in range(len(gis)):
                 got, _ = recurrence_iterate(respond, r, prices[r], connect[r], step, -1.0)
                 assert bits(got) == bits(new_prices[r])
