@@ -14,9 +14,9 @@ the scheduling objective it enables, measured against the no-channel
 baseline so the greedy trace telescopes exactly.
 """
 
-import copy
-import itertools
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +30,8 @@ _PROBES = 63
 # iterates a row of the price iteration runs between two checks of its
 # branches: a solve's rows start with blocks of _FIRST_BLOCK, a row whose
 # branches switched starts again from 1, and each block that checks out
-# doubles the next, up to _BLOCK. A check costs about as much as 30
-# iterates, and branches rarely switch.
+# doubles the next, up to _BLOCK. Each round of checks has a fixed numpy
+# cost, and branches rarely switch.
 _FIRST_BLOCK = 8
 _BLOCK = 64
 
@@ -129,6 +129,19 @@ def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs):
     return np.sum(weight * np.log(arg), axis=-1)
 
 
+def _lane_values(pbar, w, rate, offset, unpaid, price):
+    """Each lane's share and Lagrangian value pbar*log(w + rho*rate) -
+    price*rho at its price, elementwise: the interior stationary point
+    pbar/price - w/rate clipped to [0, 1], the whole slot at a zero price,
+    nothing at a zero rate."""
+    priced = price > 0
+    # a tiny price saturates pbar/price to +inf, which clips to 1
+    with np.errstate(over="ignore"):
+        interior = np.minimum(np.maximum(pbar / np.where(priced, price, 1.0) - offset, 0.0), 1.0)
+    rho = np.where(unpaid, 0.0, np.where(priced, interior, 1.0))
+    return rho, pbar * np.log(w + rho * rate) - price * rho
+
+
 class _Responder:
     """Every user's best response to a stack of price rows, for fixed
     per-user expected channel counts g_user with one row per price row.
@@ -169,15 +182,6 @@ class _Responder:
             np.divide(self.w, self.rate, out=self.offset, where=~self.unpaid)
         np.minimum(self.offset, np.finfo(float).max, out=self.offset)
 
-    def take(self, rows):
-        """The responder whose stack is this one's rows at the index array
-        rows, in that order."""
-        taken = copy.copy(self)
-        taken.rate, taken.offset, taken.unpaid = (
-            part[rows] for part in (self.rate, self.offset, self.unpaid)
-        )
-        return taken
-
     def __call__(self, prices):
         """Branch, shares with the losing one zeroed, and Lagrangian values,
         each of shape (B, K), for prices of shape (B, n_fbs + 1). Ties go to
@@ -185,14 +189,7 @@ class _Responder:
         # take, unlike [:, index], returns C order: row sums then run along
         # the contiguous user axis with the same rounding as a lone row
         price = prices.take(self.price_index, axis=1)
-        priced = price > 0
-        # a tiny price saturates pbar/price to +inf, which clips to 1
-        with np.errstate(over="ignore"):
-            interior = np.minimum(
-                np.maximum(self.pbar / np.where(priced, price, 1.0) - self.offset, 0.0), 1.0
-            )
-        rho = np.where(self.unpaid, 0.0, np.where(priced, interior, 1.0))
-        value = self.pbar * np.log(self.w + rho * self.rate) - price * rho
+        rho, value = _lane_values(self.pbar, self.w, self.rate, self.offset, self.unpaid, price)
         k = self.k
         connect = value[:, :k] >= value[:, k:]
         return (
@@ -240,131 +237,6 @@ def _pairwise_sum(terms) -> float:
     for x in terms[end:]:
         total += x
     return total
-
-
-def _same_bits(a, b) -> bool:
-    """Whether two equal lists of finite floats agree in the signs of their
-    zeros too, so that they are the same bit for bit."""
-    return all(math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(a, b))
-
-
-class _PriceRow:
-    """One row of the price iteration, advanced in Python floats under the
-    branch pattern it assumes since its last check.
-
-    Every operation of an iterate but the log, which only the branch choice
-    and the Lagrangian value need, is an IEEE division, subtraction,
-    multiplication, comparison or sum, so with the sums in numpy's order
-    the floats are those of _Responder's reference route bit for bit.
-    stations holds, per transmitter, the (pbar, offset) of each paid user
-    the pattern puts on it, in user order, the load at a zero price, and
-    for the macro station the members' positions when its load, a sum over
-    all users, is summed pairwise and the order matters. inputs holds the
-    input prices of each iterate of the open block and trail the cycle
-    check's (snapshot, snap_it, leave_at) before each, so the block can
-    restart from any of its iterates.
-    """
-
-    def __init__(self, respond, r, start, connect):
-        self.index = r
-        self.k, self.n1 = respond.k, respond.n1
-        self.lanes = (respond.price_index, respond.pbar, respond.offset[r], respond.unpaid[r])
-        self.prices, self.it, self.length = start, 1, _FIRST_BLOCK
-        self.snapshot, self.snap_it, self.leave_at = start, 1, 0
-        self.dual = math.inf
-        self.converged = self.left = False
-        self.seen, self.iterates = {}, []
-        self.assume(connect)
-
-    def assume(self, connect):
-        """Take the boolean branch pattern connect for the next iterates."""
-        self.code = connect.tobytes()
-        self.seen.setdefault(self.code)
-        k = self.k
-        lane = np.arange(k) + k * ~connect
-        station, pbar, offset, unpaid = (part[lane].tolist() for part in self.lanes)
-        members = [[] for _ in range(self.n1)]
-        for s, pb, off, u in zip(station, pbar, offset, unpaid):
-            if not u:
-                members[s].append((pb, off))
-        # at a zero price every paid member takes the whole slot, and a sum
-        # of ones is exact in any order
-        self.stations = [(m, float(len(m)), None) for m in members]
-        # the other users add +0.0 to a pairwise sum, which leaves any
-        # partial sum as it is, so up to two members sum in either order
-        if k >= 8 and len(members[0]) > 2:
-            at = [j for j in range(k) if station[j] == 0 and not unpaid[j]]
-            self.stations[0] = (members[0], float(len(at)), at)
-
-    def advance(self, step, phi, max_iters, detect):
-        """Run the row's next iterates, up to its block length, under its
-        branch pattern. The row leaves when its squared price movement drops
-        to phi, at max_iters, and, with detect, where a cycle's prices equal
-        those after max_iters."""
-        stations, k, wide = self.stations, self.k, self.n1 >= 8
-        prices, it0 = self.prices, self.it
-        snapshot, snap_it, leave_at = self.snapshot, self.snap_it, self.leave_at
-        inputs, trail = self.inputs, self.trail = [], []
-        for it in range(it0, min(it0 + self.length, max_iters + 1)):
-            inputs.append(prices)
-            trail.append((snapshot, snap_it, leave_at))
-            new = []
-            moved = 0.0
-            for p, (members, full, at) in zip(prices, stations):
-                # -0.0 is no price either
-                if not p > 0.0:
-                    load = full
-                elif at is None:
-                    # a running sum over the users, as bincount's and a
-                    # reduction of fewer than 8 terms are
-                    load = 0.0
-                    for pb, off in members:
-                        x = pb / p - off
-                        if x > 0.0:
-                            load += x if x < 1.0 else 1.0
-                else:
-                    terms = [0.0] * k
-                    for j, (pb, off) in zip(at, members):
-                        x = pb / p - off
-                        if x > 0.0:
-                            terms[j] = x if x < 1.0 else 1.0
-                    load = _pairwise_sum(terms)
-                q = p - (1.0 - load) * step
-                # np.maximum(q, 0.0) returns its second operand on a tie, so
-                # -0.0 becomes 0.0 as well
-                if not q > 0.0:
-                    q = 0.0
-                d = q - p
-                moved += d * d
-                new.append(q)
-            if wide:
-                moved = _pairwise_sum([(q - p) * (q - p) for p, q in zip(prices, new)])
-            prices = new
-            if moved <= phi:
-                self.converged = True
-                break
-            if detect:
-                # a row's prices are its whole state: once they repeat those
-                # of iterate snap_it they repeat with that period
-                if not leave_at and new == snapshot and _same_bits(new, snapshot):
-                    leave_at = it + (max_iters - it) % (it + 1 - snap_it)
-                if it == leave_at:
-                    break
-                if not it & (it + 1):
-                    snapshot, snap_it = new, it + 1
-        self.left = self.converged or it == leave_at or it == max_iters
-        self.prices, self.it = prices, it + 1
-        self.snapshot, self.snap_it, self.leave_at = snapshot, snap_it, leave_at
-
-    def restart(self, m, connect):
-        """Go back to the open block's iterate m, whose input prices are
-        right but whose branches are connect, not those assumed."""
-        self.it -= len(self.inputs) - m
-        self.prices = self.inputs[m]
-        self.snapshot, self.snap_it, self.leave_at = self.trail[m]
-        self.converged = self.left = False
-        self.length = 1
-        self.assume(connect)
 
 
 def _repaired(rho_mbs, rho_fbs, load, assoc):
@@ -536,6 +408,316 @@ def init_prices(problem: SlotProblem) -> np.ndarray:
     return prices
 
 
+class _Orbit:
+    """One transmitter's prices under one branch pattern from one start
+    price, advanced in Python floats.
+
+    Under a fixed pattern a transmitter's next price depends on its own
+    price alone, so the rows of a stack whose transmitter has the same
+    lanes, the same paid members and the same start price share its orbit.
+    Every operation of the step is an IEEE division, subtraction,
+    multiplication, comparison or sum, so with the sums in numpy's order
+    the prices are those of _Responder's reference route bit for bit.
+    members holds the (pbar, offset) of each paid member in user order,
+    full the load at a zero price, and at, for a crowded macro station, the
+    members' user positions, its load being a pairwise sum over all users.
+
+    prices holds the orbit's distinct prices up to its first exact repeat;
+    from index cycle on they then repeat with period period. outs[i] is the
+    squared step out of entry i, and quiet lists the entries whose outs are
+    at most phi. The first placed entries sit in _OrbitTable's arrays from
+    index base on, in a region of cap entries.
+    """
+
+    __slots__ = ("station", "row", "users", "members", "full", "at", "k", "prices", "outs",
+                 "quiet", "seen", "cycle", "period", "base", "cap", "placed")
+
+    def __init__(self, station, row, table, users, start):
+        self.station, self.row, self.users, self.k = station, row, users, table.k
+        lane = 0 if station == 0 else table.k
+        pbar, offset = table.pbar, table.offset[row]
+        self.members = [(pbar[lane + j], offset[lane + j]) for j in users]
+        # at a zero price every paid member takes the whole slot, and a sum
+        # of ones is exact in any order
+        self.full = float(len(users))
+        # the other users add +0.0 to a pairwise sum, which leaves any
+        # partial sum as it is, so up to two members sum in either order
+        self.at = users if station == 0 and self.k >= 8 and len(users) > 2 else None
+        self.prices, self.outs, self.quiet = [start], [], []
+        # every later price is +0.0 or positive, so a -0.0 start never repeats
+        self.seen = {start: 0} if math.copysign(1.0, start) > 0 else {}
+        self.cycle = self.period = None
+        self.base = self.cap = self.placed = 0
+
+    def index(self, pos: int) -> int:
+        """The entry holding the price at position pos."""
+        if self.period is None or pos < self.cycle:
+            return pos
+        return self.cycle + (pos - self.cycle) % self.period
+
+    def extend(self, pos: int, step: float, phi: float, quiet_from=None):
+        """Advance the orbit until position pos has an entry, or, given
+        quiet_from, until an entry at or past that position steps by a
+        square of at most phi."""
+        prices = self.prices
+        if self.period is not None or len(prices) > pos:
+            return
+        members, full, at, k = self.members, self.full, self.at, self.k
+        add_out, add_price, first = self.outs.append, prices.append, self.seen.setdefault
+        stop = pos + 1 if quiet_from is None else quiet_from
+        p = prices[-1]
+        for n in range(len(prices), pos + 1):
+            # -0.0 is no price either
+            if not p > 0.0:
+                load = full
+            elif at is None:
+                # a running sum over the users, as bincount's and a
+                # reduction of fewer than 8 terms are
+                load = 0.0
+                for pb, off in members:
+                    x = pb / p - off
+                    if x > 0.0:
+                        load += x if x < 1.0 else 1.0
+            else:
+                terms = [0.0] * k
+                for j, (pb, off) in zip(at, members):
+                    x = pb / p - off
+                    if x > 0.0:
+                        terms[j] = x if x < 1.0 else 1.0
+                load = _pairwise_sum(terms)
+            q = p - (1.0 - load) * step
+            # np.maximum(q, 0.0) returns its second operand on a tie, so
+            # -0.0 becomes 0.0 as well
+            if not q > 0.0:
+                q = 0.0
+            d = q - p
+            out = d * d
+            add_out(out)
+            if first(q, n) != n:
+                if out <= phi:
+                    self.quiet.append(n - 1)
+                self.cycle = self.seen[q]
+                self.period = n - self.cycle
+                return
+            add_price(q)
+            if out <= phi:
+                self.quiet.append(n - 1)
+                if n > stop:
+                    return
+            p = q
+
+    def settle(self, pos: int, end: int, step: float, phi: float) -> int:
+        """The first position in [pos, end) whose step out of the orbit's
+        price is a square of at most phi, or end if there is none; the
+        orbit is advanced no further than it takes to tell."""
+        quiet = self.quiet
+        while self.period is None:
+            j = bisect.bisect_left(quiet, pos)
+            if j < len(quiet):
+                return min(quiet[j], end)
+            if len(self.outs) >= end:
+                return end
+            self.extend(end, step, phi, quiet_from=pos)
+        # a repeating orbit knows every step: look from pos on, then once
+        # round the cycle
+        i = self.index(pos)
+        j = bisect.bisect_left(quiet, i)
+        if j < len(quiet):
+            return min(pos + quiet[j] - i, end)
+        j = bisect.bisect_left(quiet, self.cycle)
+        if j < len(quiet):
+            return min(pos + self.period - i + quiet[j], end)
+        return end
+
+
+class _OrbitTable:
+    """The orbits of one solve, with their positions side by side in numpy.
+
+    Each orbit owns a region of the arrays price and value, regrown to
+    twice its size when full, so a row's prices and lane values over a run
+    of iterates are one gather. value[i] holds, for each user j, the
+    Lagrangian value of j's lane on entry i's transmitter (macro or femto)
+    at entry i's price, as __call__ computes it; each distinct price of an
+    orbit is evaluated once, in one stacked evaluation per round.
+    """
+
+    def __init__(self, respond, step, phi, max_iters):
+        self.respond, self.step, self.phi = respond, step, phi
+        k, n1 = respond.k, respond.n1
+        n_rows = len(respond.rate)
+        self.k = k
+        self.assoc = assoc = respond.assoc.tolist()
+        self.users = [list(range(k))]
+        self.users += [[j for j in range(k) if assoc[j] == s] for s in range(1, n1)]
+        self.pbar, self.offset = respond.pbar.tolist(), respond.offset.tolist()
+        self.unpaid = respond.unpaid.tolist()
+        # rows whose lanes on a transmitter have the same rates share its
+        # orbits: with pbar and w, the rate fixes the lane's offset and
+        # whether it is paid
+        # (the macro lane 0, the same in every row, keeps each key a tuple
+        # when the transmitter has no users)
+        rates = respond.rate.tolist()
+        self.rate_keys = [
+            list(map(operator.itemgetter(*((s > 0) * k + j for j in users), 0), rates))
+            for s, users in enumerate(self.users)
+        ]
+        # each lane's pbar, w, rate, offset and unpaid flag, by 2*row + side
+        # (side 0 the macro lanes, 1 the femto lanes) and user
+        self.lanes = np.empty((5, n_rows, 2 * k))
+        parts = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
+        for i, part in enumerate(parts):
+            self.lanes[i] = part
+        self.lanes = self.lanes.reshape(5, 2 * n_rows, k)
+        self.orbits, self.fresh = {}, {}
+        # a first region holds every position a solve of up to this many
+        # iterates asks for, and the rows of a stack share most orbits
+        self.first_cap = min(max_iters + 1, 2 * _BLOCK)
+        self.price = np.empty((n_rows + n1) * self.first_cap)
+        self.value = np.empty((len(self.price), k))
+        self.top = 0
+        self.steps = np.arange(n_rows * _BLOCK)[:, None]
+
+    def members(self, r, connect) -> list:
+        """Per transmitter, the paid users that the boolean branch pattern
+        connect puts on it in row r."""
+        k, unpaid, assoc = self.k, self.unpaid[r], self.assoc
+        members = [[] for _ in self.users]
+        for j, macro in enumerate(connect.tolist()):
+            if macro:
+                if not unpaid[j]:
+                    members[0].append(j)
+            elif not unpaid[k + j]:
+                members[assoc[j]].append(j)
+        return [tuple(users) for users in members]
+
+    def orbit(self, s, r, users, start):
+        """The orbit of transmitter s with row r's lanes and the paid
+        members users, from the price start."""
+        key = (s, self.rate_keys[s][r], users, start, math.copysign(1.0, start))
+        orbit = self.orbits.get(key)
+        if orbit is None:
+            orbit = self.orbits[key] = _Orbit(s, r, self, users, start)
+        return orbit
+
+    def _reserve(self, size) -> int:
+        base = self.top
+        self.top += size
+        if self.top > len(self.price):
+            grown = max(2 * len(self.price), self.top)
+            for name in ("price", "value"):
+                old = getattr(self, name)
+                new = np.empty((grown,) + old.shape[1:])
+                new[:base] = old[:base]
+                setattr(self, name, new)
+        return base
+
+    def place(self):
+        """Put the orbits' new entries in the arrays, with their lane
+        values computed in one stacked evaluation."""
+        at, prices, lanes = [], [], []
+        for orbit in self.fresh:
+            n, placed = len(orbit.prices), orbit.placed
+            if n > orbit.cap:
+                cap = max(2 * orbit.cap, n, self.first_cap)
+                base = self._reserve(cap)
+                for table in (self.price, self.value):
+                    table[base : base + placed] = table[orbit.base : orbit.base + placed]
+                orbit.base, orbit.cap = base, cap
+            at += range(orbit.base + placed, orbit.base + n)
+            prices += orbit.prices[placed:]
+            lanes += [2 * orbit.row + (orbit.station > 0)] * (n - placed)
+            orbit.placed = n
+        self.fresh = {}
+        if at:
+            at, price = np.array(at), np.array(prices)
+            self.price[at] = price
+            # every operand at full shape, so each operation is one loop
+            pbar, w, rate, offset, unpaid = self.lanes.take(lanes, axis=1)
+            price = np.repeat(price, self.k).reshape(-1, self.k)
+            self.value[at] = _lane_values(pbar, w, rate, offset, unpaid, price)[1]
+
+
+class _Row:
+    """One row of the price iteration: its branch pattern since iterate t0
+    and, per transmitter, the orbit it follows and the base that puts
+    iterate t at the orbit's position base + t."""
+
+    __slots__ = ("index", "pattern", "code", "orbits", "bases", "t", "t0", "length", "leave",
+                 "converged", "dual", "left", "seen", "trail")
+
+    def __init__(self, index):
+        self.index = index
+        self.t, self.length, self.leave = 1, _FIRST_BLOCK, None
+        self.dual = math.inf
+        self.converged = self.left = False
+        self.seen, self.trail = {}, []
+        self.orbits = self.bases = None
+
+    def prices(self, t) -> list:
+        """The row's input prices at iterate t."""
+        return [o.prices[o.index(b + t)] for o, b in zip(self.orbits, self.bases)]
+
+    def assume(self, table, connect, prices):
+        """Take the boolean branch pattern connect from iterate t on, whose
+        input prices are prices; a transmitter whose paid members stay
+        keeps its orbit."""
+        self.pattern, self.code = connect, connect.tobytes()
+        self.t0, self.leave = self.t, None
+        self.seen.setdefault(self.code)
+        orbits, bases = [], []
+        for s, (start, users) in enumerate(zip(prices, table.members(self.index, connect))):
+            if self.orbits and self.orbits[s].users == users:
+                orbits.append(self.orbits[s])
+                bases.append(self.bases[s])
+            else:
+                orbits.append(table.orbit(s, self.index, users, start))
+                bases.append(-self.t)
+        self.orbits, self.bases = orbits, bases
+
+    def plan(self, table, max_iters, detect) -> int:
+        """Extend the row's orbits over its next block and return the
+        block's iterate count.
+
+        The block ends at the first iterate whose squared price movement
+        drops to phi. A sum of squares is at least each of its terms, so
+        only iterates where every orbit steps by a square of at most phi
+        can end it (_Orbit.settle), and only there is the sum taken, in
+        numpy's order. Once every orbit has repeated, the row's prices
+        repeat from the first iterate where all its orbits are in their
+        cycles, with the lcm of their periods; with detect the row then
+        leaves at the first iterate past one full period whose next prices
+        equal those after max_iters."""
+        orbits, bases = self.orbits, self.bases
+        end = min(self.t + self.length, max_iters + 1)
+        if self.leave is not None:
+            end = min(end, self.leave + 1)
+        self.converged = False
+        t = self.t
+        step, phi = table.step, table.phi
+        while t < end:
+            c = t
+            for orbit, base in zip(orbits, bases):
+                t = orbit.settle(base + t, base + end, step, phi) - base
+            # from an orbit that moved the candidate on, look again
+            if t == c:
+                if _pairwise_sum([o.outs[o.index(b + t)] for o, b in zip(orbits, bases)]) <= phi:
+                    self.converged = True
+                    end = t + 1
+                    break
+                t += 1
+        for orbit, base in zip(orbits, bases):
+            orbit.extend(base + end, step, phi)
+            if len(orbit.prices) > orbit.placed:
+                table.fresh[orbit] = None
+        if detect and self.leave is None and all(o.period for o in orbits):
+            first = max(self.t0, *(o.cycle - b for o, b in zip(orbits, bases)))
+            period = math.lcm(*(o.period for o in orbits))
+            last = first + period - 1
+            self.leave = last + (max_iters - last) % period
+            end = min(end, self.leave + 1)
+        return end - self.t
+
+
 def _iterate(
     respond: _Responder,
     start,
@@ -549,66 +731,100 @@ def _iterate(
     A row stops once its squared price movement drops to phi. Returns
     per-row iteration counts, converged flags, last prices and lowest dual
     values; per row, its branch patterns in order of first appearance (as
-    dict keys); and, with keep_iterates, per row its (iteration, prices) at
-    every iterate.
+    dict keys); and, with keep_iterates, per row its prices at iterates 1,
+    2, ... as the rows of one array.
 
-    A row's prices are its whole state, so once they repeat an earlier
-    iterate bit for bit every later iterate repeats with that period: its
-    lowest dual value and branch patterns are final and it never converges.
-    Without keep_iterates such a row runs on only to the iteration whose
-    prices equal those after max_iters, and stops there. Repeats are found
-    Brent-style against a snapshot taken at powers of two.
+    Under a fixed branch pattern each transmitter's price moves on its own
+    load alone, so a row advances as one orbit per transmitter (_Orbit),
+    shared by every row of the stack with the same transmitter lanes, paid
+    members and start price. An orbit ends at its first exact repeat. Once
+    all of a row's orbits have repeated its prices cycle, so its lowest
+    dual value and branch patterns are final and it never converges:
+    without keep_iterates it runs on only to an iterate whose next prices
+    equal those after max_iters, and stops there.
 
-    Each row advances in Python floats under the branch pattern of its last
-    checked iterate (_PriceRow), in blocks of _FIRST_BLOCK, twice that, ...
-    up to _BLOCK iterates. After each round of blocks one stacked __call__
-    on every block's input prices checks the branches and gives the
-    Lagrangian values, which fold into the rows' lowest dual values. A row
-    whose true branches differ at some iterate goes back to it, takes the
-    true branches and starts again from blocks of 1. Rows never interact,
-    so every row's numbers are those of iterating it alone.
+    Rows run in blocks of _FIRST_BLOCK, twice that, ... up to _BLOCK
+    iterates. Each round the orbits advance over every block in Python
+    floats (_Row.plan), and the blocks' prices, branches and Lagrangian
+    values are gathered from the orbits' entries in numpy, every sum along
+    the contiguous transmitter or user axis; the lowest dual values fold
+    per block. A row whose true branches differ from the assumed ones at
+    some iterate goes back to it, takes the true branches and starts again
+    from blocks of 1. Rows never interact, so every row's numbers are
+    those of iterating it alone.
     """
     n_rows = len(respond.rate)
-    step, phi = float(step), float(phi)
+    k, n1 = respond.k, respond.n1
+    table = _OrbitTable(respond, float(step), float(phi), max_iters)
+    detect = not keep_iterates
     connect = respond(np.tile(start, (n_rows, 1)))[0]
-    rows = [_PriceRow(respond, r, start.tolist(), connect[r]) for r in range(n_rows)]
-    k = respond.k
+    rows = [_Row(r) for r in range(n_rows)]
+    for row in rows:
+        row.assume(table, connect[row.index], start.tolist())
+    # each user's macro lane, then its femto lane
+    lane_station = np.concatenate([np.zeros(k, dtype=int), respond.assoc])
+    lane_user = np.tile(np.arange(k), 2)
     live = rows
     while live:
-        for row in live:
-            row.advance(step, phi, max_iters, not keep_iterates)
-        counts = [len(row.inputs) for row in live]
-        starts = [0, *itertools.accumulate(counts)]
-        prices = np.array([p for row in live for p in row.inputs])
-        connect, _, _, values = respond.take(np.repeat([row.index for row in live], counts))(prices)
-        dual = values.sum(axis=1) + prices.sum(axis=1)
-        lowest = np.minimum.reduceat(dual, starts[:-1]).tolist()
-        code = connect.tobytes()
-        for row, a, b, low in zip(live, starts, starts[1:], lowest):
-            block = code[a * k : b * k]
-            if block == row.code * (b - a):
-                row.dual = min(row.dual, low)
-                row.length = min(2 * row.length, _BLOCK)
-                switch = b
-            else:
-                # the iterates before the first wrong one stand
-                switch = a + next(
-                    i for i in range(b - a) if block[i * k : (i + 1) * k] != row.code
-                )
-                if switch > a:
-                    row.dual = min(row.dual, float(dual[a:switch].min()))
+        counts = [row.plan(table, max_iters, detect) for row in live]
+        table.place()
+        # per row and transmitter: the arrays' index of the row's first
+        # iterate, less the row's offset in the stack of blocks; the index
+        # where the orbit's cycle starts, past every index if it has not
+        # repeated; and its period
+        starts, cycles, periods, firsts, expected, total = [], [], [], [], [], 0
+        for row, n in zip(live, counts):
+            for o, b in zip(row.orbits, row.bases):
+                starts.append(o.base + b + row.t - total)
+                cycles.append(o.base + o.cycle if o.period else 1 << 62)
+                periods.append(o.period or 1)
+            firsts.append(total)
+            expected.append(row.code * n)
+            total += n
+        where = np.array(starts + cycles + periods).reshape(3, -1, n1).repeat(counts, axis=1)
+        entry = where[0] + table.steps[:total]
+        if max(periods) > 1:
+            entry -= np.maximum(entry - where[1], 0) // where[2] * where[2]
+        else:
+            # a cycle of period 1 holds its price
+            np.minimum(entry, where[1], out=entry)
+        prices = table.price[entry]
+        # take, unlike [:, index], returns C order, so every row below is
+        # contiguous and sums as a lone row does
+        lanes = table.value[entry.take(lane_station, axis=1), lane_user]
+        macro, femto = lanes[:, :k], lanes[:, k:]
+        branches = macro >= femto
+        values = np.where(branches, macro, femto)
+        dual = np.add.reduce(values, axis=1) + np.add.reduce(prices, axis=1)
+        lowest = np.minimum.reduceat(dual, firsts).tolist()
+        code = branches.tobytes()
+        same = code == b"".join(expected)
+        for row, a, n, low, block in zip(live, firsts, counts, lowest, expected):
+            if not same and code[a * k : (a + n) * k] != block:
+                # the iterates before the first switch stand
+                m = next(i for i in range(n) if code[(a + i) * k : (a + i + 1) * k] != row.code)
+                if m:
+                    row.dual = min(row.dual, float(dual[a : a + m].min()))
+                    if keep_iterates:
+                        row.trail.append(prices[a : a + m])
+                row.t += m
+                row.length = 1
+                row.assume(table, branches[a + m], row.prices(row.t))
+                continue
+            row.dual = min(row.dual, low)
             if keep_iterates:
-                row.iterates.extend(zip(range(row.it - len(row.inputs), row.it), prices[a:switch]))
-            if switch < b:
-                row.restart(switch - a, connect[switch])
+                row.trail.append(prices[a : a + n])
+            row.t += n
+            row.length = min(2 * row.length, _BLOCK)
+            row.left = row.converged or row.t - 1 in (max_iters, row.leave)
         live = [row for row in live if not row.left]
     return (
-        np.array([row.it - 1 if row.converged else max_iters for row in rows]),
+        np.array([row.t - 1 if row.converged else max_iters for row in rows]),
         np.array([row.converged for row in rows]),
-        np.array([row.prices for row in rows]),
+        np.array([row.prices(row.t) for row in rows]),
         np.array([row.dual for row in rows]),
         [row.seen for row in rows],
-        [row.iterates for row in rows],
+        [np.concatenate(row.trail) if row.trail else np.zeros((0, n1)) for row in rows],
     )
 
 
@@ -635,9 +851,13 @@ def solve_noninterfering_batch(
 
     Every row starts from prices_init (all ones by default; a warm start
     from an earlier solve goes here) and follows its own projected gradient
-    iterates until its squared price movement drops to phi. Rows never
-    interact and every sum runs over one row, so each row's numbers are
-    exactly those of solving it alone. The returned schedule is the best
+    iterates until its squared price movement drops to phi. Rows share
+    the price sequences of transmitters whose lanes, members and start
+    price agree (_iterate's station orbits), never a value that depends on
+    another row, and every sum runs over one row, so each row's numbers
+    are exactly those of solving it alone. An empty stack gives an empty
+    list; channel counts must be nonnegative and finite. The returned
+    schedule is the best
     feasible point known: every visited branch pattern refilled exactly,
     and the two heuristics. A traced solve records the repaired iterates'
     objectives in its trace but never picks from them, so tracing leaves
@@ -661,6 +881,10 @@ def solve_noninterfering_batch(
     )
     if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
         raise ValueError("prices_init must be a nonnegative finite price per transmitter")
+    if not len(gis):
+        return []
+    if not (gis.min() >= 0 and gis.max() < math.inf):
+        raise ValueError("expected channel counts must be nonnegative and finite")
     g_user = np.take(gis, problem.assoc - 1, axis=1)
 
     respond = _Responder(problem, g_user)
@@ -701,9 +925,10 @@ def solve_noninterfering_batch(
         cand = (connect_all[mine], rho0_all[mine], rhof_all[mine], scores[mine])
         trace = None
         if record_trace:
-            tracked_prices = np.array([p for _, p in iterates[r]]).reshape(-1, len(start))
-            traced = _repaired_iterates(problem, g_user[r], tracked_prices)
-            trace = [(i, p.copy(), float(obj)) for (i, p), obj in zip(iterates[r], traced)]
+            traced = _repaired_iterates(problem, g_user[r], iterates[r])
+            trace = [
+                (i, p.copy(), float(obj)) for i, (p, obj) in enumerate(zip(iterates[r], traced), 1)
+            ]
         # argmax keeps the first of equal objectives, in the order refilled
         # patterns, equal split, best link
         k = int(np.argmax(cand[3]))
@@ -894,8 +1119,10 @@ class AllocationValue:
     Evaluations run the price iteration at a configurable budget and are
     memoized by the per-femto expected-channel vector; candidate solves warm
     start from the allocation they extend, and a batch of candidates is
-    solved as the rows of one solve_noninterfering_batch, whose branch
-    checks are shared. A custom solver callable
+    solved as the rows of one solve_noninterfering_batch. The candidates
+    differ in one femto's channels, so their rows share the price orbits of
+    every other transmitter, and their branch checks run in one stacked
+    evaluation per round. A custom solver callable
     (problem, gi, prices_init) -> (objective, prices_or_None) replaces the
     price iteration, e.g. with an exact enumeration on tiny instances, and
     is called once per fresh vector.

@@ -603,6 +603,16 @@ class TestBatchedPriceIteration:
             solve_noninterfering_batch(prob, [[1.0, 1.0, 1.0]])
         with pytest.raises(ValueError):
             solve_noninterfering_batch(prob, [[1.0, 1.0]], prices_init=[1.0, -1.0, 1.0])
+        # a channel row fails before the iteration runs, not in the final
+        # objective
+        lone = random_problem(make_rng(42, 98), n_users=2, n_fbs=1)
+        for row in ([math.nan], [-1.0], [math.inf]):
+            with pytest.raises(ValueError, match="expected channel counts must be nonnegative"):
+                solve_noninterfering_batch(lone, [row])
+
+    def test_an_empty_stack_is_the_batch_of_none(self):
+        prob = random_problem(make_rng(42, 97), n_fbs=2)
+        assert solve_noninterfering_batch(prob, np.zeros((0, 2))) == []
 
 
 def bits(x):
@@ -659,7 +669,7 @@ def assert_matches_plain(batch, plain, cap):
 
 def phase_caps(first_repeat, horizon):
     """Caps over two full periods from the first repeat, and over two more
-    from where a power-of-two snapshot has surely caught the cycle."""
+    from twice its iterate plus a period on."""
     first, period = first_repeat
     late = 2 * first + period
     caps = set(range(first, first + 2 * period + 1)) | set(range(late, late + 2 * period + 1))
@@ -669,9 +679,14 @@ def phase_caps(first_repeat, horizon):
 @st.composite
 def kink_problems(draw):
     """fig10-like slots: a few users with equal quality rates on one or two
-    femtos, where the price iteration often falls into an exact cycle."""
-    n_fbs = draw(st.integers(1, 2))
-    k = draw(st.integers(1, 5))
+    femtos, where the price iteration often falls into an exact cycle, and
+    sometimes on 7 to 9 femtos, where the squared price movement and the
+    dual's price sum run over 8 or more transmitters and numpy sums them
+    pairwise."""
+    n_fbs = draw(st.integers(1, 2) | st.integers(7, 9))
+    # about one user per femto when there are many, so that most
+    # transmitters keep a price
+    k = draw(st.integers(1, 5) if n_fbs < 7 else st.integers(n_fbs, n_fbs + 3))
 
     def per_user(lo, hi):
         return draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
@@ -701,6 +716,18 @@ FIG10_SLOT = SlotProblem(
 )
 FIG10_START = [0.0, 0.05916348741607141]
 
+# a slot on two femtos whose first branch switch moves only femto 1's users
+TWO_FEMTO_SWITCHING_SLOT = SlotProblem(
+    w_minus=[41.1, 41.2, 35.3, 30.7],
+    pbar_mbs=[0.52, 0.62, 0.62, 0.51],
+    pbar_fbs=[0.52, 0.95, 0.79, 0.61],
+    rate_mbs=[70.0, 108.0, 103.0, 99.0],
+    rate_fbs=[71.0, 79.0, 94.0, 45.0],
+    assoc=[1, 1, 2, 2],
+    n_fbs=2,
+    fbs_gi=[1.9, 1.2],
+)
+
 # a slot whose users switch branches often once the femto price settles
 SWITCHING_SLOT = SlotProblem(
     w_minus=[25.6, 27.5, 44.3],
@@ -718,7 +745,7 @@ class TestCycleExit:
     """Rows whose prices repeat stop early; every output stays that of the
     plain iteration run to the cap."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_every_row_matches_the_plain_iteration(self, data):
         prob = data.draw(kink_problems())
@@ -792,10 +819,11 @@ prices_at_the_edges = st.sampled_from([0.0, -0.0, 5e-324, 1e-300]) | st.floats(0
 @st.composite
 def recurrence_stacks(draw):
     """A slot problem of 1 to 16 users, often 8 or more, where numpy
-    switches from a running sum to pairwise sums; some users have zero or
-    subnormal rates or zero weights. A stack of channel rows, some zero,
-    and a price row per channel row."""
-    n_fbs = draw(st.integers(1, 3))
+    switches from a running sum to pairwise sums, on 1 to 3 femtos or
+    sometimes 7 to 9, so that the sums over transmitters run pairwise too;
+    some users have zero or subnormal rates or zero weights. A stack of
+    channel rows, some zero, and a price row per channel row."""
+    n_fbs = draw(st.integers(1, 3) | st.integers(7, 9))
     k = draw(st.integers(1, 7) | st.integers(8, 16))
 
     def per_user(values):
@@ -836,17 +864,18 @@ def reference_step(respond, prices, step):
     return connect, new_prices, moved, values.sum(axis=1) + prices.sum(axis=1)
 
 
-def recurrence_iterate(respond, r, prices, connect, step, phi):
-    """One iterate of the price recurrence on row r of respond's stack,
-    from the price row prices under branches connect: the next prices, and
-    whether the squared price movement dropped to phi."""
-    row = scheduler._PriceRow(respond, r, prices.tolist(), connect)
-    row.advance(step, phi, max_iters=1, detect=False)
-    return row.prices, row.converged
+def recurrence_iterate(prob, gi, prices, step, phi):
+    """One iterate of the price iteration from the price row prices under
+    the channel vector gi, run as a stack of one: the next prices, whether
+    the squared price movement dropped to phi, and the lowest dual value
+    folded, the Lagrangian value at prices."""
+    respond = scheduler._Responder(prob, np.asarray(gi, dtype=float)[prob.assoc - 1][None, :])
+    _, converged, last, dual, _, _ = scheduler._iterate(respond, prices, step, phi, 1, False)
+    return last[0], converged[0], dual[0]
 
 
 class TestRecurrence:
-    """An iterate of the price recurrence in Python floats is the reference
+    """An iterate of the price iteration's station orbits is the reference
     route's bit for bit, and so are whole solves, also where branches
     switch."""
 
@@ -858,15 +887,16 @@ class TestRecurrence:
         g_user = np.take(gis, prob.assoc - 1, axis=1)
         respond = scheduler._Responder(prob, g_user)
         for _ in range(data.draw(st.integers(1, 12))):
-            connect, new_prices, moved, _ = reference_step(respond, prices, step)
+            _, new_prices, moved, lagrangian = reference_step(respond, prices, step)
             for r in range(len(gis)):
-                got, _ = recurrence_iterate(respond, r, prices[r], connect[r], step, -1.0)
+                got, _, dual = recurrence_iterate(prob, gis[r], prices[r], step, -1.0)
                 assert bits(got) == bits(new_prices[r])
+                assert bits(dual) == bits(lagrangian[r])
                 # the squared movement, seen through the convergence test
                 # at exactly that value and at the float below it
                 at, below = float(moved[r]), float(np.nextafter(moved[r], -math.inf))
-                assert recurrence_iterate(respond, r, prices[r], connect[r], step, at)[1]
-                assert not recurrence_iterate(respond, r, prices[r], connect[r], step, below)[1]
+                assert recurrence_iterate(prob, gis[r], prices[r], step, at)[1]
+                assert not recurrence_iterate(prob, gis[r], prices[r], step, below)[1]
             prices = new_prices
 
     def test_a_crowded_stack_iterates_as_the_reference(self):
@@ -885,13 +915,15 @@ class TestRecurrence:
 
     def test_rows_whose_branches_switch_restart_from_the_switch(self, monkeypatch):
         restarted = []
-        restart = scheduler._PriceRow.restart
+        assume = scheduler._Row.assume
 
-        def counting_restart(row, m, connect):
-            restarted.append(row.index)
-            restart(row, m, connect)
+        def counting_assume(row, table, connect, prices):
+            # every call after a row's first is a restart
+            if row.orbits is not None:
+                restarted.append(row.index)
+            assume(row, table, connect, prices)
 
-        monkeypatch.setattr(scheduler._PriceRow, "restart", counting_restart)
+        monkeypatch.setattr(scheduler._Row, "assume", counting_assume)
         # the first and last rows' users switch branches from iterates 55
         # and 46 on, more and more often; the middle row switches once, at
         # iterate 66, and converges there
@@ -913,29 +945,47 @@ class TestRecurrence:
         assert [it for it, _, _ in traced.trace] == list(range(1, iterations + 1))
         assert bits(traced.prices) == bits(prices) and bits(traced.dual_value) == bits(dual)
 
-    def test_a_restart_restores_the_state_of_its_iterate(self):
-        # fig10's cycling row: in its first block of 8 the cycle check takes
-        # snapshots at iterates 2, 4 and 8, finds the period-3 cycle at
-        # iterate 6 and leaves at 8
-        g_user = FIG10_SLOT.fbs_gi[FIG10_SLOT.assoc - 1][None, :]
-        respond = scheduler._Responder(FIG10_SLOT, g_user)
-        connect = respond(np.array([FIG10_START]))[0][0]
+    def test_a_restart_restores_the_state_of_its_iterate(self, monkeypatch):
+        # a row that switches goes on from its switching iterate's prices,
+        # each transmitter whose paid members stay on its own orbit. From
+        # iterate 51 on femto 1's users switch branches while femto 2's
+        # stay, and later femto 2's switch as well
+        kept, started = [], []
+        assume = scheduler._Row.assume
 
-        def state(row):
-            return row.it, bits(row.prices), bits(row.snapshot), row.snap_it, row.leave_at
+        def recording_assume(row, table, connect, prices):
+            before = row.orbits
+            assume(row, table, connect, prices)
+            if before is not None:
+                same = [a is b for a, b in zip(before, row.orbits)]
+                kept.append(any(same))
+                started.append(not all(same))
 
-        def run(m):
-            row = scheduler._PriceRow(respond, 0, list(FIG10_START), connect)
-            if m:
-                row.length = m
-                row.advance(0.01, 1e-6, 2000, True)
-            return row
+        monkeypatch.setattr(scheduler._Row, "assume", recording_assume)
+        gis = [[1.9, 1.2], [1.9, 1.4], [0.0, 1.2]]
+        start, horizon = np.ones(3), 150
+        plain = [
+            plain_price_iteration(TWO_FEMTO_SWITCHING_SLOT, gi, start, 0.01, 1e-6, horizon)
+            for gi in gis
+        ]
+        for cap in range(1, horizon + 1):
+            batch = solve_noninterfering_batch(
+                TWO_FEMTO_SWITCHING_SLOT, gis, prices_init=start, max_iters=cap
+            )
+            assert_matches_plain(batch, plain, cap)
+        assert any(kept) and all(started)
 
-        assert run(8).leave_at == 8
-        for m in range(8):
-            row = run(8)
-            row.restart(m, connect)
-            assert state(row) == state(run(m))
+    def test_log_rounds_alike_at_any_position(self):
+        # the iteration computes each orbit entry's lane values once, in a
+        # stack of any length, where a per-iterate evaluation would see
+        # them elsewhere; a numpy whose log depends on the position fails
+        # here rather than moving bytes
+        rng = make_rng(47, 11)
+        x = np.exp(rng.uniform(-700.0, 700.0, 200_000)) * rng.uniform(0.0, 1.0, 200_000)
+        whole = np.log(x)
+        chunks = [np.log(x[i : i + 3]) for i in range(0, len(x), 3)]
+        assert bits(whole) == bits(np.concatenate(chunks))
+        assert bits(whole) == bits([np.log(v) for v in x])
 
     @settings(max_examples=300, deadline=None)
     @given(
