@@ -638,16 +638,16 @@ class _OrbitTable:
 
 
 class _Row:
-    """One row of the price iteration: its branch pattern since iterate t0
-    and, per transmitter, the orbit it follows and the base that puts
-    iterate t at the orbit's position base + t."""
+    """One row of the price iteration: its next iterate t, its branch
+    pattern since iterate t0 and, per transmitter, the orbit it follows and
+    the base that puts iterate t at the orbit's position base + t."""
 
-    __slots__ = ("index", "pattern", "code", "orbits", "bases", "t", "t0", "length", "leave",
-                 "converged", "dual", "left", "seen", "trail")
+    __slots__ = ("index", "pattern", "code", "orbits", "bases", "t", "t0", "ahead", "settled",
+                 "length", "leave", "converged", "dual", "left", "seen", "trail")
 
     def __init__(self, index):
         self.index = index
-        self.t, self.length, self.leave = 1, _FIRST_BLOCK, None
+        self.t, self.length = 1, _FIRST_BLOCK
         self.dual = math.inf
         self.converged = self.left = False
         self.seen, self.trail = {}, []
@@ -660,9 +660,12 @@ class _Row:
     def assume(self, table, connect, prices):
         """Take the boolean branch pattern connect from iterate t on, whose
         input prices are prices; a transmitter whose paid members stay
-        keeps its orbit."""
+        keeps its orbit. Nothing past t is planned yet."""
         self.pattern, self.code = connect, connect.tobytes()
-        self.t0, self.leave = self.t, None
+        # the orbits are planned up to iterate ahead, and the row converges
+        # at iterate settled if that is known
+        self.t0 = self.ahead = self.t
+        self.leave = self.settled = None
         self.seen.setdefault(self.code)
         orbits, bases = [], []
         for s, (start, users) in enumerate(zip(prices, table.members(self.index, connect))):
@@ -675,46 +678,56 @@ class _Row:
         self.orbits, self.bases = orbits, bases
 
     def plan(self, table, max_iters, detect) -> int:
-        """Extend the row's orbits over its next block and return the
-        block's iterate count.
+        """Return the row's next block's iterate count, advancing its orbits
+        first where they do not reach that far.
 
-        The block ends at the first iterate whose squared price movement
-        drops to phi. A sum of squares is at least each of its terms, so
-        only iterates where every orbit steps by a square of at most phi
-        can end it (_Orbit.settle), and only there is the sum taken, in
-        numpy's order. Once every orbit has repeated, the row's prices
-        repeat from the first iterate where all its orbits are in their
-        cycles, with the lcm of their periods; with detect the row then
-        leaves at the first iterate past one full period whose next prices
-        equal those after max_iters."""
-        orbits, bases = self.orbits, self.bases
+        Branches rarely switch, so a row that has not switched advances its
+        orbits to its last iterate at once, and their new entries are
+        placed in one round; a row that has switched advances them block by
+        block. The row converges at the first iterate whose squared price
+        movement drops to phi. A sum of squares is at least each of its
+        terms, so only iterates where every orbit steps by a square of at
+        most phi can be that iterate (_Orbit.settle), and only there is the
+        sum taken, in numpy's order; the orbits advance no further. Once
+        every orbit has repeated, the row's prices repeat from the first
+        iterate where all its orbits are in their cycles, with the lcm of
+        their periods; with detect the row then leaves at the first iterate
+        past one full period whose next prices equal those after
+        max_iters."""
         end = min(self.t + self.length, max_iters + 1)
-        if self.leave is not None:
-            end = min(end, self.leave + 1)
-        self.converged = False
-        t = self.t
-        step, phi = table.step, table.phi
-        while t < end:
-            c = t
+        for last in (self.settled, self.leave):
+            if last is not None:
+                end = min(end, last + 1)
+        if end > self.ahead:
+            orbits, bases = self.orbits, self.bases
+            ahead = max_iters + 1 if self.t0 == 1 else end
+            step, phi = table.step, table.phi
+            # no iterate before self.ahead converges
+            t = self.ahead
+            while t < ahead:
+                c = t
+                for orbit, base in zip(orbits, bases):
+                    t = orbit.settle(base + t, base + ahead, step, phi) - base
+                # from an orbit that moved the candidate on, look again
+                if t == c:
+                    outs = [o.outs[o.index(b + t)] for o, b in zip(orbits, bases)]
+                    if _pairwise_sum(outs) <= phi:
+                        self.settled, ahead = t, t + 1
+                        break
+                    t += 1
             for orbit, base in zip(orbits, bases):
-                t = orbit.settle(base + t, base + end, step, phi) - base
-            # from an orbit that moved the candidate on, look again
-            if t == c:
-                if _pairwise_sum([o.outs[o.index(b + t)] for o, b in zip(orbits, bases)]) <= phi:
-                    self.converged = True
-                    end = t + 1
-                    break
-                t += 1
-        for orbit, base in zip(orbits, bases):
-            orbit.extend(base + end, step, phi)
-            if len(orbit.prices) > orbit.placed:
-                table.fresh[orbit] = None
-        if detect and self.leave is None and all(o.period for o in orbits):
-            first = max(self.t0, *(o.cycle - b for o, b in zip(orbits, bases)))
-            period = math.lcm(*(o.period for o in orbits))
-            last = first + period - 1
-            self.leave = last + (max_iters - last) % period
-            end = min(end, self.leave + 1)
+                orbit.extend(base + ahead, step, phi)
+                if len(orbit.prices) > orbit.placed:
+                    table.fresh[orbit] = None
+            if detect and self.leave is None and all(o.period for o in orbits):
+                first = max(self.t0, *(o.cycle - b for o, b in zip(orbits, bases)))
+                period = math.lcm(*(o.period for o in orbits))
+                last = first + period - 1
+                self.leave = last + (max_iters - last) % period
+                ahead = min(ahead, self.leave + 1)
+            self.ahead = ahead
+            end = min(end, ahead)
+        self.converged = end - 1 == self.settled
         return end - self.t
 
 
