@@ -34,6 +34,10 @@ _PROBES = 63
 # cost, and branches rarely switch.
 _FIRST_BLOCK = 8
 _BLOCK = 64
+# iterates a row whose branches have not switched plans ahead at once: its
+# orbits' new entries get their lane values in one stacked evaluation, whose
+# temporaries grow with this
+_AHEAD = 4 * _BLOCK
 
 
 @dataclass
@@ -542,7 +546,7 @@ class _OrbitTable:
     """
 
     def __init__(self, respond, step, phi, max_iters):
-        self.respond, self.step, self.phi = respond, step, phi
+        self.step, self.phi = step, phi
         k, n1 = respond.k, respond.n1
         n_rows = len(respond.rate)
         self.k = k
@@ -682,9 +686,9 @@ class _Row:
         first where they do not reach that far.
 
         Branches rarely switch, so a row that has not switched advances its
-        orbits to its last iterate at once, and their new entries are
-        placed in one round; a row that has switched advances them block by
-        block. The row converges at the first iterate whose squared price
+        orbits _AHEAD iterates at once, and their new entries are placed in
+        one round; a row that has switched advances them block by block.
+        The row converges at the first iterate whose squared price
         movement drops to phi. A sum of squares is at least each of its
         terms, so only iterates where every orbit steps by a square of at
         most phi can be that iterate (_Orbit.settle), and only there is the
@@ -700,7 +704,7 @@ class _Row:
                 end = min(end, last + 1)
         if end > self.ahead:
             orbits, bases = self.orbits, self.bases
-            ahead = max_iters + 1 if self.t0 == 1 else end
+            ahead = min(self.t + _AHEAD, max_iters + 1) if self.t0 == 1 else end
             step, phi = table.step, table.phi
             # no iterate before self.ahead converges
             t = self.ahead
