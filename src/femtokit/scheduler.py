@@ -646,8 +646,8 @@ class _Row:
     pattern since iterate t0 and, per transmitter, the orbit it follows and
     the base that puts iterate t at the orbit's position base + t."""
 
-    __slots__ = ("index", "pattern", "code", "orbits", "bases", "t", "t0", "ahead", "settled",
-                 "length", "leave", "converged", "dual", "left", "seen", "trail")
+    __slots__ = ("index", "code", "orbits", "bases", "t", "t0", "ahead", "settled", "length",
+                 "leave", "converged", "dual", "left", "seen", "trail")
 
     def __init__(self, index):
         self.index = index
@@ -665,7 +665,7 @@ class _Row:
         """Take the boolean branch pattern connect from iterate t on, whose
         input prices are prices; a transmitter whose paid members stay
         keeps its orbit. Nothing past t is planned yet."""
-        self.pattern, self.code = connect, connect.tobytes()
+        self.code = connect.tobytes()
         # the orbits are planned up to iterate ahead, and the row converges
         # at iterate settled if that is known
         self.t0 = self.ahead = self.t
@@ -761,11 +761,12 @@ def _iterate(
     equal those after max_iters, and stops there.
 
     Rows run in blocks of _FIRST_BLOCK, twice that, ... up to _BLOCK
-    iterates. Each round the orbits advance over every block in Python
-    floats (_Row.plan), and the blocks' prices, branches and Lagrangian
-    values are gathered from the orbits' entries in numpy, every sum along
-    the contiguous transmitter or user axis; the lowest dual values fold
-    per block. A row whose true branches differ from the assumed ones at
+    iterates. Each round the orbits that do not yet reach a row's block
+    advance in Python floats (_Row.plan), the new entries get their lane
+    values in one stacked evaluation (_OrbitTable.place), and the blocks'
+    prices, branches and Lagrangian values are gathered from the orbits'
+    entries in numpy, every sum along the contiguous transmitter or user
+    axis; the lowest dual values fold per block. A row whose true branches differ from the assumed ones at
     some iterate goes back to it, takes the true branches and starts again
     from blocks of 1. Rows never interact, so every row's numbers are
     those of iterating it alone.
