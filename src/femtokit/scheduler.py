@@ -775,13 +775,12 @@ def _iterate(
     k, n1 = respond.k, respond.n1
     table = _OrbitTable(respond, float(step), float(phi), max_iters)
     detect = not keep_iterates
-    connect = respond(np.tile(start, (n_rows, 1)))[0]
+    connect = respond(start[None, :].repeat(n_rows, axis=0))[0]
     rows = [_Row(r) for r in range(n_rows)]
     for row in rows:
         row.assume(table, connect[row.index], start.tolist())
-    # each user's macro lane, then its femto lane
-    lane_station = np.concatenate([np.zeros(k, dtype=int), respond.assoc])
-    lane_user = np.tile(np.arange(k), 2)
+    # the user of each lane: every user's macro lane, then its femto lane
+    lane_user = np.arange(2 * k) % k
     live = rows
     while live:
         counts = [row.plan(table, max_iters, detect) for row in live]
@@ -809,7 +808,7 @@ def _iterate(
         prices = table.price[entry]
         # take, unlike [:, index], returns C order, so every row below is
         # contiguous and sums as a lone row does
-        lanes = table.value[entry.take(lane_station, axis=1), lane_user]
+        lanes = table.value[entry.take(respond.price_index, axis=1), lane_user]
         macro, femto = lanes[:, :k], lanes[:, k:]
         branches = macro >= femto
         values = np.where(branches, macro, femto)
