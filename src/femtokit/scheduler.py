@@ -161,8 +161,9 @@ class _Responder:
     terms are computed once per stack.
 
     __call__ and load are the reference route of an iterate; the price
-    iteration checks its branches and takes its Lagrangian values from
-    __call__.
+    iteration takes its first branches from __call__, and checks the later
+    ones and takes its Lagrangian values from __call__'s elementwise
+    formula (_lane_values), evaluated once per orbit entry.
     """
 
     def __init__(self, problem: SlotProblem, g_user):
