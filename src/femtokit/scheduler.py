@@ -14,7 +14,6 @@ the scheduling objective it enables, measured against the no-channel
 baseline so the greedy trace telescopes exactly.
 """
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -34,10 +33,6 @@ _PROBES = 63
 # cost, and branches rarely switch.
 _FIRST_BLOCK = 8
 _BLOCK = 64
-# iterates a row whose branches have not switched plans ahead at once: its
-# orbits' new entries get their lane values in one stacked evaluation, whose
-# temporaries grow with this
-_AHEAD = 4 * _BLOCK
 
 
 @dataclass
@@ -428,14 +423,13 @@ class _Orbit:
     members' user positions, its load being a pairwise sum over all users.
 
     prices holds the orbit's distinct prices up to its first exact repeat;
-    from index cycle on they then repeat with period period. outs[i] is the
-    squared step out of entry i, and quiet lists the entries whose outs are
-    at most phi. The first placed entries sit in _OrbitTable's arrays from
-    index base on, in a region of cap entries.
+    from index cycle on they then repeat with period period. The first
+    placed entries sit in _OrbitTable's arrays from index base on, in a
+    region of cap entries.
     """
 
-    __slots__ = ("station", "row", "users", "members", "full", "at", "k", "prices", "outs",
-                 "quiet", "seen", "cycle", "period", "base", "cap", "placed")
+    __slots__ = ("station", "row", "users", "members", "full", "at", "k", "prices", "seen",
+                 "cycle", "period", "base", "cap", "placed")
 
     def __init__(self, station, row, table, users, start):
         self.station, self.row, self.users, self.k = station, row, users, table.k
@@ -448,7 +442,7 @@ class _Orbit:
         # the other users add +0.0 to a pairwise sum, which leaves any
         # partial sum as it is, so up to two members sum in either order
         self.at = users if station == 0 and self.k >= 8 and len(users) > 2 else None
-        self.prices, self.outs, self.quiet = [start], [], []
+        self.prices = [start]
         # every later price is +0.0 or positive, so a -0.0 start never repeats
         self.seen = {start: 0} if math.copysign(1.0, start) > 0 else {}
         self.cycle = self.period = None
@@ -460,16 +454,13 @@ class _Orbit:
             return pos
         return self.cycle + (pos - self.cycle) % self.period
 
-    def extend(self, pos: int, step: float, phi: float, quiet_from=None):
-        """Advance the orbit until position pos has an entry, or, given
-        quiet_from, until an entry at or past that position steps by a
-        square of at most phi."""
+    def extend(self, pos: int, step: float):
+        """Advance the orbit until position pos has an entry."""
         prices = self.prices
         if self.period is not None or len(prices) > pos:
             return
         members, full, at, k = self.members, self.full, self.at, self.k
-        add_out, add_price, first = self.outs.append, prices.append, self.seen.setdefault
-        stop = pos + 1 if quiet_from is None else quiet_from
+        add_price, first = prices.append, self.seen.setdefault
         p = prices[-1]
         for n in range(len(prices), pos + 1):
             # -0.0 is no price either
@@ -495,44 +486,12 @@ class _Orbit:
             # -0.0 becomes 0.0 as well
             if not q > 0.0:
                 q = 0.0
-            d = q - p
-            out = d * d
-            add_out(out)
             if first(q, n) != n:
-                if out <= phi:
-                    self.quiet.append(n - 1)
                 self.cycle = self.seen[q]
                 self.period = n - self.cycle
                 return
             add_price(q)
-            if out <= phi:
-                self.quiet.append(n - 1)
-                if n > stop:
-                    return
             p = q
-
-    def settle(self, pos: int, end: int, step: float, phi: float) -> int:
-        """The first position in [pos, end) whose step out of the orbit's
-        price is a square of at most phi, or end if there is none; the
-        orbit is advanced no further than it takes to tell."""
-        quiet = self.quiet
-        while self.period is None:
-            j = bisect.bisect_left(quiet, pos)
-            if j < len(quiet):
-                return min(quiet[j], end)
-            if len(self.outs) >= end:
-                return end
-            self.extend(end, step, phi, quiet_from=pos)
-        # a repeating orbit knows every step: look from pos on, then once
-        # round the cycle
-        i = self.index(pos)
-        j = bisect.bisect_left(quiet, i)
-        if j < len(quiet):
-            return min(pos + quiet[j] - i, end)
-        j = bisect.bisect_left(quiet, self.cycle)
-        if j < len(quiet):
-            return min(pos + self.period - i + quiet[j], end)
-        return end
 
 
 class _OrbitTable:
@@ -546,8 +505,8 @@ class _OrbitTable:
     orbit is evaluated once, in one stacked evaluation per round.
     """
 
-    def __init__(self, respond, step, phi, max_iters):
-        self.step, self.phi = step, phi
+    def __init__(self, respond, step, max_iters):
+        self.step = step
         k, n1 = respond.k, respond.n1
         n_rows = len(respond.rate)
         self.k = k
@@ -558,9 +517,9 @@ class _OrbitTable:
         self.unpaid = respond.unpaid.tolist()
         # rows whose lanes on a transmitter have the same rates share its
         # orbits: with pbar and w, the rate fixes the lane's offset and
-        # whether it is paid
-        # (the macro lane 0, the same in every row, keeps each key a tuple
-        # when the transmitter has no users)
+        # whether it is paid (the macro lane 0, the same in every row, is
+        # there so that itemgetter always gets an index, and a lone user's
+        # key is a tuple like the others)
         rates = respond.rate.tolist()
         self.rate_keys = [
             list(map(operator.itemgetter(*((s > 0) * k + j for j in users), 0), rates))
@@ -580,7 +539,8 @@ class _OrbitTable:
         self.price = np.empty((n_rows + n1) * self.first_cap)
         self.value = np.empty((len(self.price), k))
         self.top = 0
-        self.steps = np.arange(n_rows * _BLOCK)[:, None]
+        # each iterate of a round's blocks, then the iterate after it
+        self.steps = np.arange(n_rows * _BLOCK)[:, None] + np.arange(2)[:, None, None]
 
     def members(self, r, connect) -> list:
         """Per transmitter, the paid users that the boolean branch pattern
@@ -647,8 +607,8 @@ class _Row:
     pattern since iterate t0 and, per transmitter, the orbit it follows and
     the base that puts iterate t at the orbit's position base + t."""
 
-    __slots__ = ("index", "code", "orbits", "bases", "t", "t0", "ahead", "settled", "length",
-                 "leave", "converged", "dual", "left", "seen", "trail")
+    __slots__ = ("index", "code", "orbits", "bases", "t", "t0", "length", "leave", "converged",
+                 "dual", "left", "seen", "trail")
 
     def __init__(self, index):
         self.index = index
@@ -665,12 +625,11 @@ class _Row:
     def assume(self, table, connect, prices):
         """Take the boolean branch pattern connect from iterate t on, whose
         input prices are prices; a transmitter whose paid members stay
-        keeps its orbit. Nothing past t is planned yet."""
+        keeps its orbit."""
         self.code = connect.tobytes()
-        # the orbits are planned up to iterate ahead, and the row converges
-        # at iterate settled if that is known
-        self.t0 = self.ahead = self.t
-        self.leave = self.settled = None
+        self.t0 = self.t
+        # the iterate the row leaves at, once its orbits have all repeated
+        self.leave = None
         self.seen.setdefault(self.code)
         orbits, bases = [], []
         for s, (start, users) in enumerate(zip(prices, table.members(self.index, connect))):
@@ -683,56 +642,28 @@ class _Row:
         self.orbits, self.bases = orbits, bases
 
     def plan(self, table, max_iters, detect) -> int:
-        """Return the row's next block's iterate count, advancing its orbits
-        first where they do not reach that far.
+        """Return the row's next block's iterate count, first advancing its
+        orbits to the prices after the block.
 
-        Branches rarely switch, so a row that has not switched advances its
-        orbits _AHEAD iterates at once, and their new entries are placed in
-        one round; a row that has switched advances them block by block.
-        The row converges at the first iterate whose squared price
-        movement drops to phi. A sum of squares is at least each of its
-        terms, so only iterates where every orbit steps by a square of at
-        most phi can be that iterate (_Orbit.settle), and only there is the
-        sum taken, in numpy's order; the orbits advance no further. Once
-        every orbit has repeated, the row's prices repeat from the first
-        iterate where all its orbits are in their cycles, with the lcm of
-        their periods; with detect the row then leaves at the first iterate
-        past one full period whose next prices equal those after
+        Once every orbit has repeated, the row's prices repeat from the
+        first iterate where all its orbits are in their cycles, with the lcm
+        of their periods; with detect the row then leaves at the first
+        iterate past one full period whose next prices equal those after
         max_iters."""
         end = min(self.t + self.length, max_iters + 1)
-        for last in (self.settled, self.leave):
-            if last is not None:
-                end = min(end, last + 1)
-        if end > self.ahead:
-            orbits, bases = self.orbits, self.bases
-            ahead = min(self.t + _AHEAD, max_iters + 1) if self.t0 == 1 else end
-            step, phi = table.step, table.phi
-            # no iterate before self.ahead converges
-            t = self.ahead
-            while t < ahead:
-                c = t
-                for orbit, base in zip(orbits, bases):
-                    t = orbit.settle(base + t, base + ahead, step, phi) - base
-                # from an orbit that moved the candidate on, look again
-                if t == c:
-                    outs = [o.outs[o.index(b + t)] for o, b in zip(orbits, bases)]
-                    if _pairwise_sum(outs) <= phi:
-                        self.settled, ahead = t, t + 1
-                        break
-                    t += 1
-            for orbit, base in zip(orbits, bases):
-                orbit.extend(base + ahead, step, phi)
-                if len(orbit.prices) > orbit.placed:
-                    table.fresh[orbit] = None
-            if detect and self.leave is None and all(o.period for o in orbits):
-                first = max(self.t0, *(o.cycle - b for o, b in zip(orbits, bases)))
-                period = math.lcm(*(o.period for o in orbits))
-                last = first + period - 1
-                self.leave = last + (max_iters - last) % period
-                ahead = min(ahead, self.leave + 1)
-            self.ahead = ahead
-            end = min(end, ahead)
-        self.converged = end - 1 == self.settled
+        if self.leave is not None:
+            end = min(end, self.leave + 1)
+        orbits, bases = self.orbits, self.bases
+        for orbit, base in zip(orbits, bases):
+            orbit.extend(base + end, table.step)
+            if len(orbit.prices) > orbit.placed:
+                table.fresh[orbit] = None
+        if detect and self.leave is None and all(o.period for o in orbits):
+            first = max(self.t0, *(o.cycle - b for o, b in zip(orbits, bases)))
+            period = math.lcm(*(o.period for o in orbits))
+            last = first + period - 1
+            self.leave = last + (max_iters - last) % period
+            end = min(end, self.leave + 1)
         return end - self.t
 
 
@@ -762,19 +693,21 @@ def _iterate(
     equal those after max_iters, and stops there.
 
     Rows run in blocks of _FIRST_BLOCK, twice that, ... up to _BLOCK
-    iterates. Each round the orbits that do not yet reach a row's block
-    advance in Python floats (_Row.plan), the new entries get their lane
-    values in one stacked evaluation (_OrbitTable.place), and the blocks'
-    prices, branches and Lagrangian values are gathered from the orbits'
-    entries in numpy, every sum along the contiguous transmitter or user
-    axis; the lowest dual values fold per block. A row whose true branches differ from the assumed ones at
-    some iterate goes back to it, takes the true branches and starts again
-    from blocks of 1. Rows never interact, so every row's numbers are
-    those of iterating it alone.
+    iterates. Each round the orbits that do not yet reach the prices after
+    a row's block advance in Python floats (_Row.plan), the new entries get
+    their lane values in one stacked evaluation (_OrbitTable.place), and the
+    blocks' prices, branches, Lagrangian values and squared price movements
+    are gathered from the orbits' entries in numpy, every sum along the
+    contiguous transmitter or user axis; the lowest dual values fold per
+    block. A row converges at the first iterate whose movement is at most
+    phi, unless its true branches differ from the assumed ones at or before
+    that iterate: then it goes back to the first that differs, takes the
+    true branches and starts again from blocks of 1. Rows never interact,
+    so every row's numbers are those of iterating it alone.
     """
     n_rows = len(respond.rate)
     k, n1 = respond.k, respond.n1
-    table = _OrbitTable(respond, float(step), float(phi), max_iters)
+    table = _OrbitTable(respond, float(step), max_iters)
     detect = not keep_iterates
     connect = respond(start[None, :].repeat(n_rows, axis=0))[0]
     rows = [_Row(r) for r in range(n_rows)]
@@ -800,27 +733,37 @@ def _iterate(
             expected.append(row.code * n)
             total += n
         where = np.array(starts + cycles + periods).reshape(3, -1, n1).repeat(counts, axis=1)
-        entry = where[0] + table.steps[:total]
-        if max(periods) > 1:
-            entry -= np.maximum(entry - where[1], 0) // where[2] * where[2]
-        else:
-            # a cycle of period 1 holds its price
-            np.minimum(entry, where[1], out=entry)
-        prices = table.price[entry]
+        entry = where[0] + table.steps[:, :total]
+        entry -= np.maximum(entry - where[1], 0) // where[2] * where[2]
+        prices, after = table.price[entry]
+        moved = after - prices
         # take, unlike [:, index], returns C order, so every row below is
         # contiguous and sums as a lone row does
-        lanes = table.value[entry.take(respond.price_index, axis=1), lane_user]
+        movement = np.add.reduce(moved * moved, axis=1)
+        lanes = table.value[entry[0].take(respond.price_index, axis=1), lane_user]
         macro, femto = lanes[:, :k], lanes[:, k:]
         branches = macro >= femto
         values = np.where(branches, macro, femto)
         dual = np.add.reduce(values, axis=1) + np.add.reduce(prices, axis=1)
         lowest = np.minimum.reduceat(dual, firsts).tolist()
+        # per row, how far into its block the first iterate lies whose
+        # movement is at most phi (n or more if there is none)
+        quiet = np.append(np.flatnonzero(movement <= phi), total)
+        settles = (quiet[np.searchsorted(quiet, firsts)] - firsts).tolist()
         code = branches.tobytes()
         same = code == b"".join(expected)
-        for row, a, n, low, block in zip(live, firsts, counts, lowest, expected):
+        for row, a, n, c, low, block in zip(live, firsts, counts, settles, lowest, expected):
+            m = n
             if not same and code[a * k : (a + n) * k] != block:
-                # the iterates before the first switch stand
                 m = next(i for i in range(n) if code[(a + i) * k : (a + i + 1) * k] != row.code)
+            if c < m:
+                # the movement out of iterate t + c is that of the true
+                # branches, so the row converges there
+                n = c + 1
+                row.converged = True
+                low = float(dual[a : a + n].min())
+            elif m < n:
+                # the iterates before the first switch stand
                 if m:
                     row.dual = min(row.dual, float(dual[a : a + m].min()))
                     if keep_iterates:
