@@ -746,20 +746,20 @@ def _iterate(
         values = np.where(branches, macro, femto)
         dual = np.add.reduce(values, axis=1) + np.add.reduce(prices, axis=1)
         lowest = np.minimum.reduceat(dual, firsts).tolist()
-        # per row, how far into its block the first iterate lies whose
-        # movement is at most phi (n or more if there is none)
-        quiet = np.append(np.flatnonzero(movement <= phi), total)
-        settles = (quiet[np.searchsorted(quiet, firsts)] - firsts).tolist()
+        # per row, the stack index of the first iterate in its block whose
+        # movement is at most phi, or total if there is none
+        quiet = np.where(movement <= phi, table.steps[0, :total, 0], total)
+        settles = np.minimum.reduceat(quiet, firsts).tolist()
         code = branches.tobytes()
         same = code == b"".join(expected)
         for row, a, n, c, low, block in zip(live, firsts, counts, settles, lowest, expected):
             m = n
             if not same and code[a * k : (a + n) * k] != block:
                 m = next(i for i in range(n) if code[(a + i) * k : (a + i + 1) * k] != row.code)
-            if c < m:
-                # the movement out of iterate t + c is that of the true
+            if c - a < m:
+                # the movement out of iterate t + c - a is that of the true
                 # branches, so the row converges there
-                n = c + 1
+                n = c - a + 1
                 row.converged = True
                 low = float(dual[a : a + n].min())
             elif m < n:
