@@ -737,9 +737,9 @@ def _iterate(
         entry -= np.maximum(entry - where[1], 0) // where[2] * where[2]
         prices, after = table.price[entry]
         moved = after - prices
+        movement = np.add.reduce(moved * moved, axis=1)
         # take, unlike [:, index], returns C order, so every row below is
         # contiguous and sums as a lone row does
-        movement = np.add.reduce(moved * moved, axis=1)
         lanes = table.value[entry[0].take(respond.price_index, axis=1), lane_user]
         macro, femto = lanes[:, :k], lanes[:, k:]
         branches = macro >= femto
