@@ -141,6 +141,38 @@ def _lane_values(pbar, w, rate, offset, unpaid, price):
     return rho, pbar * np.log(w + rho * rate) - price * rho
 
 
+class _Slot:
+    """What every stacked solve of one slot problem shares: the lanes'
+    constants that do not depend on the channel counts, and a pool-share
+    memo.
+
+    Lanes run macro first, then femto, one per user on each side. The memo
+    maps a pool, keyed by its transmitter, its members' positions and their
+    rates, to its waterfilled shares. With pbar and w fixed by the problem,
+    a pool's shares are a pure function of those rates, so no pool is
+    waterfilled twice while the object lives: solve_noninterfering_batch
+    builds one per call, AllocationValue one per greedy slot, and nothing
+    is shared across slots.
+    """
+
+    def __init__(self, problem: SlotProblem):
+        self.problem = problem
+        k = self.k = problem.num_users
+        self.n1 = problem.n_fbs + 1
+        self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
+        # the user of each lane
+        self.lane_user = np.arange(2 * k) % k
+        self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
+        self.w = np.concatenate([problem.w_minus, problem.w_minus])
+        # the same constants as Python values, for the Python loops
+        self.assoc = assoc = problem.assoc.tolist()
+        self.users = [list(range(k))]
+        self.users += [[j for j in range(k) if assoc[j] == s] for s in range(1, self.n1)]
+        self.lane_pbar = self.pbar.tolist()
+        self.rate_mbs = problem.rate_mbs.tolist()
+        self.pools = {}
+
+
 class _Responder:
     """Every user's best response to a stack of price rows, for fixed
     per-user expected channel counts g_user with one row per price row.
@@ -155,23 +187,22 @@ class _Responder:
     side by side on the last axis (macro first), so the price-independent
     terms are computed once per stack.
 
-    __call__ and load are the reference route of an iterate; the price
-    iteration takes its first branches from __call__, and checks the later
-    ones and takes its Lagrangian values from __call__'s elementwise
-    formula (_lane_values), evaluated once per orbit entry.
+    __call__ and load are the reference route of an iterate, which the
+    tests and a traced solve's repaired iterates run. The price iteration
+    only takes the lanes: it checks branches and takes Lagrangian values
+    from __call__'s elementwise formula (_lane_values), evaluated once per
+    orbit entry.
     """
 
-    def __init__(self, problem: SlotProblem, g_user):
-        k = g_user.shape[1]
-        self.k = k
-        self.n1 = problem.n_fbs + 1
-        self.assoc = problem.assoc
-        self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
-        self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
-        self.w = np.concatenate([problem.w_minus, problem.w_minus])
-        self.rate = np.concatenate(
-            np.broadcast_arrays(problem.rate_mbs, problem.rate_fbs * g_user), axis=-1
-        )
+    def __init__(self, slot: _Slot, g_user):
+        problem = slot.problem
+        self.slot = slot
+        k = self.k = slot.k
+        self.n1, self.assoc = slot.n1, problem.assoc
+        self.price_index, self.pbar, self.w = slot.price_index, slot.pbar, slot.w
+        self.rate = np.empty((len(g_user), 2 * k))
+        self.rate[:, :k] = problem.rate_mbs
+        np.multiply(problem.rate_fbs, g_user, out=self.rate[:, k:])
         self.unpaid = ~(self.rate > 0)
         # every offset is finite, so no lane computes inf - inf: zero-rate
         # lanes get 0 (their share is zeroed after clipping), and where a
@@ -339,50 +370,67 @@ def _bisect_pools(pbar, w, rate):
 
 def _pool_shares(pools) -> list:
     """Optimal shares for each pool in a list of (pbar, w, rate) member
-    arrays; members with zero rate get nothing. Pools with the same number
-    of positive-rate members are bisected as one stack. They are never
-    padded to a common size: numpy sums 8 or more entries pairwise, so an
-    inert member would change the rounding of a pool's sums."""
-    shares = [np.zeros_like(w) for _, w, _ in pools]
+    sequences, as arrays; members with zero rate get nothing. Pools with
+    the same number of positive-rate members are bisected as one stack.
+    They are never padded to a common size: numpy sums 8 or more entries
+    pairwise, so an inert member would change the rounding of a pool's
+    sums."""
+    shares = [np.zeros(len(w)) for _, w, _ in pools]
     by_size = {}
     for j, (_, _, rate) in enumerate(pools):
-        pos = rate > 0
-        if pos.any():
-            by_size.setdefault(int(pos.sum()), []).append((j, pos))
+        pos = [i for i, r in enumerate(rate) if r > 0]
+        if pos:
+            by_size.setdefault(len(pos), []).append((j, pos))
     for group in by_size.values():
-        pbar, w, rate = (np.array([pools[j][a][pos] for j, pos in group]) for a in range(3))
+        pbar, w, rate = (
+            np.array([[pools[j][a][i] for i in pos] for j, pos in group]) for a in range(3)
+        )
         for (j, pos), filled in zip(group, _bisect_pools(pbar, w, rate)):
             shares[j][pos] = filled
     return shares
 
 
-def _refill_patterns(problem: SlotProblem, g_user, patterns):
+def _refill_patterns(slot: _Slot, g_user, patterns):
     """Best feasible shares for each row of a (N, K) stack of branch
     patterns, the pattern in row n under the channel counts in row n of
-    g_user: waterfill each transmitter's pool independently. Pools are
-    keyed by transmitter, members and their rates, so patterns and channel
-    vectors that share a pool fill it once."""
-    rf = problem.rate_fbs * g_user
-    station = np.where(patterns, 0, problem.assoc)
-    index, pools, placed = {}, [], []
-    for n, row in enumerate(station):
-        for s in range(problem.n_fbs + 1):
-            members = row == s
-            if not members.any():
-                continue
-            pbar, rate = (
-                (problem.pbar_mbs, problem.rate_mbs) if s == 0 else (problem.pbar_fbs, rf[n])
-            )
-            key = (s, members.tobytes(), rate[members].tobytes())
-            if key not in index:
-                index[key] = len(pools)
-                pools.append((pbar[members], problem.w_minus[members], rate[members]))
-            placed.append((n, s, members, index[key]))
-    shares = _pool_shares(pools)
-    rho = np.zeros((2,) + patterns.shape)
-    for n, s, members, j in placed:
-        rho[int(s > 0), n, members] = shares[j]
-    return rho[0], rho[1]
+    g_user: waterfill each transmitter's pool independently. Each pool is
+    looked up in slot's memo, keyed by transmitter, members and their rates
+    (a 0.0 and a -0.0 rate share a key, and both take nothing), so patterns,
+    channel vectors and solves of the slot that share a pool fill it once;
+    the pools not found there are filled together."""
+    memo, assoc, k = slot.pools, slot.assoc, slot.k
+    rate_fbs = (slot.problem.rate_fbs * g_user).tolist()
+    placed, fresh = [], {}
+    for row, rf in zip(patterns.tolist(), rate_fbs):
+        members = [[] for _ in range(slot.n1)]
+        for j, macro in enumerate(row):
+            members[0 if macro else assoc[j]].append(j)
+        keys = []
+        for s, users in enumerate(members):
+            if users:
+                rate = rf if s else slot.rate_mbs
+                key = (s, tuple(users), tuple([rate[j] for j in users]))
+                if key not in memo:
+                    fresh[key] = None
+                keys.append(key)
+        placed.append(keys)
+    if fresh:
+        pbar, w = slot.lane_pbar, slot.problem.w_minus.tolist()
+        pools = [
+            ([pbar[(s > 0) * k + j] for j in users], [w[j] for j in users], rates)
+            for s, users, rates in fresh
+        ]
+        for key, shares in zip(fresh, _pool_shares(pools)):
+            memo[key] = shares.tolist()
+    rho = []
+    for keys in placed:
+        shares = [0.0] * k
+        for key in keys:
+            for j, x in zip(key[1], memo[key]):
+                shares[j] = x
+        rho.append(shares)
+    rho = np.array(rho)
+    return np.where(patterns, rho, 0.0), np.where(patterns, 0.0, rho)
 
 
 def init_prices(problem: SlotProblem) -> np.ndarray:
@@ -501,20 +549,20 @@ class _OrbitTable:
     twice its size when full, so a row's prices and lane values over a run
     of iterates are one gather. value[i] holds, for each user j, the
     Lagrangian value of j's lane on entry i's transmitter (macro or femto)
-    at entry i's price, as __call__ computes it; each distinct price of an
-    orbit is evaluated once, in one stacked evaluation per round.
+    at entry i's price, as __call__ computes it. The start entries take
+    theirs from the solve's first branch evaluation (place_starts); every
+    later distinct price of an orbit is evaluated once, in one stacked
+    evaluation per round (place).
     """
 
     def __init__(self, respond, step, max_iters):
         self.step = step
-        k, n1 = respond.k, respond.n1
+        slot = respond.slot
+        k, n1 = slot.k, slot.n1
         n_rows = len(respond.rate)
-        self.k = k
-        self.assoc = assoc = respond.assoc.tolist()
-        self.users = [list(range(k))]
-        self.users += [[j for j in range(k) if assoc[j] == s] for s in range(1, n1)]
-        self.pbar, self.offset = respond.pbar.tolist(), respond.offset.tolist()
-        self.unpaid = respond.unpaid.tolist()
+        self.k, self.assoc, self.users, self.pbar = k, slot.assoc, slot.users, slot.lane_pbar
+        self.price_index, self.lane_user = slot.price_index, slot.lane_user
+        self.offset, self.unpaid = respond.offset.tolist(), respond.unpaid.tolist()
         # rows whose lanes on a transmitter have the same rates share its
         # orbits: with pbar and w, the rate fixes the lane's offset and
         # whether it is paid (the macro lane 0, the same in every row, is
@@ -543,11 +591,11 @@ class _OrbitTable:
         self.steps = np.arange(n_rows * _BLOCK)[:, None] + np.arange(2)[:, None, None]
 
     def members(self, r, connect) -> list:
-        """Per transmitter, the paid users that the boolean branch pattern
-        connect puts on it in row r."""
+        """Per transmitter, the paid users that the branch pattern connect,
+        a list of bools, puts on it in row r."""
         k, unpaid, assoc = self.k, self.unpaid[r], self.assoc
         members = [[] for _ in self.users]
-        for j, macro in enumerate(connect.tolist()):
+        for j, macro in enumerate(connect):
             if macro:
                 if not unpaid[j]:
                     members[0].append(j)
@@ -576,6 +624,22 @@ class _OrbitTable:
                 setattr(self, name, new)
         return base
 
+    def place_starts(self, value):
+        """Put the start entry of every orbit so far in the arrays, with
+        its lane values taken from value, the (B, 2K) lane values of the
+        stack at the start prices: those of the orbit's side of the row
+        that made it. On a femto's entry only its own users' columns are
+        ever gathered, so the others may hold values at other prices."""
+        orbits = list(self.orbits.values())
+        cap = self.first_cap
+        base = self._reserve(len(orbits) * cap)
+        for i, orbit in enumerate(orbits):
+            orbit.base, orbit.cap, orbit.placed = base + i * cap, cap, 1
+        at = [orbit.base for orbit in orbits]
+        self.price[at] = [orbit.prices[0] for orbit in orbits]
+        sides = [int(orbit.station > 0) for orbit in orbits]
+        self.value[at] = value.reshape(-1, 2, self.k)[[orbit.row for orbit in orbits], sides]
+
     def place(self):
         """Put the orbits' new entries in the arrays, with their lane
         values computed in one stacked evaluation."""
@@ -601,6 +665,18 @@ class _OrbitTable:
             price = np.repeat(price, self.k).reshape(-1, self.k)
             self.value[at] = _lane_values(pbar, w, rate, offset, unpaid, price)[1]
 
+    def lagrangian(self, entry, prices):
+        """Branches, shape (N, K), and Lagrangian values, shape (N,), of
+        the (N, n1) price rows prices, whose entries in the arrays are
+        entry."""
+        # take, unlike [:, index], returns C order, so every row below is
+        # contiguous and sums as a lone row does
+        lanes = self.value[entry.take(self.price_index, axis=1), self.lane_user]
+        macro, femto = lanes[:, : self.k], lanes[:, self.k :]
+        branches = macro >= femto
+        values = np.where(branches, macro, femto)
+        return branches, np.add.reduce(values, axis=1) + np.add.reduce(prices, axis=1)
+
 
 class _Row:
     """One row of the price iteration: its next iterate t, its branch
@@ -623,10 +699,11 @@ class _Row:
         return [o.prices[o.index(b + t)] for o, b in zip(self.orbits, self.bases)]
 
     def assume(self, table, connect, prices):
-        """Take the boolean branch pattern connect from iterate t on, whose
-        input prices are prices; a transmitter whose paid members stay
-        keeps its orbit."""
-        self.code = connect.tobytes()
+        """Take the branch pattern connect, a list of bools, from iterate t
+        on, whose input prices are prices; a transmitter whose paid members
+        stay keeps its orbit."""
+        # the bytes of a numpy bool row
+        self.code = bytes(connect)
         self.t0 = self.t
         # the iterate the row leaves at, once its orbits have all repeated
         self.leave = None
@@ -678,10 +755,12 @@ def _iterate(
     """Projected gradient price iteration on every row of respond's stack.
 
     A row stops once its squared price movement drops to phi. Returns
-    per-row iteration counts, converged flags, last prices and lowest dual
-    values; per row, its branch patterns in order of first appearance (as
-    dict keys); and, with keep_iterates, per row its prices at iterates 1,
-    2, ... as the rows of one array.
+    per-row iteration counts, converged flags, last prices, lowest dual
+    values over its iterates and the Lagrangian value at its last prices;
+    per row, the branch patterns of its iterates in order of first
+    appearance, then that at its last prices (as dict keys); and, with
+    keep_iterates, per row its prices at iterates 1, 2, ... as the rows of
+    one array.
 
     Under a fixed branch pattern each transmitter's price moves on its own
     load alone, so a row advances as one orbit per transmitter (_Orbit),
@@ -704,17 +783,29 @@ def _iterate(
     that iterate: then it goes back to the first that differs, takes the
     true branches and starts again from blocks of 1. Rows never interact,
     so every row's numbers are those of iterating it alone.
+
+    Nothing is evaluated twice: the first branches come from one stacked
+    evaluation of every lane at its start price, whose values become the
+    orbits' start entries, and a row's last branches and Lagrangian value
+    are gathered from the entries of its last prices, which its last block
+    placed.
     """
     n_rows = len(respond.rate)
     k, n1 = respond.k, respond.n1
     table = _OrbitTable(respond, float(step), max_iters)
     detect = not keep_iterates
-    connect = respond(start[None, :].repeat(n_rows, axis=0))[0]
+    # the first branches, from every lane's value at its start price; these
+    # are the lane values of the orbits' start entries too
+    price = start.take(respond.price_index)
+    lanes = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
+    value = _lane_values(*lanes, price)[1]
     rows = [_Row(r) for r in range(n_rows)]
-    for row in rows:
-        row.assume(table, connect[row.index], start.tolist())
-    # the user of each lane: every user's macro lane, then its femto lane
-    lane_user = np.arange(2 * k) % k
+    start_prices = start.tolist()
+    for row, connect in zip(rows, (value[:, :k] >= value[:, k:]).tolist()):
+        row.assume(table, connect, start_prices)
+    table.place_starts(value)
+    # per row, the entries of its last prices
+    last = np.empty((n_rows, n1), dtype=np.int64)
     live = rows
     while live:
         counts = [row.plan(table, max_iters, detect) for row in live]
@@ -738,13 +829,7 @@ def _iterate(
         prices, after = table.price[entry]
         moved = after - prices
         movement = np.add.reduce(moved * moved, axis=1)
-        # take, unlike [:, index], returns C order, so every row below is
-        # contiguous and sums as a lone row does
-        lanes = table.value[entry[0].take(respond.price_index, axis=1), lane_user]
-        macro, femto = lanes[:, :k], lanes[:, k:]
-        branches = macro >= femto
-        values = np.where(branches, macro, femto)
-        dual = np.add.reduce(values, axis=1) + np.add.reduce(prices, axis=1)
+        branches, dual = table.lagrangian(entry[0], prices)
         lowest = np.minimum.reduceat(dual, firsts).tolist()
         # per row, the stack index of the first iterate in its block whose
         # movement is at most phi, or total if there is none
@@ -752,6 +837,7 @@ def _iterate(
         settles = np.minimum.reduceat(quiet, firsts).tolist()
         code = branches.tobytes()
         same = code == b"".join(expected)
+        leaving, ends = [], []
         for row, a, n, c, low, block in zip(live, firsts, counts, settles, lowest, expected):
             m = n
             if not same and code[a * k : (a + n) * k] != block:
@@ -770,7 +856,7 @@ def _iterate(
                         row.trail.append(prices[a : a + m])
                 row.t += m
                 row.length = 1
-                row.assume(table, branches[a + m], row.prices(row.t))
+                row.assume(table, branches[a + m].tolist(), row.prices(row.t))
                 continue
             row.dual = min(row.dual, low)
             if keep_iterates:
@@ -778,24 +864,115 @@ def _iterate(
             row.t += n
             row.length = min(2 * row.length, _BLOCK)
             row.left = row.converged or row.t - 1 in (max_iters, row.leave)
+            if row.left:
+                # the prices after the row's last iterate
+                leaving.append(row.index)
+                ends.append(a + n - 1)
+        if leaving:
+            last[leaving] = entry[1][ends]
         live = [row for row in live if not row.left]
+    last_prices = table.price[last]
+    branches, last_dual = table.lagrangian(last, last_prices)
+    code = branches.tobytes()
+    for row in rows:
+        row.seen.setdefault(code[row.index * k : (row.index + 1) * k])
     return (
         np.array([row.t - 1 if row.converged else max_iters for row in rows]),
         np.array([row.converged for row in rows]),
-        np.array([row.prices(row.t) for row in rows]),
+        last_prices,
         np.array([row.dual for row in rows]),
+        last_dual,
         [row.seen for row in rows],
         [np.concatenate(row.trail) if row.trail else np.zeros((0, n1)) for row in rows],
     )
 
 
-def _repaired_iterates(problem: SlotProblem, g_user, iterate_prices):
+def _repaired_iterates(slot: _Slot, g_user, iterate_prices):
     """Objectives of the repaired iterates at the rows of iterate_prices,
     under one row of per-user channel counts."""
-    replay = _Responder(problem, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
+    problem = slot.problem
+    replay = _Responder(slot, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
     connect, rho0, rhof, _ = replay(iterate_prices)
     rho0, rhof = _repaired(rho0, rhof, replay.load(rho0, rhof), problem.assoc)
     return _objective(problem, g_user, connect, rho0, rhof)
+
+
+def _solve_stack(slot: _Slot, gis, prices_init, step, phi, max_iters, record_trace=False):
+    """The price iteration and primal recovery of solve_noninterfering_batch
+    on slot's problem. Returns, per row: its best objective (a list of
+    floats); its last prices, dual value, iteration count and converged
+    flag (arrays); the index of its chosen candidate (a list) into the
+    stacked (connect, rho_mbs, rho_fbs) candidates, which come next; and
+    its trace, None untraced. None for an empty stack. Pools are
+    waterfilled through slot's memo."""
+    problem = slot.problem
+    # written so that NaN fails each check
+    if not 0 < step < math.inf:
+        raise ValueError("step size must be positive and finite")
+    if not phi >= 0:
+        raise ValueError("phi cannot be negative")
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
+    gis = np.asarray(gis, dtype=float)
+    if gis.ndim != 2 or gis.shape[1] != problem.n_fbs:
+        raise ValueError("gis must hold one channel vector per femto station in each row")
+    start = (
+        np.ones(problem.n_fbs + 1)
+        if prices_init is None
+        else np.array(prices_init, dtype=float)
+    )
+    if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
+        raise ValueError("prices_init must be a nonnegative finite price per transmitter")
+    if not len(gis):
+        return None
+    if not (gis.min() >= 0 and gis.max() < math.inf):
+        raise ValueError("expected channel counts must be nonnegative and finite")
+    g_user = np.take(gis, problem.assoc - 1, axis=1)
+
+    respond = _Responder(slot, g_user)
+    iterations, converged, last_prices, best_dual, last_dual, seen, iterates = _iterate(
+        respond, start, step, phi, max_iters, keep_iterates=record_trace
+    )
+    dual = np.minimum(best_dual, last_dual)
+
+    # primal recovery: the dual iteration fixes each visited branch pattern,
+    # and the continuous inner problem for a fixed pattern splits into
+    # independent per-transmitter waterfilling problems solved exactly
+    n_rows = len(gis)
+    counts = [len(patterns) for patterns in seen]
+    patterns = np.frombuffer(b"".join(b"".join(patterns) for patterns in seen), dtype=bool)
+    patterns = patterns.reshape(-1, slot.k)
+    owner = np.repeat(np.arange(n_rows), counts)
+    # primal polish: the returned point is the best feasible point known,
+    # so a finite stopping tolerance never leaves it below a baseline
+    stack = [
+        (patterns, *_refill_patterns(slot, g_user[owner], patterns)),
+        _equal_split(problem, g_user),
+        _best_link(problem, g_user),
+    ]
+    # a stable sort by row puts each row's candidates side by side, in order:
+    # refilled patterns, equal split, best link
+    owner = np.concatenate([owner, np.arange(n_rows), np.arange(n_rows)])
+    order = np.argsort(owner, kind="stable")
+    candidates = tuple(np.concatenate(part)[order] for part in zip(*stack))
+    scores = _objective(problem, g_user[owner[order]], *candidates).tolist()
+    objective, chosen, end = [], [], 0
+    for count in counts:
+        mine = scores[end : end + count + 2]
+        # max, like argmax, keeps the first of equal objectives, in the
+        # order refilled patterns, equal split, best link
+        best = max(mine)
+        objective.append(best)
+        chosen.append(end + mine.index(best))
+        end += count + 2
+    traces = [None] * n_rows
+    if record_trace:
+        for r, prices in enumerate(iterates):
+            traced = _repaired_iterates(slot, g_user[r], prices)
+            traces[r] = [
+                (i, p.copy(), float(obj)) for i, (p, obj) in enumerate(zip(prices, traced), 1)
+            ]
+    return objective, last_prices, dual, iterations, converged, chosen, candidates, traces
 
 
 def solve_noninterfering_batch(
@@ -818,95 +995,36 @@ def solve_noninterfering_batch(
     another row, and every sum runs over one row, so each row's numbers
     are exactly those of solving it alone. An empty stack gives an empty
     list; channel counts must be nonnegative and finite. The returned
-    schedule is the best
-    feasible point known: every visited branch pattern refilled exactly,
-    and the two heuristics. A traced solve records the repaired iterates'
-    objectives in its trace but never picks from them, so tracing leaves
-    the schedule, and every later slot, as it is. Rows that hit max_iters
-    are flagged converged=False.
+    schedule is the best feasible point known: every visited branch pattern
+    refilled exactly, and the two heuristics. A traced solve records the
+    repaired iterates' objectives in its trace but never picks from them,
+    so tracing leaves the schedule, and every later slot, as it is. Rows
+    that hit max_iters are flagged converged=False.
+
+    This is a wrapper: the stack solve (_solve_stack) runs on a fresh
+    _Slot, so its pool-share memo lives for this call, and the arrays it
+    returns become the ScheduleSolutions. AllocationValue runs the same
+    stack solve on a slot of its own and reads the arrays directly.
     """
-    # written so that NaN fails each check
-    if not 0 < step < math.inf:
-        raise ValueError("step size must be positive and finite")
-    if not phi >= 0:
-        raise ValueError("phi cannot be negative")
-    if max_iters < 1:
-        raise ValueError("need at least one iteration")
-    gis = np.asarray(gis, dtype=float)
-    if gis.ndim != 2 or gis.shape[1] != problem.n_fbs:
-        raise ValueError("gis must hold one channel vector per femto station in each row")
-    start = (
-        np.ones(problem.n_fbs + 1)
-        if prices_init is None
-        else np.array(prices_init, dtype=float)
-    )
-    if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
-        raise ValueError("prices_init must be a nonnegative finite price per transmitter")
-    if not len(gis):
+    solved = _solve_stack(_Slot(problem), gis, prices_init, step, phi, max_iters, record_trace)
+    if solved is None:
         return []
-    if not (gis.min() >= 0 and gis.max() < math.inf):
-        raise ValueError("expected channel counts must be nonnegative and finite")
-    g_user = np.take(gis, problem.assoc - 1, axis=1)
-
-    respond = _Responder(problem, g_user)
-    iterations, converged, last_prices, best_dual, first_seen, iterates = _iterate(
-        respond, start, step, phi, max_iters, keep_iterates=record_trace
-    )
-    connect, _, _, values = respond(last_prices)
-    dual = np.minimum(best_dual, values.sum(axis=1) + last_prices.sum(axis=1))
-
-    # primal recovery: the dual iteration fixes each visited branch pattern,
-    # and the continuous inner problem for a fixed pattern splits into
-    # independent per-transmitter waterfilling problems solved exactly
-    n_rows = len(gis)
-    for r, seen in enumerate(first_seen):
-        seen.setdefault(connect[r].tobytes())
-    counts = [len(seen) for seen in first_seen]
-    patterns = np.frombuffer(b"".join(b"".join(seen) for seen in first_seen), dtype=bool)
-    patterns = patterns.reshape(-1, problem.num_users)
-    owner = np.repeat(np.arange(n_rows), counts)
-    # primal polish: the returned point is the best feasible point known,
-    # so a finite stopping tolerance never leaves it below a baseline
-    stack = [
-        (patterns, *_refill_patterns(problem, g_user[owner], patterns)),
-        _equal_split(problem, g_user),
-        _best_link(problem, g_user),
-    ]
-    # a stable sort by row puts each row's candidates side by side, in order:
-    # refilled patterns, equal split, best link
-    owner = np.concatenate([owner, np.arange(n_rows), np.arange(n_rows)])
-    order = np.argsort(owner, kind="stable")
-    connect_all, rho0_all, rhof_all = (np.concatenate(part)[order] for part in zip(*stack))
-    scores = _objective(problem, g_user[owner[order]], connect_all, rho0_all, rhof_all)
-    bounds = np.cumsum([0] + [count + 2 for count in counts])
-
+    objective, prices, dual, iterations, converged, chosen, candidates, traces = solved
+    connect, rho_mbs, rho_fbs = candidates
     solutions = []
-    for r in range(n_rows):
-        mine = slice(bounds[r], bounds[r + 1])
-        cand = (connect_all[mine], rho0_all[mine], rhof_all[mine], scores[mine])
-        trace = None
-        if record_trace:
-            traced = _repaired_iterates(problem, g_user[r], iterates[r])
-            trace = [
-                (i, p.copy(), float(obj)) for i, (p, obj) in enumerate(zip(iterates[r], traced), 1)
-            ]
-        # argmax keeps the first of equal objectives, in the order refilled
-        # patterns, equal split, best link
-        k = int(np.argmax(cand[3]))
-        objective = float(cand[3][k])
-        d = float(dual[r])
+    for r, (c, d) in enumerate(zip(chosen, dual.tolist())):
         solutions.append(
             ScheduleSolution(
-                connect_mbs=cand[0][k].copy(),
-                rho_mbs=cand[1][k].copy(),
-                rho_fbs=cand[2][k].copy(),
-                objective=objective,
+                connect_mbs=connect[c].copy(),
+                rho_mbs=rho_mbs[c].copy(),
+                rho_fbs=rho_fbs[c].copy(),
+                objective=objective[r],
                 dual_value=d,
-                duality_gap=abs(d - objective) / max(abs(d), 1e-12),
+                duality_gap=abs(d - objective[r]) / max(abs(d), 1e-12),
                 iterations=int(iterations[r]),
                 converged=bool(converged[r]),
-                prices=last_prices[r].copy(),
-                trace=trace,
+                prices=prices[r].copy(),
+                trace=traces[r],
             )
         )
     return solutions
@@ -1080,10 +1198,14 @@ class AllocationValue:
     Evaluations run the price iteration at a configurable budget and are
     memoized by the per-femto expected-channel vector; candidate solves warm
     start from the allocation they extend, and a batch of candidates is
-    solved as the rows of one solve_noninterfering_batch. The candidates
-    differ in one femto's channels, so their rows share the price orbits of
-    every other transmitter, and their branch checks run in one stacked
-    evaluation per round. A custom solver callable
+    solved as the rows of one stack solve, the one solve_noninterfering_batch
+    wraps. The candidates differ in one femto's channels, so their rows
+    share the price orbits of every other transmitter, and their branch
+    checks run in one stacked evaluation per round. Every solve runs on one
+    _Slot built here, so the slot's lane constants are set up once and its
+    pool-share memo waterfills each pool once for the life of this object,
+    one greedy slot; objectives and prices are read from the stack solve's
+    arrays, without building schedules. A custom solver callable
     (problem, gi, prices_init) -> (objective, prices_or_None) replaces the
     price iteration, e.g. with an exact enumeration on tiny instances, and
     is called once per fresh vector.
@@ -1102,6 +1224,7 @@ class AllocationValue:
         self.phi = phi
         self.max_iters = max_iters
         self._solver = solver
+        self._slot = _Slot(problem)
         self._cache = {}
         zero = np.zeros(problem.n_fbs)
         [(self.baseline, prices)] = self._solve(zero[None, :], None)
@@ -1111,15 +1234,10 @@ class AllocationValue:
         """(objective, prices) for each row of gis."""
         if self._solver is not None:
             return [self._solver(self.problem, gi, prices_init) for gi in gis]
-        sols = solve_noninterfering_batch(
-            self.problem,
-            gis,
-            prices_init=prices_init,
-            step=self.step,
-            phi=self.phi,
-            max_iters=self.max_iters,
-        )
-        return [(sol.objective, sol.prices) for sol in sols]
+        objective, prices = _solve_stack(
+            self._slot, gis, prices_init, self.step, self.phi, self.max_iters
+        )[:2]
+        return zip(objective, prices)
 
     def improvements(self, gis, warm_key=None) -> list:
         """Improvement of each expected-channel vector in gis; the vectors
