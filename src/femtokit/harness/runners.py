@@ -250,10 +250,7 @@ def _stream_instance(cfg: StreamConfig, seed, sweep, emit_trace) -> list:
         decision = _access(p_idle, true_states, policy, rng_access, tally)
         gi = _allocate(cfg, template, states["proposed"].psnr, decision, p_idle, graph, tally)
         record_trace = emit_trace and t == 0
-        solutions = {
-            name: _schedule(cfg, template, name, t, states[name].psnr, gi, tally, record_trace)
-            for name in ALGORITHMS
-        }
+        solutions = _schedule(cfg, template, t, states["proposed"].psnr, gi, tally, record_trace)
         _deliver(cfg, template, states, solutions, gi, rng_delivery, window_bits)
         if (t + 1) % cfg.window_slots == 0:
             _close_window(cfg, t, states, window_bits, window_sums)
@@ -303,17 +300,17 @@ def _allocate(cfg, template, psnr, decision, p_idle, graph, tally) -> np.ndarray
     return alloc.gi()
 
 
-def _schedule(cfg, template, name, t, psnr, gi, tally, record_trace):
-    """Schedule: one algorithm's time shares for slot t.
+def _schedule(cfg, template, t, psnr, gi, tally, record_trace) -> dict:
+    """Schedule: every algorithm's time shares for slot t, by name.
 
     The proposed scheduler warm-starts from the previous slot's prices, and
-    neither baseline may beat it.
+    neither baseline may beat it on its problem. A baseline's schedule
+    depends on the links, the femto memberships and the channel counts,
+    never on the current quality, so the two rival schedules of that check
+    are also the equal and diversity algorithms' schedules. Their objective
+    is taken under the proposed scheduler's quality, and nothing reads it.
     """
     prob = replace(template, w_minus=psnr.copy(), fbs_gi=gi)
-    if name == "equal":
-        return heuristic_equal(prob)
-    if name == "diversity":
-        return heuristic_diversity(prob)
     sol = solve_noninterfering(
         prob,
         prices_init=tally.warm_prices if tally.warm_prices is not None else init_prices(prob),
@@ -329,13 +326,14 @@ def _schedule(cfg, template, name, t, psnr, gi, tally, record_trace):
     tally.converged += sol.converged
     if record_trace:
         tally.trace = sol.trace
-    for rival in (heuristic_equal(prob), heuristic_diversity(prob)):
+    equal, diversity = heuristic_equal(prob), heuristic_diversity(prob)
+    for rival in (equal, diversity):
         if rival.objective > sol.objective + 1e-9:
             raise HarnessError(
                 f"slot {t}: schedule objective {sol.objective!r} "
                 f"below feasible point {rival.objective!r}"
             )
-    return sol
+    return {"proposed": sol, "equal": equal, "diversity": diversity}
 
 
 def _deliver(cfg, template, states, solutions, gi, rng_delivery, window_bits):
@@ -364,7 +362,8 @@ def _close_window(cfg, t, states, window_bits, window_sums):
             cfg.alpha_db, cfg.beta_db_per_bps, window_bits[name], cfg.max_rate_bps, cfg.window_slots
         )
         drift = float(np.abs(st.psnr - expected).max())
-        if drift > 1e-9:
+        # written so that a NaN drift fails
+        if not drift <= 1e-9:
             raise HarnessError(f"slot {t}: {name} quality drifted {drift!r} from bit ledger")
         st.reset_window()
         window_bits[name][:] = 0.0

@@ -16,16 +16,17 @@ baseline so the greedy trace telescopes exactly.
 
 import math
 import operator
+import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # a transmitter's shares are scaled down once their sum passes 1 + _OVERLOAD_TOL
 _OVERLOAD_TOL = 1e-6
-# bisection steps on a pool's price in _bisect_pools
+# bisection steps on a pool's price in _pool_shares
 _POOL_BISECTIONS = 60
-# prices per pool that each round of _filling_thresholds tests
-_PROBES = 63
+_FLOAT_MAX = sys.float_info.max
 # iterates a row of the price iteration runs between two checks of its
 # branches: a solve's rows start with blocks of _FIRST_BLOCK, a row whose
 # branches switched starts again from 1, and each block that checks out
@@ -168,7 +169,7 @@ class _Slot:
         self.assoc = assoc = problem.assoc.tolist()
         self.users = [list(range(k))]
         self.users += [[j for j in range(k) if assoc[j] == s] for s in range(1, self.n1)]
-        self.lane_pbar = self.pbar.tolist()
+        self.lane_pbar, self.lane_w = self.pbar.tolist(), self.w.tolist()
         self.rate_mbs = problem.rate_mbs.tolist()
         self.pools = {}
 
@@ -276,117 +277,118 @@ def _repaired(rho_mbs, rho_fbs, load, assoc):
     return rho_mbs * scale[:, :1], rho_fbs * np.take(scale, assoc, axis=1)
 
 
-def _clearing_prices(pbar, ratio, offset):
-    """Per pool of a (P, n) stack, the closed-form waterfill price (Boyd &
-    Vandenberghe, Convex Optimization, 5.5.3): sorted by ratio = pbar*rate/w,
-    largest first, the first m members clear the slot at
-    sum pbar / (1 + sum offset), m being the number still above that price."""
-    # add.accumulate and add.reduce are what cumsum and sum run, without
-    # their Python wrappers
-    rows = np.arange(len(pbar))
-    order = np.argsort(-ratio, axis=1, kind="stable")
-    pb, off = pbar[rows[:, None], order], offset[rows[:, None], order]
-    mus = np.add.accumulate(pb, axis=1) / (1.0 + np.add.accumulate(off, axis=1))
-    served = np.add.reduce(pb > mus * off, axis=1)
-    return mus[rows, np.maximum(served - 1, 0)]
+def _clearing_price(pbar, ratio, offset) -> float:
+    """A pool's closed-form waterfill price (Boyd & Vandenberghe, Convex
+    Optimization, 5.5.3): sorted by ratio = pbar*rate/w, largest first, the
+    first m members clear the slot at sum pbar / (1 + sum offset), m being
+    the number still above that price. The sort is stable and the sums run
+    in that order, as numpy's argsort and add.accumulate run them."""
+    cum_pbar = cum_offset = 0.0
+    mus, served = [], 0
+    for i in sorted(range(len(ratio)), key=ratio.__getitem__, reverse=True):
+        cum_pbar += pbar[i]
+        cum_offset += offset[i]
+        mu = cum_pbar / (1.0 + cum_offset)
+        mus.append(mu)
+        served += pbar[i] > mu * offset[i]
+    return mus[max(served - 1, 0)]
 
 
-def _filling_thresholds(pbar, offset, hi, seed):
-    """Per pool of a (P, n) stack, the largest price in (0, hi] whose
-    box-clipped shares fill the slot by _bisect_pools' own test, or 0.0 if
-    none does.
+def _clipped_shares(pbar, offset, price) -> list:
+    """A pool's box-clipped stationary shares clip(pbar/price - offset, 0, 1)
+    at price, in Python floats. A tiny price saturates pbar/price to +inf,
+    which clips to 1."""
+    shares = []
+    for pb, off in zip(pbar, offset):
+        x = pb / price - off
+        shares.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+    return shares
+
+
+_DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
+
+
+def _bits(x: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _float(n: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(n))[0]
+
+
+def _filling_threshold(pbar, offset, hi, seed) -> float:
+    """The largest price in (0, hi] whose clipped shares fill the slot (sum
+    to at least 1), or 0.0 if none does. The shares are summed as numpy
+    sums a pool's row (_pairwise_sum), so a pool of 8 or more members
+    rounds its sum pairwise.
 
     The test is monotone in the price in floating point: pbar/price is
     correctly rounded, then a constant is subtracted, the result clipped and
     summed in a fixed order, and each step preserves order. So the prices
     that fill are exactly the positive floats up to the threshold. Positive
-    floats sort like their int64 bit patterns, so each round tests
-    _PROBES prices of every open pool as one stack and keeps the tightest
-    bracket (a fills, b does not) in bit space, until b is a's successor.
-    The first round probes consecutive floats around seed, the later ones
-    spread their probes evenly over the bracket; seed only sets how many
-    rounds run, never the result."""
+    floats sort like their int64 bit patterns, so the search keeps a bracket
+    (a fills, b does not) in bit space: it gallops from seed, a step of 1,
+    2, 4, ... floats at a time, until a test lands on the other side, then
+    bisects until b is a's successor. seed only sets how many tests run,
+    never the result."""
+
+    def fills(n):
+        return _pairwise_sum(_clipped_shares(pbar, offset, _float(n))) >= 1.0
+
     # 0.0 stands in for "no price fills", and the float after hi is never
     # tested by the bisection, so neither bracket end needs a test
-    a = np.zeros(len(hi), dtype=np.int64)
-    b = hi.view(np.int64) + 1
-    start = np.minimum(np.maximum(seed.view(np.int64), a), b) - _PROBES // 2
-    stride = np.ones_like(a)
-    pools = np.arange(len(hi))
-    # a tiny probe saturates pbar/price to +inf, which clips to 1; the
-    # reductions are the ufunc methods that sum, max and min run
-    with np.errstate(over="ignore"):
-        while pools.size:
-            lo, up = a[pools, None], b[pools, None]
-            probe = start[:, None] + stride[:, None] * np.arange(_PROBES)
-            probe = np.minimum(np.maximum(probe, lo + 1), up - 1)
-            shares = pbar[pools, None, :] / probe.view(float)[:, :, None] - offset[pools, None, :]
-            fill = np.add.reduce(np.minimum(np.maximum(shares, 0.0), 1.0), axis=2) >= 1.0
-            a[pools] = np.maximum.reduce(np.where(fill, probe, lo), axis=1)
-            b[pools] = np.minimum.reduce(np.where(fill, up, probe), axis=1)
-            pools = pools[b[pools] - a[pools] > 1]
-            # (b - a) // (_PROBES + 1) * j stays below b - a, so no probe
-            # overflows int64
-            stride = np.maximum((b[pools] - a[pools]) // (_PROBES + 1), 1)
-            start = a[pools] + stride
-    return a.view(float)
+    a, b = 0, _bits(hi) + 1
+    probe = min(max(_bits(seed), 1), b - 1)
+    up = fills(probe)
+    a, b = (probe, b) if up else (a, probe)
+    stride = 1
+    while b - a > 1:
+        probe = min(a + stride, b - 1) if up else max(b - stride, a + 1)
+        filled = fills(probe)
+        a, b = (probe, b) if filled else (a, probe)
+        if filled != up:
+            break
+        stride *= 2
+    while b - a > 1:
+        probe = (a + b) // 2
+        a, b = (probe, b) if fills(probe) else (a, probe)
+    return _float(a)
 
 
-def _bisect_pools(pbar, w, rate):
-    """Optimal shares for a (P, n) stack of pools, each bound to one
-    transmitter and every rate positive: _POOL_BISECTIONS bisection steps on
-    each pool's price, keeping the half whose box-clipped stationary shares
-    fill the slot, then the shares at the upper end.
+def _pool_shares(pbar, w, rate) -> list:
+    """Optimal shares of one pool's members, from lists of Python floats of
+    their pbar, w and rate; members with zero rate get nothing.
 
-    The steps are replayed in Python floats against each pool's filling
-    threshold (the largest price that fills, see _filling_thresholds):
-    0.5*(lo + hi) rounds as numpy's does, and a price fills exactly when it
-    is at most the threshold, so the result is the stacked numpy bisection's
-    bit for bit. Sums run along the contiguous member axis, so each row's
-    shares are bit for bit those of its pool alone."""
-    # where a subnormal rate overflows w/rate, the largest float still clips
-    # the member's share to 0 at every price the bisection tests, and keeps
-    # the test monotone at the subnormal prices a probe may try
-    with np.errstate(over="ignore"):
-        offset = np.minimum(w / rate, np.finfo(float).max)
-        ratio = pbar * rate / w
-        hi0 = np.max(ratio, axis=1) * 2.0 + 1.0
-        seed = _clearing_prices(pbar, ratio, offset)
-    thresholds = _filling_thresholds(pbar, offset, hi0, seed)
-    his = []
-    for threshold, hi in zip(thresholds.tolist(), hi0.tolist()):
-        lo = 0.0
-        for _ in range(_POOL_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if mid <= threshold:
-                lo = mid
-            else:
-                hi = mid
-        his.append(hi)
+    The shares are defined as _POOL_BISECTIONS bisection steps on the
+    pool's price, keeping the half whose box-clipped stationary shares
+    clip(pbar/price - w/rate, 0, 1) fill the slot, then the shares at the
+    upper end. The steps are replayed against the pool's filling threshold
+    (_filling_threshold, seeded at the closed-form price): a price fills
+    exactly when it is at most the threshold, and 0.5*(lo + hi) rounds as
+    numpy's does, so the shares are those of the bisection in numpy bit for
+    bit."""
+    shares = [0.0] * len(w)
+    pos = [i for i, r in enumerate(rate) if r > 0]
+    if not pos:
+        return shares
+    pb = [pbar[i] for i in pos]
+    # where a subnormal rate overflows w/rate to inf, the largest float
+    # still clips the member's share to 0 at every price
+    offset = [min(w[i] / rate[i], _FLOAT_MAX) for i in pos]
+    ratio = [pbar[i] * rate[i] / w[i] for i in pos]
+    hi = max(ratio) * 2.0 + 1.0
+    threshold = _filling_threshold(pb, offset, hi, _clearing_price(pb, ratio, offset))
+    lo = 0.0
+    for _ in range(_POOL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if mid <= threshold:
+            lo = mid
+        else:
+            hi = mid
     # hi only ever takes prices whose shares sum below 1 (the first hi gives
     # nobody a share), so the shares at hi never overfill the slot
-    return np.minimum(np.maximum(pbar / np.array(his)[:, None] - offset, 0.0), 1.0)
-
-
-def _pool_shares(pools) -> list:
-    """Optimal shares for each pool in a list of (pbar, w, rate) member
-    sequences, as arrays; members with zero rate get nothing. Pools with
-    the same number of positive-rate members are bisected as one stack.
-    They are never padded to a common size: numpy sums 8 or more entries
-    pairwise, so an inert member would change the rounding of a pool's
-    sums."""
-    shares = [np.zeros(len(w)) for _, w, _ in pools]
-    by_size = {}
-    for j, (_, _, rate) in enumerate(pools):
-        pos = [i for i, r in enumerate(rate) if r > 0]
-        if pos:
-            by_size.setdefault(len(pos), []).append((j, pos))
-    for group in by_size.values():
-        pbar, w, rate = (
-            np.array([[pools[j][a][i] for i in pos] for j, pos in group]) for a in range(3)
-        )
-        for (j, pos), filled in zip(group, _bisect_pools(pbar, w, rate)):
-            shares[j][pos] = filled
+    for i, x in zip(pos, _clipped_shares(pb, offset, hi)):
+        shares[i] = x
     return shares
 
 
@@ -396,38 +398,28 @@ def _refill_patterns(slot: _Slot, g_user, patterns):
     g_user: waterfill each transmitter's pool independently. Each pool is
     looked up in slot's memo, keyed by transmitter, members and their rates
     (a 0.0 and a -0.0 rate share a key, and both take nothing), so patterns,
-    channel vectors and solves of the slot that share a pool fill it once;
-    the pools not found there are filled together."""
+    channel vectors and solves of the slot that share a pool fill it once."""
     memo, assoc, k = slot.pools, slot.assoc, slot.k
+    pbar, w = slot.lane_pbar, slot.lane_w
     rate_fbs = (slot.problem.rate_fbs * g_user).tolist()
-    placed, fresh = [], {}
+    rho = []
     for row, rf in zip(patterns.tolist(), rate_fbs):
         members = [[] for _ in range(slot.n1)]
         for j, macro in enumerate(row):
             members[0 if macro else assoc[j]].append(j)
-        keys = []
+        shares = [0.0] * k
         for s, users in enumerate(members):
             if users:
                 rate = rf if s else slot.rate_mbs
                 key = (s, tuple(users), tuple([rate[j] for j in users]))
-                if key not in memo:
-                    fresh[key] = None
-                keys.append(key)
-        placed.append(keys)
-    if fresh:
-        pbar, w = slot.lane_pbar, slot.problem.w_minus.tolist()
-        pools = [
-            ([pbar[(s > 0) * k + j] for j in users], [w[j] for j in users], rates)
-            for s, users, rates in fresh
-        ]
-        for key, shares in zip(fresh, _pool_shares(pools)):
-            memo[key] = shares.tolist()
-    rho = []
-    for keys in placed:
-        shares = [0.0] * k
-        for key in keys:
-            for j, x in zip(key[1], memo[key]):
-                shares[j] = x
+                filled = memo.get(key)
+                if filled is None:
+                    lanes = [(s > 0) * k + j for j in users]
+                    filled = memo[key] = _pool_shares(
+                        [pbar[i] for i in lanes], [w[i] for i in lanes], key[2]
+                    )
+                for j, x in zip(users, filled):
+                    shares[j] = x
         rho.append(shares)
     rho = np.array(rho)
     return np.where(patterns, rho, 0.0), np.where(patterns, 0.0, rho)

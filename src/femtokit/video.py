@@ -99,7 +99,8 @@ def update_psnr(
     rho_mbs = np.asarray(rho_mbs, dtype=float)
     rho_fbs = np.asarray(rho_fbs, dtype=float)
     for name, rho in (("rho_mbs", rho_mbs), ("rho_fbs", rho_fbs)):
-        if np.any(rho < -_SHARE_TOL) or np.any(rho > 1.0 + _SHARE_TOL):
+        # passes only on shares in range, so NaN fails it
+        if not np.all((rho >= -_SHARE_TOL) & (rho <= 1.0 + _SHARE_TOL)):
             raise ValueError(f"{name} must be a time share in [0, 1]")
     gain = np.where(
         connect_mbs,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from femtokit.harness import cli, oracles
+from femtokit.harness import cli, oracles, runners
 from femtokit.harness.cli import main, parse_seeds
 from femtokit.harness.config import (
     MULTICAST_SWEEPS,
@@ -34,7 +34,12 @@ from femtokit.harness.csvio import (
     write_rows,
 )
 from femtokit.harness.oracles import markov_busy_fraction
-from femtokit.harness.runners import multicast_instance, run_multicast, run_streaming
+from femtokit.harness.runners import (
+    HarnessError,
+    multicast_instance,
+    run_multicast,
+    run_streaming,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -408,6 +413,14 @@ class TestRunners:
         rows = run_streaming(cfg, [0])
         iters = [r for r in rows if r.metric == "iterations_mean"]
         assert all(r.value <= 1.0 for r in iters)
+
+    def test_a_nan_bit_ledger_fails_the_window_check(self, monkeypatch):
+        def poisoned(alpha, beta, bits, max_rate, window_slots):
+            return np.full(len(bits), math.nan)
+
+        monkeypatch.setattr(runners, "window_psnr_by_bits", poisoned)
+        with pytest.raises(HarnessError, match="drifted nan"):
+            run_streaming(config_from_dict(dict(STREAM_BASE)), [0])
 
     def test_stationary_fraction_helper(self):
         assert markov_busy_fraction(0.4, 0.3) == pytest.approx(4.0 / 7.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,15 +364,19 @@ def lone_bisection(pbar, w, rate):
 
 
 def far_seed(seed):
-    """A stand-in for the threshold search's closed-form seed: every pool
+    """A stand-in for the threshold search's closed-form seed: the pool
     seeded at its bisection's first upper price ("hi") or at one price."""
 
     def seeds(pbar, ratio, offset):
-        if seed == "hi":
-            return np.max(ratio, axis=1) * 2.0 + 1.0
-        return np.full(len(pbar), seed)
+        return max(ratio) * 2.0 + 1.0 if seed == "hi" else seed
 
     return seeds
+
+
+def pool_shares(*pools):
+    """The fast path's shares of each (pbar, w, rate) pool of arrays, which
+    it takes as lists of Python floats."""
+    return [np.array(scheduler._pool_shares(*(part.tolist() for part in pool))) for pool in pools]
 
 
 class TestWaterfillPool:
@@ -390,61 +395,72 @@ class TestWaterfillPool:
         assert marginal[busy] == pytest.approx(np.full(busy.sum(), mu), rel=1e-12)
         assert np.all(marginal[~busy] <= mu * (1 + 1e-12))
         # the fast path's independent bisection reaches the same optimum
-        [fast] = scheduler._pool_shares([(pbar, w, rate)])
+        [fast] = pool_shares(pool)
         assert value == pytest.approx(float(np.sum(pbar * np.log(w + fast * rate))), abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(stack=pool_stacks())
     def test_each_pool_of_a_mixed_stack_matches_its_lone_bisection(self, stack):
-        shares = scheduler._pool_shares(stack)
-        assert len(shares) == len(stack)
-        for (pbar, w, rate), got in zip(stack, shares):
-            assert bits(got) == bits(scheduler._pool_shares([(pbar, w, rate)])[0])
+        # sizes on both sides of numpy's switch to pairwise sums at 8
+        for (pbar, w, rate), got in zip(stack, pool_shares(*stack)):
             assert bits(got) == bits(lone_bisection(pbar, w, rate))
             # the shares stay below the slot, so the reference's
             # renormalisation never fires
             assert not np.any(rate > 0) or got[rate > 0].sum() < 1.0
 
+    @pytest.mark.parametrize("seed", [2, 27])
+    def test_a_large_pool_sums_its_shares_as_numpy_does(self, seed):
+        # pools of 10 and 8 members, every share interior, whose filling
+        # threshold a running sum of the shares would move by one float
+        rng = make_rng(60, seed)
+        n = int(rng.integers(8, 13))
+        pool = rng.uniform(0.3, 1.0, n), rng.uniform(25.0, 45.0, n), rng.uniform(30.0, 120.0, n)
+        [got] = pool_shares(pool)
+        assert bits(got) == bits(lone_bisection(*pool))
+
     @settings(max_examples=100, deadline=None)
     @given(stack=pool_stacks(), seed=st.sampled_from(["hi", 1e-300, 0.0]))
     def test_far_seeds_reach_the_lone_bisection(self, stack, seed):
-        # no workload's seed is this far off, so only here do the threshold
-        # search's later rounds run
+        # no workload's seed is this far off, so only here does the
+        # threshold search gallop far
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scheduler, "_clearing_prices", far_seed(seed))
-            shares = scheduler._pool_shares(stack)
+            patch.setattr(scheduler, "_clearing_price", far_seed(seed))
+            shares = pool_shares(*stack)
         for (pbar, w, rate), got in zip(stack, shares):
             assert bits(got) == bits(lone_bisection(pbar, w, rate))
 
     @settings(max_examples=200, deadline=None)
     @given(pool=pools(), seed=st.sampled_from([None, "hi", 1e-300, 0.0]))
     def test_threshold_is_the_last_filling_price(self, pool, seed):
-        pbar, w, rate = (part[pool[2] > 0][None, :] for part in pool)
+        pbar, w, rate = (part[pool[2] > 0] for part in pool)
         if not rate.size:
             return
         offset = w / rate
         ratio = pbar * rate / w
-        hi = np.max(ratio, axis=1) * 2.0 + 1.0
-        start = (scheduler._clearing_prices if seed is None else far_seed(seed))(
-            pbar, ratio, offset
+        hi = float(np.max(ratio)) * 2.0 + 1.0
+        start = (scheduler._clearing_price if seed is None else far_seed(seed))(
+            pbar.tolist(), ratio.tolist(), offset.tolist()
         )
-        [threshold] = scheduler._filling_thresholds(pbar, offset, hi, start)
+        threshold = scheduler._filling_threshold(pbar.tolist(), offset.tolist(), hi, start)
 
         def fills(price):
+            # numpy's sum of a pool's row, the rounding the search follows
             with np.errstate(over="ignore"):
-                return np.minimum(np.maximum(pbar[0] / price - offset[0], 0.0), 1.0).sum() >= 1.0
+                return np.minimum(np.maximum(pbar / price - offset, 0.0), 1.0).sum() >= 1.0
 
-        assert 0.0 <= threshold < hi[0]
+        assert 0.0 <= threshold < hi
         assert threshold == 0.0 or fills(threshold)
         assert not fills(np.nextafter(threshold, math.inf))
 
     @pytest.mark.parametrize("seed", [None, 0.0])
     def test_a_member_whose_offset_overflows_takes_no_time(self, seed):
         pbar, w, rate = np.array([0.9, 0.8]), np.array([30.0, 35.0]), np.array([5e-324, 60.0])
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            # Python floats overflow w/rate to inf without a warning
+            warnings.simplefilter("error", RuntimeWarning)
             if seed is not None:
-                patch.setattr(scheduler, "_clearing_prices", far_seed(seed))
-            [got] = scheduler._pool_shares([(pbar, w, rate)])
+                patch.setattr(scheduler, "_clearing_price", far_seed(seed))
+            [got] = pool_shares((pbar, w, rate))
         with np.errstate(over="ignore"):
             want = lone_bisection(pbar, w, rate)
         assert bits(got) == bits(want) and got[0] == 0.0
@@ -544,17 +560,13 @@ class TestBatchedPriceIteration:
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
         gis = [[0.5, 1.0], [0.5, 1.0], [0.5, 2.0], [1.5, 1.0], [0.0, 1.0]]
         bisected, refilled = [], []
-        bisect, refill = scheduler._bisect_pools, scheduler._refill_patterns
-
-        def counting_bisect(pbar, w, rate):
-            bisected.append(len(pbar))
-            return bisect(pbar, w, rate)
+        refill = scheduler._refill_patterns
 
         def recording_refill(slot, g_user, patterns):
             refilled.append((g_user, patterns))
             return refill(slot, g_user, patterns)
 
-        monkeypatch.setattr(scheduler, "_bisect_pools", counting_bisect)
+        monkeypatch.setattr(scheduler, "_pool_shares", counting_pool_shares(bisected))
         monkeypatch.setattr(scheduler, "_refill_patterns", recording_refill)
         solve_noninterfering_batch(prob, gis, max_iters=150)
         [keys] = pool_keys(prob, refilled)
@@ -643,13 +655,7 @@ class TestBatchedPriceIteration:
         other = dataclasses.replace(prob, w_minus=prob.w_minus + 3.0)
         gis = [[0.5, 1.0], [0.5, 2.0], [1.5, 1.0]]
         bisected = []
-        bisect = scheduler._bisect_pools
-
-        def counting_bisect(pbar, w, rate):
-            bisected.append(len(pbar))
-            return bisect(pbar, w, rate)
-
-        monkeypatch.setattr(scheduler, "_bisect_pools", counting_bisect)
+        monkeypatch.setattr(scheduler, "_pool_shares", counting_pool_shares(bisected))
 
         def pools_filled(problem):
             bisected.clear()
@@ -703,6 +709,18 @@ class TestBatchedPriceIteration:
 
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+def counting_pool_shares(bisected):
+    """_pool_shares, appending to bisected whether it bisects each pool: a
+    pool with a positive rate."""
+    pool_shares = scheduler._pool_shares
+
+    def counting(pbar, w, rate):
+        bisected.append(any(r > 0 for r in rate))
+        return pool_shares(pbar, w, rate)
+
+    return counting
 
 
 def pool_keys(prob, refilled):
@@ -1167,6 +1185,27 @@ class TestHeuristics:
                     assert bits(row[r]) == bits(one) == bits(ref)
                 assert bits(objectives[r]) == bits(sol.objective)
                 assert sol.objective == scheduler._objective(prob, gi[prob.assoc - 1], *reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_users=st.integers(1, 9),
+        n_fbs=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_schedules_do_not_depend_on_current_quality(self, seed, n_users, n_fbs, data):
+        # the stream runner schedules each baseline once per slot, on the
+        # proposed scheduler's quality, and delivers that schedule to the
+        # baseline's own quality state
+        rng = np.random.default_rng(seed)
+        prob = random_slot_problem(rng, n_users, n_fbs)
+        idle = data.draw(st.lists(st.booleans(), min_size=n_fbs, max_size=n_fbs))
+        prob = dataclasses.replace(prob, fbs_gi=np.where(idle, 0.0, prob.fbs_gi))
+        other = dataclasses.replace(prob, w_minus=rng.uniform(1.0, 60.0, n_users))
+        for heuristic in (heuristic_equal, heuristic_diversity):
+            a, b = heuristic(prob), heuristic(other)
+            for part in ("connect_mbs", "rho_mbs", "rho_fbs"):
+                assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
     def test_equal_split_within_each_pool(self):
         prob = SlotProblem(

@@ -113,6 +113,15 @@ class TestStreamState:
         with pytest.raises(ValueError):
             update_psnr(st_, [True, True], [0.0, 0.0], [-0.5, 0.0], [1, 1], [1, 1], [1, 1])
 
+    @pytest.mark.parametrize("share", ["rho_mbs", "rho_fbs"])
+    def test_nan_share_rejected(self, share):
+        st_ = fresh_state()
+        shares = {"rho_mbs": [0.0, 0.0], "rho_fbs": [0.0, 0.0]}
+        shares[share] = [math.nan, 0.0]
+        with pytest.raises(ValueError, match=share):
+            update_psnr(st_, [True, False], xi_mbs=[1, 1], xi_fbs=[1, 1], g_user=[1, 1], **shares)
+        assert st_.psnr.tolist() == [30.0, 32.0]
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_window_quality_telescopes_to_delivered_sum(self, seed):
