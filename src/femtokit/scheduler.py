@@ -189,17 +189,18 @@ class _Responder:
     terms are computed once per stack.
 
     __call__ and load are the reference route of an iterate, which the
-    tests and a traced solve's repaired iterates run. The price iteration
-    only takes the lanes: it checks branches and takes Lagrangian values
-    from __call__'s elementwise formula (_lane_values), evaluated once per
-    orbit entry.
+    tests and a traced solve's repaired iterates run. load sums each
+    transmitter's shares left to right in user order, as the orbits do.
+    The price iteration only takes the lanes: it checks branches and takes
+    Lagrangian values from __call__'s elementwise formula (_lane_values),
+    evaluated once per orbit entry.
     """
 
     def __init__(self, slot: _Slot, g_user):
         problem = slot.problem
         self.slot = slot
         k = self.k = slot.k
-        self.n1, self.assoc = slot.n1, problem.assoc
+        self.n1 = slot.n1
         self.price_index, self.pbar, self.w = slot.price_index, slot.pbar, slot.w
         self.rate = np.empty((len(g_user), 2 * k))
         self.rate[:, :k] = problem.rate_mbs
@@ -234,41 +235,12 @@ class _Responder:
     def load(self, rho_mbs, rho_fbs):
         """Time load per transmitter, shape (B, n_fbs + 1), of stacked shares."""
         rows = len(rho_fbs)
-        # each row's femto loads fill their own n1 bincount slots, row-major
-        bins = (self.assoc + self.n1 * np.arange(rows)[:, None]).ravel()
-        load = np.bincount(bins, weights=rho_fbs.ravel(), minlength=rows * self.n1)
-        load = load.reshape(rows, -1)
-        load[:, 0] = rho_mbs.sum(axis=1)
-        return load
-
-
-def _pairwise_sum(terms) -> float:
-    """The sum of a list of floats, rounded as numpy's add.reduce rounds it
-    along a contiguous axis (numpy 2.4's pairwise summation): a running sum
-    below 8 terms; up to 128 terms, eight running sums over the terms'
-    positions mod 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the terms past the last multiple of 8 added in order;
-    beyond that, the sums of two halves, the first half's length rounded
-    down to a multiple of 8."""
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for x in terms:
-            total += x
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r = terms[:8]
-    end = n - n % 8
-    for i in range(8, end, 8):
-        for j in range(8):
-            r[j] += terms[i + j]
-    # add.reduce starts from its identity, so a sum of -0.0s is 0.0
-    total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    for x in terms[end:]:
-        total += x
-    return total
+        # each row's lanes fill their own n1 bincount slots, row-major, and
+        # bincount adds its weights in input order: a running sum over each
+        # transmitter's users in user order
+        bins = (self.price_index + self.n1 * np.arange(rows)[:, None]).ravel()
+        rho = np.concatenate([rho_mbs, rho_fbs], axis=1).ravel()
+        return np.bincount(bins, weights=rho, minlength=rows * self.n1).reshape(rows, -1)
 
 
 def _repaired(rho_mbs, rho_fbs, load, assoc):
@@ -282,7 +254,8 @@ def _clearing_price(pbar, ratio, offset) -> float:
     Optimization, 5.5.3): sorted by ratio = pbar*rate/w, largest first, the
     first m members clear the slot at sum pbar / (1 + sum offset), m being
     the number still above that price. The sort is stable and the sums run
-    in that order, as numpy's argsort and add.accumulate run them."""
+    in that order. The price only seeds _filling_threshold, which returns
+    the same threshold from any seed."""
     cum_pbar = cum_offset = 0.0
     mus, served = [], 0
     for i in sorted(range(len(ratio)), key=ratio.__getitem__, reverse=True):
@@ -318,9 +291,8 @@ def _float(n: int) -> float:
 
 def _filling_threshold(pbar, offset, hi, seed) -> float:
     """The largest price in (0, hi] whose clipped shares fill the slot (sum
-    to at least 1), or 0.0 if none does. The shares are summed as numpy
-    sums a pool's row (_pairwise_sum), so a pool of 8 or more members
-    rounds its sum pairwise.
+    to at least 1), or 0.0 if none does. The shares are summed left to
+    right in member order.
 
     The test is monotone in the price in floating point: pbar/price is
     correctly rounded, then a constant is subtracted, the result clipped and
@@ -333,7 +305,12 @@ def _filling_threshold(pbar, offset, hi, seed) -> float:
     never the result."""
 
     def fills(n):
-        return _pairwise_sum(_clipped_shares(pbar, offset, _float(n))) >= 1.0
+        # an explicit loop: from Python 3.12 on the builtin sum of floats
+        # is compensated, so its bits would depend on the Python version
+        total = 0.0
+        for x in _clipped_shares(pbar, offset, _float(n)):
+            total += x
+        return total >= 1.0
 
     # 0.0 stands in for "no price fills", and the float after hi is never
     # tested by the bisection, so neither bracket end needs a test
@@ -361,12 +338,12 @@ def _pool_shares(pbar, w, rate) -> list:
 
     The shares are defined as _POOL_BISECTIONS bisection steps on the
     pool's price, keeping the half whose box-clipped stationary shares
-    clip(pbar/price - w/rate, 0, 1) fill the slot, then the shares at the
-    upper end. The steps are replayed against the pool's filling threshold
+    clip(pbar/price - w/rate, 0, 1) fill the slot (their running sum in
+    member order is at least 1), then the shares at the upper end. The
+    steps are replayed against the pool's filling threshold
     (_filling_threshold, seeded at the closed-form price): a price fills
-    exactly when it is at most the threshold, and 0.5*(lo + hi) rounds as
-    numpy's does, so the shares are those of the bisection in numpy bit for
-    bit."""
+    exactly when it is at most the threshold, so the shares are those of
+    the bisection bit for bit."""
     shares = [0.0] * len(w)
     pos = [i for i, r in enumerate(rate) if r > 0]
     if not pos:
@@ -456,11 +433,11 @@ class _Orbit:
     price alone, so the rows of a stack whose transmitter has the same
     lanes, the same paid members and the same start price share its orbit.
     Every operation of the step is an IEEE division, subtraction,
-    multiplication, comparison or sum, so with the sums in numpy's order
-    the prices are those of _Responder's reference route bit for bit.
-    members holds the (pbar, offset) of each paid member in user order,
-    full the load at a zero price, and at, for a crowded macro station, the
-    members' user positions, its load being a pairwise sum over all users.
+    multiplication, comparison or sum, and the load is a running sum in
+    user order, as _Responder.load's bincount adds it, so the prices are
+    those of the reference route bit for bit. members holds the (pbar,
+    offset) of each paid member in user order, and full the load at a zero
+    price.
 
     prices holds the orbit's distinct prices up to its first exact repeat;
     from index cycle on they then repeat with period period. The first
@@ -468,20 +445,17 @@ class _Orbit:
     region of cap entries.
     """
 
-    __slots__ = ("station", "row", "users", "members", "full", "at", "k", "prices", "seen",
+    __slots__ = ("station", "row", "users", "members", "full", "prices", "seen",
                  "cycle", "period", "base", "cap", "placed")
 
     def __init__(self, station, row, table, users, start):
-        self.station, self.row, self.users, self.k = station, row, users, table.k
+        self.station, self.row, self.users = station, row, users
         lane = 0 if station == 0 else table.k
         pbar, offset = table.pbar, table.offset[row]
         self.members = [(pbar[lane + j], offset[lane + j]) for j in users]
         # at a zero price every paid member takes the whole slot, and a sum
         # of ones is exact in any order
         self.full = float(len(users))
-        # the other users add +0.0 to a pairwise sum, which leaves any
-        # partial sum as it is, so up to two members sum in either order
-        self.at = users if station == 0 and self.k >= 8 and len(users) > 2 else None
         self.prices = [start]
         # every later price is +0.0 or positive, so a -0.0 start never repeats
         self.seen = {start: 0} if math.copysign(1.0, start) > 0 else {}
@@ -499,28 +473,19 @@ class _Orbit:
         prices = self.prices
         if self.period is not None or len(prices) > pos:
             return
-        members, full, at, k = self.members, self.full, self.at, self.k
+        members, full = self.members, self.full
         add_price, first = prices.append, self.seen.setdefault
         p = prices[-1]
         for n in range(len(prices), pos + 1):
             # -0.0 is no price either
             if not p > 0.0:
                 load = full
-            elif at is None:
-                # a running sum over the users, as bincount's and a
-                # reduction of fewer than 8 terms are
+            else:
                 load = 0.0
                 for pb, off in members:
                     x = pb / p - off
                     if x > 0.0:
                         load += x if x < 1.0 else 1.0
-            else:
-                terms = [0.0] * k
-                for j, (pb, off) in zip(at, members):
-                    x = pb / p - off
-                    if x > 0.0:
-                        terms[j] = x if x < 1.0 else 1.0
-                load = _pairwise_sum(terms)
             q = p - (1.0 - load) * step
             # np.maximum(q, 0.0) returns its second operand on a tie, so
             # -0.0 becomes 0.0 as well
