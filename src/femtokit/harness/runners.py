@@ -1,6 +1,6 @@
 """Monte-Carlo experiment runners producing deterministic result rows."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,7 +177,8 @@ def run_streaming(cfg: StreamConfig, seeds) -> list:
 
 def _slot_template(cfg: StreamConfig) -> SlotProblem:
     """The instance's per-user link constants as a slot problem at base-layer
-    quality with no femto channels; each slot replaces w_minus and fbs_gi."""
+    quality with no femto channels; each slot replaces w_minus and fbs_gi
+    (SlotProblem.for_slot, which checks only those two)."""
     beta = np.asarray(cfg.beta_db_per_bps)
 
     def delivery_probability(mean_sinr):
@@ -290,7 +291,7 @@ def _allocate(cfg, template, psnr, decision, p_idle, graph, tally) -> np.ndarray
     """
     if cfg.num_fbs == 1:
         return np.array([decision.expected_available])
-    base = replace(template, w_minus=psnr)
+    base = template.for_slot(psnr, template.fbs_gi)
     evaluator = AllocationValue(
         base, step=cfg.step, phi=cfg.phi, max_iters=_capped(_ALLOC_ITERS, cfg.budget)
     )
@@ -310,7 +311,7 @@ def _schedule(cfg, template, t, psnr, gi, tally, record_trace) -> dict:
     are also the equal and diversity algorithms' schedules. Their objective
     is taken under the proposed scheduler's quality, and nothing reads it.
     """
-    prob = replace(template, w_minus=psnr.copy(), fbs_gi=gi)
+    prob = template.for_slot(psnr.copy(), gi)
     sol = solve_noninterfering(
         prob,
         prices_init=tally.warm_prices if tally.warm_prices is not None else init_prices(prob),

@@ -14,6 +14,7 @@ the scheduling objective it enables, measured against the no-channel
 baseline so the greedy trace telescopes exactly.
 """
 
+import copy
 import math
 import operator
 import struct
@@ -34,6 +35,12 @@ _FLOAT_MAX = sys.float_info.max
 # cost, and branches rarely switch.
 _FIRST_BLOCK = 8
 _BLOCK = 64
+# a candidate row's branch pattern is certified optimal when the dual at
+# its pool-clearing prices exceeds its objective by at most this share of
+# the dual's magnitude (or of 1), about 4,500 rounding units. Certified
+# gaps measured at most 4.3e-16 of the dual, and rejected ones at least
+# 7.8e-6 (README, numerical notes)
+_CERTIFY_TOL = 1e-12
 
 
 @dataclass
@@ -64,6 +71,13 @@ class SlotProblem:
         self.rate_fbs = np.asarray(self.rate_fbs, dtype=float)
         self.assoc = np.asarray(self.assoc, dtype=int)
         self.fbs_gi = np.asarray(self.fbs_gi, dtype=float)
+        self._validate(links=True)
+
+    def _validate(self, links: bool):
+        """Raise ValueError on a malformed problem; with links False, the
+        link constants are taken as checked and only the current quality
+        and the channel vector are, in the same order and with the same
+        messages."""
         k = self.w_minus.shape[0]
         if k < 1:
             raise ValueError("need at least one user")
@@ -78,18 +92,29 @@ class SlotProblem:
         # return NaN if any entry is NaN, so NaN fails it
         if not (self.w_minus.min() > 0 and self.w_minus.max() < math.inf):
             raise ValueError("current quality must be positive and finite")
-        for name in ("pbar_mbs", "pbar_fbs"):
-            p = getattr(self, name)
-            if not np.all((p >= 0) & (p <= 1)):
-                raise ValueError(f"{name} must be probabilities")
-        for name in ("rate_mbs", "rate_fbs"):
-            rate = getattr(self, name)
-            if not (rate.min() >= 0 and rate.max() < math.inf):
-                raise ValueError("rates must be nonnegative and finite")
-        if np.any((self.assoc < 1) | (self.assoc > self.n_fbs)):
-            raise ValueError("assoc entries must be femto ids in 1..n_fbs")
+        if links:
+            for name in ("pbar_mbs", "pbar_fbs"):
+                p = getattr(self, name)
+                if not np.all((p >= 0) & (p <= 1)):
+                    raise ValueError(f"{name} must be probabilities")
+            for name in ("rate_mbs", "rate_fbs"):
+                rate = getattr(self, name)
+                if not (rate.min() >= 0 and rate.max() < math.inf):
+                    raise ValueError("rates must be nonnegative and finite")
+            if np.any((self.assoc < 1) | (self.assoc > self.n_fbs)):
+                raise ValueError("assoc entries must be femto ids in 1..n_fbs")
         if not (self.fbs_gi.min() >= 0 and self.fbs_gi.max() < math.inf):
             raise ValueError("expected channel counts must be nonnegative and finite")
+
+    def for_slot(self, w_minus, fbs_gi) -> "SlotProblem":
+        """This problem's links with another current quality and channel
+        vector. Only those two are checked, as dataclasses.replace would
+        check them: the links were checked when this problem was built."""
+        problem = copy.copy(self)
+        problem.w_minus = np.asarray(w_minus, dtype=float)
+        problem.fbs_gi = np.asarray(fbs_gi, dtype=float)
+        problem._validate(links=False)
+        return problem
 
     @property
     def num_users(self) -> int:
@@ -149,11 +174,11 @@ class _Slot:
 
     Lanes run macro first, then femto, one per user on each side. The memo
     maps a pool, keyed by its transmitter, its members' positions and their
-    rates, to its waterfilled shares. With pbar and w fixed by the problem,
-    a pool's shares are a pure function of those rates, so no pool is
-    waterfilled twice while the object lives: solve_noninterfering_batch
-    builds one per call, AllocationValue one per greedy slot, and nothing
-    is shared across slots.
+    rates, to its waterfilled shares and its clearing price. With pbar and
+    w fixed by the problem, both are a pure function of those rates, so no
+    pool is waterfilled or priced twice while the object lives:
+    solve_noninterfering_batch builds one per call, AllocationValue one per
+    greedy slot, and nothing is shared across slots.
     """
 
     def __init__(self, problem: SlotProblem):
@@ -332,9 +357,11 @@ def _filling_threshold(pbar, offset, hi, seed) -> float:
     return _float(a)
 
 
-def _pool_shares(pbar, w, rate) -> list:
+def _pool_shares(pbar, w, rate) -> tuple:
     """Optimal shares of one pool's members, from lists of Python floats of
-    their pbar, w and rate; members with zero rate get nothing.
+    their pbar, w and rate, and the pool's closed-form clearing price over
+    its paid members (_clearing_price; 0.0 when none is paid). Members with
+    zero rate get nothing.
 
     The shares are defined as _POOL_BISECTIONS bisection steps on the
     pool's price, keeping the half whose box-clipped stationary shares
@@ -347,14 +374,15 @@ def _pool_shares(pbar, w, rate) -> list:
     shares = [0.0] * len(w)
     pos = [i for i, r in enumerate(rate) if r > 0]
     if not pos:
-        return shares
+        return shares, 0.0
     pb = [pbar[i] for i in pos]
     # where a subnormal rate overflows w/rate to inf, the largest float
     # still clips the member's share to 0 at every price
     offset = [min(w[i] / rate[i], _FLOAT_MAX) for i in pos]
     ratio = [pbar[i] * rate[i] / w[i] for i in pos]
     hi = max(ratio) * 2.0 + 1.0
-    threshold = _filling_threshold(pb, offset, hi, _clearing_price(pb, ratio, offset))
+    price = _clearing_price(pb, ratio, offset)
+    threshold = _filling_threshold(pb, offset, hi, price)
     lo = 0.0
     for _ in range(_POOL_BISECTIONS):
         mid = 0.5 * (lo + hi)
@@ -366,7 +394,7 @@ def _pool_shares(pbar, w, rate) -> list:
     # nobody a share), so the shares at hi never overfill the slot
     for i, x in zip(pos, _clipped_shares(pb, offset, hi)):
         shares[i] = x
-    return shares
+    return shares, price
 
 
 def _refill_patterns(slot: _Slot, g_user, patterns):
@@ -375,31 +403,35 @@ def _refill_patterns(slot: _Slot, g_user, patterns):
     g_user: waterfill each transmitter's pool independently. Each pool is
     looked up in slot's memo, keyed by transmitter, members and their rates
     (a 0.0 and a -0.0 rate share a key, and both take nothing), so patterns,
-    channel vectors and solves of the slot that share a pool fill it once."""
+    channel vectors and solves of the slot that share a pool fill it once.
+    Returns the macro and femto shares and, shape (N, n_fbs + 1), each
+    pool's clearing price (0.0 on a transmitter without a paid member)."""
     memo, assoc, k = slot.pools, slot.assoc, slot.k
     pbar, w = slot.lane_pbar, slot.lane_w
     rate_fbs = (slot.problem.rate_fbs * g_user).tolist()
-    rho = []
+    rho, prices = [], []
     for row, rf in zip(patterns.tolist(), rate_fbs):
         members = [[] for _ in range(slot.n1)]
         for j, macro in enumerate(row):
             members[0 if macro else assoc[j]].append(j)
-        shares = [0.0] * k
+        shares, price = [0.0] * k, [0.0] * slot.n1
         for s, users in enumerate(members):
             if users:
                 rate = rf if s else slot.rate_mbs
                 key = (s, tuple(users), tuple([rate[j] for j in users]))
-                filled = memo.get(key)
-                if filled is None:
+                pool = memo.get(key)
+                if pool is None:
                     lanes = [(s > 0) * k + j for j in users]
-                    filled = memo[key] = _pool_shares(
+                    pool = memo[key] = _pool_shares(
                         [pbar[i] for i in lanes], [w[i] for i in lanes], key[2]
                     )
+                filled, price[s] = pool
                 for j, x in zip(users, filled):
                     shares[j] = x
         rho.append(shares)
+        prices.append(price)
     rho = np.array(rho)
-    return np.where(patterns, rho, 0.0), np.where(patterns, 0.0, rho)
+    return np.where(patterns, rho, 0.0), np.where(patterns, 0.0, rho), np.array(prices)
 
 
 def init_prices(problem: SlotProblem) -> np.ndarray:
@@ -854,15 +886,9 @@ def _repaired_iterates(slot: _Slot, g_user, iterate_prices):
     return _objective(problem, g_user, connect, rho0, rhof)
 
 
-def _solve_stack(slot: _Slot, gis, prices_init, step, phi, max_iters, record_trace=False):
-    """The price iteration and primal recovery of solve_noninterfering_batch
-    on slot's problem. Returns, per row: its best objective (a list of
-    floats); its last prices, dual value, iteration count and converged
-    flag (arrays); the index of its chosen candidate (a list) into the
-    stacked (connect, rho_mbs, rho_fbs) candidates, which come next; and
-    its trace, None untraced. None for an empty stack. Pools are
-    waterfilled through slot's memo."""
-    problem = slot.problem
+def _stack_inputs(problem: SlotProblem, gis, prices_init, step, phi, max_iters):
+    """Check a stack solve's inputs; return gis as a (B, n_fbs) float array
+    and the start prices (all ones when prices_init is None)."""
     # written so that NaN fails each check
     if not 0 < step < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -880,10 +906,23 @@ def _solve_stack(slot: _Slot, gis, prices_init, step, phi, max_iters, record_tra
     )
     if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
         raise ValueError("prices_init must be a nonnegative finite price per transmitter")
+    if len(gis) and not (gis.min() >= 0 and gis.max() < math.inf):
+        raise ValueError("expected channel counts must be nonnegative and finite")
+    return gis, start
+
+
+def _solve_stack(slot: _Slot, gis, prices_init, step, phi, max_iters, record_trace=False):
+    """The price iteration and primal recovery of solve_noninterfering_batch
+    on slot's problem. Returns, per row: its best objective (a list of
+    floats); its last prices, dual value, iteration count and converged
+    flag (arrays); the index of its chosen candidate (a list) into the
+    stacked (connect, rho_mbs, rho_fbs) candidates, which come next; and
+    its trace, None untraced. None for an empty stack. Pools are
+    waterfilled through slot's memo."""
+    problem = slot.problem
+    gis, start = _stack_inputs(problem, gis, prices_init, step, phi, max_iters)
     if not len(gis):
         return None
-    if not (gis.min() >= 0 and gis.max() < math.inf):
-        raise ValueError("expected channel counts must be nonnegative and finite")
     g_user = np.take(gis, problem.assoc - 1, axis=1)
 
     respond = _Responder(slot, g_user)
@@ -903,7 +942,7 @@ def _solve_stack(slot: _Slot, gis, prices_init, step, phi, max_iters, record_tra
     # primal polish: the returned point is the best feasible point known,
     # so a finite stopping tolerance never leaves it below a baseline
     stack = [
-        (patterns, *_refill_patterns(slot, g_user[owner], patterns)),
+        (patterns, *_refill_patterns(slot, g_user[owner], patterns)[:2]),
         _equal_split(problem, g_user),
         _best_link(problem, g_user),
     ]
@@ -961,7 +1000,8 @@ def solve_noninterfering_batch(
     This is a wrapper: the stack solve (_solve_stack) runs on a fresh
     _Slot, so its pool-share memo lives for this call, and the arrays it
     returns become the ScheduleSolutions. AllocationValue runs the same
-    stack solve on a slot of its own and reads the arrays directly.
+    stack solve, on a slot of its own, for the candidate rows its
+    certificate rejects, and reads the arrays directly.
     """
     solved = _solve_stack(_Slot(problem), gis, prices_init, step, phi, max_iters, record_trace)
     if solved is None:
@@ -1149,23 +1189,55 @@ class GreedyTrace:
     baseline: float
 
 
+def _certify(slot: _Slot, gis, start):
+    """Weak-duality certificates for the rows of a checked (B, n_fbs) stack
+    gis at the start prices start.
+
+    Each row takes its branch pattern at start, as the price iteration's
+    first iterate does, and refills it through slot's memo: its objective
+    bounds the slot optimum from below. The dual at any nonnegative prices
+    bounds it from above (Boyd & Vandenberghe, Convex Optimization, 5.2),
+    and it is evaluated at the pattern's own pool-clearing prices. A row is
+    certified when the two meet, dual - objective <= _CERTIFY_TOL *
+    max(|dual|, 1). Returns per row the pattern's objective, its clearing
+    prices (shape (B, n_fbs + 1)) and whether it is certified."""
+    problem, k = slot.problem, slot.k
+    g_user = np.take(gis, problem.assoc - 1, axis=1)
+    respond = _Responder(slot, g_user)
+    lanes = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
+    value = _lane_values(*lanes, start.take(slot.price_index))[1]
+    patterns = value[:, :k] >= value[:, k:]
+    rho_mbs, rho_fbs, prices = _refill_patterns(slot, g_user, patterns)
+    objective = _objective(problem, g_user, patterns, rho_mbs, rho_fbs)
+    dual = np.add.reduce(respond(prices)[3], axis=1) + np.add.reduce(prices, axis=1)
+    certified = dual - objective <= _CERTIFY_TOL * np.maximum(np.abs(dual), 1.0)
+    return objective, prices, certified
+
+
 class AllocationValue:
     """Objective improvement enabled by a channel allocation.
 
-    Evaluations run the price iteration at a configurable budget and are
-    memoized by the per-femto expected-channel vector; candidate solves warm
-    start from the allocation they extend, and a batch of candidates is
-    solved as the rows of one stack solve, the one solve_noninterfering_batch
-    wraps. The candidates differ in one femto's channels, so their rows
-    share the price orbits of every other transmitter, and their branch
-    checks run in one stacked evaluation per round. Every solve runs on one
-    _Slot built here, so the slot's lane constants are set up once and its
-    pool-share memo waterfills each pool once for the life of this object,
-    one greedy slot; objectives and prices are read from the stack solve's
-    arrays, without building schedules. A custom solver callable
-    (problem, gi, prices_init) -> (objective, prices_or_None) replaces the
-    price iteration, e.g. with an exact enumeration on tiny instances, and
-    is called once per fresh vector.
+    Evaluations are memoized by the per-femto expected-channel vector, and
+    the vectors of one call are scored together, from the prices cached
+    for the allocation they extend (warm_key). Each fresh row first gets a
+    weak-duality certificate (_certify): its branch pattern at the start
+    prices, refilled, against the dual at that pattern's pool-clearing
+    prices. A certified row's value is that pattern's objective, within
+    _CERTIFY_TOL * max(|dual|, 1) of the slot optimum, and its clearing
+    prices are cached as its warm-start prices. The other rows run, as one
+    stack from the same start prices, the budgeted price iteration that
+    solve_noninterfering_batch wraps (_solve_stack), and cache its best
+    objective and last prices. Where the start pattern is optimal, the
+    stack solve would return that pattern's objective too, since it refills
+    the start pattern first and keeps the first of equal objectives. The
+    counters rows and fallback_rows hold the rows scored and those that
+    took the price iteration. Every solve runs on one _Slot built here, so
+    the slot's lane constants are set up once and its memo waterfills and
+    prices each pool once for the life of this object, one greedy slot;
+    objectives and prices are read from arrays, without building
+    schedules. A custom solver callable (problem, gi, prices_init) ->
+    (objective, prices_or_None) replaces both routes, e.g. with an exact
+    enumeration on tiny instances, and is called once per fresh vector.
     """
 
     def __init__(
@@ -1183,6 +1255,7 @@ class AllocationValue:
         self._solver = solver
         self._slot = _Slot(problem)
         self._cache = {}
+        self.rows = self.fallback_rows = 0
         zero = np.zeros(problem.n_fbs)
         [(self.baseline, prices)] = self._solve(zero[None, :], None)
         self._cache[tuple(zero)] = (0.0, prices)
@@ -1191,10 +1264,18 @@ class AllocationValue:
         """(objective, prices) for each row of gis."""
         if self._solver is not None:
             return [self._solver(self.problem, gi, prices_init) for gi in gis]
-        objective, prices = _solve_stack(
-            self._slot, gis, prices_init, self.step, self.phi, self.max_iters
-        )[:2]
-        return zip(objective, prices)
+        opts = self.step, self.phi, self.max_iters
+        gis, start = _stack_inputs(self.problem, gis, prices_init, *opts)
+        objective, prices, certified = _certify(self._slot, gis, start)
+        solved = list(zip(objective.tolist(), prices))
+        fallback = np.flatnonzero(~certified)
+        self.rows += len(gis)
+        self.fallback_rows += len(fallback)
+        if len(fallback):
+            objective, prices = _solve_stack(self._slot, gis[fallback], start, *opts)[:2]
+            for r, row in zip(fallback.tolist(), zip(objective, prices)):
+                solved[r] = row
+        return solved
 
     def improvements(self, gis, warm_key=None) -> list:
         """Improvement of each expected-channel vector in gis; the vectors

@@ -18,6 +18,7 @@ from femtokit.scheduler import (
     GreedyTrace,
     InterferenceGraph,
     SlotProblem,
+    _Slot,
     greedy_alloc,
     heuristic_diversity,
     heuristic_equal,
@@ -100,6 +101,42 @@ class TestProblemValidation:
         fields[field] = [math.inf]
         with pytest.raises(ValueError, match="finite"):
             SlotProblem(**fields)
+
+    @pytest.mark.parametrize(
+        "w_minus, fbs_gi",
+        [
+            ([], [1.0, 2.0]),
+            ([30.0], [1.0, 2.0]),
+            ([30.0, 0.0, 31.0], [1.0, 2.0]),
+            ([30.0, math.nan, 31.0], [1.0, 2.0]),
+            ([30.0, math.inf, 31.0], [1.0, 2.0]),
+            ([30.0, 32.0, 31.0], [1.0]),
+            ([30.0, 32.0, 31.0], [1.0, -2.0]),
+            ([30.0, 32.0, 31.0], [math.nan, 2.0]),
+            ([30.0, 32.0, 31.0], [1.0, math.inf]),
+            ([-1.0, 32.0, 31.0], [1.0, math.inf]),
+            ([-1.0, 32.0, 31.0], [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_a_slot_of_a_template_fails_as_a_replaced_problem(self, w_minus, fbs_gi):
+        # for_slot checks only the current quality and the channel vector,
+        # with the messages a fully checked problem gives, first fault first
+        template = random_problem(make_rng(42, 99), n_users=3, n_fbs=2)
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(template, w_minus=w_minus, fbs_gi=fbs_gi)
+        with pytest.raises(ValueError) as got:
+            template.for_slot(w_minus, fbs_gi)
+        assert str(got.value) == str(want.value)
+
+    def test_a_slot_of_a_template_is_the_replaced_problem(self):
+        template = random_problem(make_rng(42, 99), n_users=3, n_fbs=2)
+        slot = template.for_slot([30.0, 32.0, 31.0], [1.0, 2.0])
+        want = dataclasses.replace(template, w_minus=[30.0, 32.0, 31.0], fbs_gi=[1.0, 2.0])
+        for field in dataclasses.fields(SlotProblem):
+            got, ref = getattr(slot, field.name), getattr(want, field.name)
+            assert np.asarray(got).dtype == np.asarray(ref).dtype
+            assert np.array_equal(got, ref)
+        assert template.w_minus.tolist() != [30.0, 32.0, 31.0]
 
 
 def responder(prob, g_user):
@@ -387,8 +424,14 @@ def far_seed(seed):
 
 def pool_shares(*pools):
     """The fast path's shares of each (pbar, w, rate) pool of arrays, which
-    it takes as lists of Python floats."""
-    return [np.array(scheduler._pool_shares(*(part.tolist() for part in pool))) for pool in pools]
+    it takes as lists of Python floats, without the clearing price it also
+    returns."""
+    return [np.array(pool_fill(pool)[0]) for pool in pools]
+
+
+def pool_fill(pool):
+    """The fast path's (shares, clearing price) of a (pbar, w, rate) pool."""
+    return scheduler._pool_shares(*(part.tolist() for part in pool))
 
 
 class TestWaterfillPool:
@@ -398,6 +441,9 @@ class TestWaterfillPool:
         pbar, w, rate = pool
         shares, value, mu = waterfill_pool(pbar, w, rate)
         assert np.all(shares >= 0.0)
+        # the price the fast path stores with the shares, which the
+        # allocation certificate prices the pool at
+        assert pool_fill(pool)[1] == pytest.approx(mu, rel=1e-12, abs=0.0)
         if not np.any((rate > 0) & (pbar > 0)):
             assert np.all(shares == 0.0) and mu == 0.0
             return
@@ -587,15 +633,20 @@ class TestBatchedPriceIteration:
         assert sum(bisected) == len(keys) < sum(keys.values())
 
         # one AllocationValue fills a pool once over all of its calls: the
-        # baseline, then two candidate stacks that share pools
+        # baseline, then two candidate stacks that share pools. Here every
+        # call has rows that fall back, so each certificate's refill is
+        # followed by a stack solve's, which refills the start patterns
+        # again from the memo
         bisected.clear()
         refilled.clear()
         value = AllocationValue(prob, max_iters=150)
         value.improvements(gis[:3], warm_key=(0.0, 0.0))
         value.improvements(gis[3:], warm_key=(0.0, 0.0))
         per_call = pool_keys(prob, refilled)
-        assert len(per_call) == 3
-        assert set(per_call[1]) & set(per_call[2])
+        assert len(per_call) == 6 and value.fallback_rows == value.rows == 5
+        for certificate, fallback in zip(per_call[::2], per_call[1::2]):
+            assert set(certificate) <= set(fallback)
+        assert set(per_call[3]) & set(per_call[5])
         keys = set().union(*per_call)
         assert sum(bisected) == len(keys) < sum(sum(uses.values()) for uses in per_call)
 
@@ -618,8 +669,9 @@ class TestBatchedPriceIteration:
 
     def test_an_untraced_solve_makes_no_reference_call(self, monkeypatch):
         # the first and last branches and Lagrangian values come from the
-        # orbits' entries; __call__ is the reference that the tests and a
-        # traced solve's repaired iterates run
+        # orbits' entries; __call__ is the reference that the tests, a
+        # traced solve's repaired iterates and the allocation certificate's
+        # one stacked dual evaluation run
         calls = []
         reference = scheduler._Responder.__call__
 
@@ -631,16 +683,26 @@ class TestBatchedPriceIteration:
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
         gis = [[0.0, 0.0], [0.5, 1.0], [2.5, 0.2], [3.0, 3.0]]
         solve_noninterfering_batch(prob, gis, max_iters=150)
-        AllocationValue(prob, max_iters=150).improvements(gis, warm_key=(0.0, 0.0))
         assert calls == []
+        # the baseline, then the three fresh rows; the rows that fall back
+        # run the untraced stack solve, which adds no call
+        value = AllocationValue(prob, max_iters=150)
+        value.improvements(gis, warm_key=(0.0, 0.0))
+        assert value.fallback_rows > 0
+        assert calls == [1, 3]
         solve_noninterfering(prob, max_iters=150, record_trace=True)
-        assert calls
+        assert len(calls) > 2
 
     @pytest.mark.parametrize("calls", ["one call", "two calls", "reverse order"])
     def test_allocation_values_are_the_batch_solve(self, calls):
-        # AllocationValue reads objectives and prices from the stack solve
-        # that solve_noninterfering_batch wraps, through one pool memo for
-        # all of its calls
+        # AllocationValue scores every row from the prices cached at the
+        # warm key, whatever rows share its call: a certified row caches
+        # its start pattern's objective and, as its warm prices, that
+        # pattern's pool-clearing prices; a row that falls back reads its
+        # objective and last prices from the stack solve that
+        # solve_noninterfering_batch wraps. Here the baseline and one
+        # candidate certify, four candidates fall back, and every
+        # objective is the stack solve's bit for bit
         prob = random_problem(make_rng(40, 96), n_users=7, n_fbs=3)
         gis = [[0.5, 1.0, 0.0], [0.5, 2.0, 0.0], [1.5, 1.0, 0.7], [0.0, 1.0, 2.4], [2.5, 0.2, 1.0]]
         opts = dict(step=0.01, phi=1e-6, max_iters=150)
@@ -654,13 +716,111 @@ class TestBatchedPriceIteration:
         for stack in stacks:
             value.improvements(stack, warm_key=zero)
         [baseline] = solve_noninterfering_batch(prob, [list(zero)], **opts)
+        ones = np.ones(prob.n_fbs + 1)
+        _, [clearing], [certified] = scheduler._certify(_Slot(prob), np.zeros((1, 3)), ones)
+        assert certified
         assert bits(value.baseline) == bits(baseline.objective)
-        assert bits(value._cache[zero][1]) == bits(baseline.prices)
-        batch = solve_noninterfering_batch(prob, gis, prices_init=baseline.prices, **opts)
-        for gi, sol in zip(gis, batch):
+        warm = value._cache[zero][1]
+        assert bits(warm) == bits(clearing)
+        _, clearing, certified = scheduler._certify(_Slot(prob), np.array(gis), warm)
+        assert certified.tolist() == [False, False, False, False, True]
+        assert (value.rows, value.fallback_rows) == (6, 4)
+        batch = solve_noninterfering_batch(prob, gis, prices_init=warm, **opts)
+        for gi, sol, ok, prices_ok in zip(gis, batch, certified, clearing):
             improvement, prices = value._cache[tuple(gi)]
             assert bits(improvement) == bits(sol.objective - baseline.objective)
-            assert bits(prices) == bits(sol.prices)
+            assert bits(prices) == bits(prices_ok if ok else sol.prices)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_certified_rows_are_optimal_and_the_rest_are_the_stack_solve(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n_fbs = data.draw(st.integers(1, 3))
+        prob = random_slot_problem(make_rng(seed), data.draw(st.integers(1, 7)), n_fbs)
+        gis = data.draw(channel_stacks(n_fbs))
+        opts = dict(
+            step=data.draw(st.sampled_from([0.005, 0.01, 0.05])),
+            phi=1e-6,
+            max_iters=data.draw(st.integers(1, 150)),
+        )
+        value = AllocationValue(prob, **opts)
+        zero = tuple([0.0] * n_fbs)
+        warm = value._cache[zero][1]
+        got = value.improvements(gis, warm_key=zero)
+        objective, clearing, certified = scheduler._certify(_Slot(prob), np.array(gis), warm)
+        fresh = [r for r, gi in enumerate(gis) if tuple(gi) != zero]
+        # rows are counted once per distinct vector, the baseline's included
+        ones = np.ones(n_fbs + 1)
+        [base_certified] = scheduler._certify(_Slot(prob), np.zeros((1, n_fbs)), ones)[2]
+        distinct = {tuple(gis[r]): r for r in fresh}.values()
+        assert value.rows == 1 + len(distinct)
+        assert value.fallback_rows == (not base_certified) + sum(not certified[r] for r in distinct)
+        stack = [r for r in fresh if not certified[r]]
+        if stack:
+            rows = np.array(gis)[stack]
+            solved = scheduler._solve_stack(_Slot(prob), rows, warm, *opts.values())
+            for r, o, p in zip(stack, *solved[:2]):
+                assert bits(got[r]) == bits(o - value.baseline)
+                assert bits(value._cache[tuple(gis[r])][1]) == bits(p)
+        for r in fresh:
+            if certified[r]:
+                exact = exact_schedule(prob, np.array(gis[r]))[3]
+                assert got[r] == pytest.approx(exact - value.baseline, rel=1e-9, abs=1e-9 * abs(exact))
+                assert bits(got[r]) == bits(objective[r] - value.baseline)
+                assert bits(value._cache[tuple(gis[r])][1]) == bits(clearing[r])
+
+    def test_a_start_pattern_that_is_not_optimal_falls_back(self):
+        # both users prefer their femto at the start prices, but the macro's
+        # wide channel then stays idle, so moving a user there gains: the
+        # dual at the idle macro's zero price exceeds the pattern's objective
+        prob = SlotProblem(
+            w_minus=[30.0, 30.0],
+            pbar_mbs=[0.6, 0.6],
+            pbar_fbs=[0.7, 0.7],
+            rate_mbs=[100.0, 100.0],
+            rate_fbs=[50.0, 50.0],
+            assoc=[1, 1],
+            n_fbs=1,
+            fbs_gi=[0.0],
+        )
+        start = np.array([1.0, 1.0])
+        [start_value], [clearing], [certified] = scheduler._certify(
+            _Slot(prob), np.array([[1.0]]), start
+        )
+        exact = exact_schedule(prob, np.array([1.0]))
+        assert not certified and start_value < exact[3] - 0.1
+        assert clearing[0] == 0.0 and not exact[0].all() and exact[0].any()
+        opts = dict(step=0.01, phi=1e-6, max_iters=2000)
+        value = AllocationValue(prob, **opts)
+        rows, fallbacks = value.rows, value.fallback_rows
+        [got] = value.improvements([[1.0]], warm_key=(0.0,))
+        assert (value.rows - rows, value.fallback_rows - fallbacks) == (1, 1)
+        warm = value._cache[(0.0,)][1]
+        [want] = solve_noninterfering_batch(prob, [[1.0]], prices_init=warm, **opts)
+        assert bits(got) == bits(want.objective - value.baseline)
+        assert bits(value._cache[(1.0,)][1]) == bits(want.prices)
+        assert got + value.baseline <= exact[3]
+
+    def test_allocation_values_check_inputs_as_the_batch_solve(self):
+        # the certificate runs only on inputs the stack solve accepts
+        prob = random_problem(make_rng(42, 98), n_users=2, n_fbs=1)
+        bad = (
+            dict(step=math.nan), dict(step=math.inf), dict(step=0.0),
+            dict(phi=math.nan), dict(phi=-1.0), dict(max_iters=0),
+        )
+        for opts in bad:
+            with pytest.raises(ValueError) as want:
+                solve_noninterfering_batch(prob, [[0.0]], **opts)
+            with pytest.raises(ValueError) as got:
+                AllocationValue(prob, **opts)
+            assert str(got.value) == str(want.value)
+        value = AllocationValue(prob)
+        for row in ([math.inf], [math.nan], [-1.0], [1.0, 1.0]):
+            with pytest.raises(ValueError) as want:
+                solve_noninterfering_batch(prob, [row])
+            with pytest.raises(ValueError) as got:
+                value.improvements([row])
+            assert str(got.value) == str(want.value)
 
     def test_slots_share_no_pool(self, monkeypatch):
         # two slots whose problems differ only in the current quality key
