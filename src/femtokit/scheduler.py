@@ -16,7 +16,6 @@ baseline so the greedy trace telescopes exactly.
 
 import copy
 import math
-import operator
 import struct
 import sys
 from dataclasses import dataclass
@@ -29,12 +28,10 @@ _OVERLOAD_TOL = 1e-6
 _POOL_BISECTIONS = 60
 _FLOAT_MAX = sys.float_info.max
 # iterates a row of the price iteration runs between two checks of its
-# branches: a solve's rows start with blocks of _FIRST_BLOCK, a row whose
-# branches switched starts again from 1, and each block that checks out
-# doubles the next, up to _BLOCK. Each round of checks has a fixed numpy
-# cost, and branches rarely switch.
-_FIRST_BLOCK = 8
-_BLOCK = 64
+# branches: a row starts with a block of _FIRST_BLOCK, a row whose branches
+# switched starts again from 1, and each block that checks out doubles the
+# next. Each check has a fixed numpy cost, and branches rarely switch.
+_FIRST_BLOCK = 16
 # a candidate row's branch pattern is certified optimal when the dual at
 # its pool-clearing prices exceeds its objective by at most this share of
 # the dual's magnitude (or of 1), about 4,500 rounding units. Certified
@@ -169,8 +166,8 @@ def _lane_values(pbar, w, rate, offset, unpaid, price):
 
 class _Slot:
     """What every stacked solve of one slot problem shares: the lanes'
-    constants that do not depend on the channel counts, and a pool-share
-    memo.
+    constants that do not depend on the channel counts, which each row of
+    the price iteration reads on its own, and a pool-share memo.
 
     Lanes run macro first, then femto, one per user on each side. The memo
     maps a pool, keyed by its transmitter, its members' positions and their
@@ -186,14 +183,10 @@ class _Slot:
         k = self.k = problem.num_users
         self.n1 = problem.n_fbs + 1
         self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
-        # the user of each lane
-        self.lane_user = np.arange(2 * k) % k
         self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
         self.w = np.concatenate([problem.w_minus, problem.w_minus])
         # the same constants as Python values, for the Python loops
-        self.assoc = assoc = problem.assoc.tolist()
-        self.users = [list(range(k))]
-        self.users += [[j for j in range(k) if assoc[j] == s] for s in range(1, self.n1)]
+        self.assoc = problem.assoc.tolist()
         self.lane_pbar, self.lane_w = self.pbar.tolist(), self.w.tolist()
         self.rate_mbs = problem.rate_mbs.tolist()
         self.pools = {}
@@ -216,9 +209,10 @@ class _Responder:
     __call__ and load are the reference route of an iterate, which the
     tests and a traced solve's repaired iterates run. load sums each
     transmitter's shares left to right in user order, as the orbits do.
-    The price iteration only takes the lanes: it checks branches and takes
-    Lagrangian values from __call__'s elementwise formula (_lane_values),
-    evaluated once per orbit entry.
+    The price iteration only takes the lanes: each row takes its own, and
+    checks branches and takes Lagrangian values from __call__'s elementwise
+    formula (_lane_values), evaluated once per block of its iterates after
+    one stacked evaluation at the start prices.
     """
 
     def __init__(self, slot: _Slot, g_user):
@@ -462,29 +456,21 @@ class _Orbit:
     price, advanced in Python floats.
 
     Under a fixed pattern a transmitter's next price depends on its own
-    price alone, so the rows of a stack whose transmitter has the same
-    lanes, the same paid members and the same start price share its orbit.
-    Every operation of the step is an IEEE division, subtraction,
-    multiplication, comparison or sum, and the load is a running sum in
-    user order, as _Responder.load's bincount adds it, so the prices are
-    those of the reference route bit for bit. members holds the (pbar,
-    offset) of each paid member in user order, and full the load at a zero
-    price.
+    price alone. Every operation of the step is an IEEE division,
+    subtraction, multiplication, comparison or sum, and the load is a
+    running sum in user order, as _Responder.load's bincount adds it, so the
+    prices are those of the reference route bit for bit. users holds the
+    paid members in user order, members their (pbar, offset), and full the
+    load at a zero price.
 
     prices holds the orbit's distinct prices up to its first exact repeat;
-    from index cycle on they then repeat with period period. The first
-    placed entries sit in _OrbitTable's arrays from index base on, in a
-    region of cap entries.
+    from index cycle on they then repeat with period period.
     """
 
-    __slots__ = ("station", "row", "users", "members", "full", "prices", "seen",
-                 "cycle", "period", "base", "cap", "placed")
+    __slots__ = ("users", "members", "full", "prices", "seen", "cycle", "period")
 
-    def __init__(self, station, row, table, users, start):
-        self.station, self.row, self.users = station, row, users
-        lane = 0 if station == 0 else table.k
-        pbar, offset = table.pbar, table.offset[row]
-        self.members = [(pbar[lane + j], offset[lane + j]) for j in users]
+    def __init__(self, users, members, start):
+        self.users, self.members = users, members
         # at a zero price every paid member takes the whole slot, and a sum
         # of ones is exact in any order
         self.full = float(len(users))
@@ -492,13 +478,18 @@ class _Orbit:
         # every later price is +0.0 or positive, so a -0.0 start never repeats
         self.seen = {start: 0} if math.copysign(1.0, start) > 0 else {}
         self.cycle = self.period = None
-        self.base = self.cap = self.placed = 0
 
-    def index(self, pos: int) -> int:
-        """The entry holding the price at position pos."""
-        if self.period is None or pos < self.cycle:
-            return pos
-        return self.cycle + (pos - self.cycle) % self.period
+    def window(self, lo: int, hi: int) -> list:
+        """The prices at positions lo to hi, both included."""
+        prices, cycle = self.prices, self.cycle
+        if hi < len(prices):
+            return prices[lo : hi + 1]
+        # the positions before the cycle, then whole turns of it from lo's
+        # place in it
+        head, lo = prices[lo:cycle], max(lo, cycle)
+        turn = (lo - cycle) % self.period + cycle
+        loop = prices[turn:] + prices[cycle:turn]
+        return head + (loop * ((hi - lo) // self.period + 1))[: hi + 1 - lo]
 
     def extend(self, pos: int, step: float):
         """Advance the orbit until position pos has an entry."""
@@ -531,206 +522,117 @@ class _Orbit:
             p = q
 
 
-class _OrbitTable:
-    """The orbits of one solve, with their positions side by side in numpy.
+def _follow(slot: _Slot, paid, connect, held, prices, t) -> list:
+    """Per transmitter, the (orbit, base) pair of a row that takes the
+    branch pattern connect, a list of bools, from iterate t on, where its
+    input prices are prices; iterate i sits at position base + i of the
+    orbit. paid holds each of the row's lanes' (pbar, offset), None
+    on an unpaid lane. held is the row's pairs under its last pattern, None
+    at its start: a transmitter whose paid members stay keeps its pair, and
+    the others start new orbits at their prices. A row restarts here after
+    a branch switch."""
+    k, members = slot.k, [[] for _ in range(slot.n1)]
+    for j, macro in enumerate(connect):
+        if paid[j if macro else k + j] is not None:
+            members[0 if macro else slot.assoc[j]].append(j)
+    pairs = []
+    for s, users in enumerate(members):
+        users = tuple(users)
+        if held and held[s][0].users == users:
+            pairs.append(held[s])
+        else:
+            lanes = [paid[(s > 0) * k + j] for j in users]
+            pairs.append((_Orbit(users, lanes, prices[s]), -t))
+    return pairs
 
-    Each orbit owns a region of the arrays price and value, regrown to
-    twice its size when full, so a row's prices and lane values over a run
-    of iterates are one gather. value[i] holds, for each user j, the
-    Lagrangian value of j's lane on entry i's transmitter (macro or femto)
-    at entry i's price, as __call__ computes it. The start entries take
-    theirs from the solve's first branch evaluation (place_starts); every
-    later distinct price of an orbit is evaluated once, in one stacked
-    evaluation per round (place).
-    """
 
-    def __init__(self, respond, step, max_iters):
-        self.step = step
-        slot = respond.slot
-        k, n1 = slot.k, slot.n1
-        n_rows = len(respond.rate)
-        self.k, self.assoc, self.users, self.pbar = k, slot.assoc, slot.users, slot.lane_pbar
-        self.price_index, self.lane_user = slot.price_index, slot.lane_user
-        self.offset, self.unpaid = respond.offset.tolist(), respond.unpaid.tolist()
-        # rows whose lanes on a transmitter have the same rates share its
-        # orbits: with pbar and w, the rate fixes the lane's offset and
-        # whether it is paid (the macro lane 0, the same in every row, is
-        # there so that itemgetter always gets an index, and a lone user's
-        # key is a tuple like the others)
-        rates = respond.rate.tolist()
-        self.rate_keys = [
-            list(map(operator.itemgetter(*((s > 0) * k + j for j in users), 0), rates))
-            for s, users in enumerate(self.users)
-        ]
-        # each lane's pbar, w, rate, offset and unpaid flag, by 2*row + side
-        # (side 0 the macro lanes, 1 the femto lanes) and user
-        self.lanes = np.empty((5, n_rows, 2 * k))
-        parts = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
-        for i, part in enumerate(parts):
-            self.lanes[i] = part
-        self.lanes = self.lanes.reshape(5, 2 * n_rows, k)
-        self.orbits, self.fresh = {}, {}
-        # a first region holds every position a solve of up to this many
-        # iterates asks for, and the rows of a stack share most orbits
-        self.first_cap = min(max_iters + 1, 2 * _BLOCK)
-        self.price = np.empty((n_rows + n1) * self.first_cap)
-        self.value = np.empty((len(self.price), k))
-        self.top = 0
-        # each iterate of a round's blocks, then the iterate after it
-        self.steps = np.arange(n_rows * _BLOCK)[:, None] + np.arange(2)[:, None, None]
-
-    def members(self, r, connect) -> list:
-        """Per transmitter, the paid users that the branch pattern connect,
-        a list of bools, puts on it in row r."""
-        k, unpaid, assoc = self.k, self.unpaid[r], self.assoc
-        members = [[] for _ in self.users]
-        for j, macro in enumerate(connect):
-            if macro:
-                if not unpaid[j]:
-                    members[0].append(j)
-            elif not unpaid[k + j]:
-                members[assoc[j]].append(j)
-        return [tuple(users) for users in members]
-
-    def orbit(self, s, r, users, start):
-        """The orbit of transmitter s with row r's lanes and the paid
-        members users, from the price start."""
-        key = (s, self.rate_keys[s][r], users, start, math.copysign(1.0, start))
-        orbit = self.orbits.get(key)
-        if orbit is None:
-            orbit = self.orbits[key] = _Orbit(s, r, self, users, start)
-        return orbit
-
-    def _reserve(self, size) -> int:
-        base = self.top
-        self.top += size
-        if self.top > len(self.price):
-            grown = max(2 * len(self.price), self.top)
-            for name in ("price", "value"):
-                old = getattr(self, name)
-                new = np.empty((grown,) + old.shape[1:])
-                new[:base] = old[:base]
-                setattr(self, name, new)
-        return base
-
-    def place_starts(self, value):
-        """Put the start entry of every orbit so far in the arrays, with
-        its lane values taken from value, the (B, 2K) lane values of the
-        stack at the start prices: those of the orbit's side of the row
-        that made it. On a femto's entry only its own users' columns are
-        ever gathered, so the others may hold values at other prices."""
-        orbits = list(self.orbits.values())
-        cap = self.first_cap
-        base = self._reserve(len(orbits) * cap)
-        for i, orbit in enumerate(orbits):
-            orbit.base, orbit.cap, orbit.placed = base + i * cap, cap, 1
-        at = [orbit.base for orbit in orbits]
-        self.price[at] = [orbit.prices[0] for orbit in orbits]
-        sides = [int(orbit.station > 0) for orbit in orbits]
-        self.value[at] = value.reshape(-1, 2, self.k)[[orbit.row for orbit in orbits], sides]
-
-    def place(self):
-        """Put the orbits' new entries in the arrays, with their lane
-        values computed in one stacked evaluation."""
-        at, prices, lanes = [], [], []
-        for orbit in self.fresh:
-            n, placed = len(orbit.prices), orbit.placed
-            if n > orbit.cap:
-                cap = max(2 * orbit.cap, n, self.first_cap)
-                base = self._reserve(cap)
-                for table in (self.price, self.value):
-                    table[base : base + placed] = table[orbit.base : orbit.base + placed]
-                orbit.base, orbit.cap = base, cap
-            at += range(orbit.base + placed, orbit.base + n)
-            prices += orbit.prices[placed:]
-            lanes += [2 * orbit.row + (orbit.station > 0)] * (n - placed)
-            orbit.placed = n
-        self.fresh = {}
-        if at:
-            at, price = np.array(at), np.array(prices)
-            self.price[at] = price
-            # every operand at full shape, so each operation is one loop
-            pbar, w, rate, offset, unpaid = self.lanes.take(lanes, axis=1)
-            price = np.repeat(price, self.k).reshape(-1, self.k)
-            self.value[at] = _lane_values(pbar, w, rate, offset, unpaid, price)[1]
-
-    def lagrangian(self, entry, prices):
-        """Branches, shape (N, K), and Lagrangian values, shape (N,), of
-        the (N, n1) price rows prices, whose entries in the arrays are
-        entry."""
-        # take, unlike [:, index], returns C order, so every row below is
-        # contiguous and sums as a lone row does
-        lanes = self.value[entry.take(self.price_index, axis=1), self.lane_user]
-        macro, femto = lanes[:, : self.k], lanes[:, self.k :]
+def _iterate_row(respond: _Responder, r, connect, start, step, phi, max_iters, keep_iterates):
+    """Row r of _iterate, alone, from the branch pattern connect at the
+    start prices start (a list). Returns its iteration count, converged
+    flag, last prices, lowest dual value, Lagrangian value at its last
+    prices, branch patterns (a dict) and iterate prices."""
+    slot, k = respond.slot, respond.k
+    lanes = (respond.pbar, respond.w, respond.rate[r], respond.offset[r], respond.unpaid[r])
+    paid = [
+        None if unpaid else (pbar, offset)
+        for pbar, offset, unpaid in zip(slot.lane_pbar, lanes[3].tolist(), lanes[4].tolist())
+    ]
+    held = _follow(slot, paid, connect, None, start, 1)
+    code = bytes(connect)
+    seen, trail = {code: None}, []
+    # the next iterate, the first under the current pattern, and the blocks
+    # evaluated since then: (first iterate, prices, duals, branches)
+    t = t0 = 1
+    blocks, length, lowest = [], _FIRST_BLOCK, math.inf
+    while True:
+        end = min(t + length, max_iters + 1)
+        for orbit, base in held:
+            orbit.extend(base + end, step)
+        stop = None
+        if not keep_iterates and all(orbit.period for orbit, _ in held):
+            # the prices repeat from iterate first with the lcm of the
+            # orbits' periods, so one period of iterates shows every state
+            # that the rest of the run would visit
+            first = max(t0, *(orbit.cycle - base for orbit, base in held))
+            period = math.lcm(*(orbit.period for orbit, _ in held))
+            stop = first + period - 1
+            end = min(stop + 1, max_iters + 1)
+        n = end - t
+        # the block's prices and those after its last iterate, in C order,
+        # so every sum below runs along a contiguous row as a lone row's does
+        prices = np.array([orbit.window(base + t, base + end) for orbit, base in held]).T.copy()
+        value = _lane_values(*lanes, prices.take(slot.price_index, axis=1))[1]
+        macro, femto = value[:, :k], value[:, k:]
         branches = macro >= femto
-        values = np.where(branches, macro, femto)
-        return branches, np.add.reduce(values, axis=1) + np.add.reduce(prices, axis=1)
-
-
-class _Row:
-    """One row of the price iteration: its next iterate t, its branch
-    pattern since iterate t0 and, per transmitter, the orbit it follows and
-    the base that puts iterate t at the orbit's position base + t."""
-
-    __slots__ = ("index", "code", "orbits", "bases", "t", "t0", "length", "leave", "converged",
-                 "dual", "left", "seen", "trail")
-
-    def __init__(self, index):
-        self.index = index
-        self.t, self.length = 1, _FIRST_BLOCK
-        self.dual = math.inf
-        self.converged = self.left = False
-        self.seen, self.trail = {}, []
-        self.orbits = self.bases = None
-
-    def prices(self, t) -> list:
-        """The row's input prices at iterate t."""
-        return [o.prices[o.index(b + t)] for o, b in zip(self.orbits, self.bases)]
-
-    def assume(self, table, connect, prices):
-        """Take the branch pattern connect, a list of bools, from iterate t
-        on, whose input prices are prices; a transmitter whose paid members
-        stay keeps its orbit."""
-        # the bytes of a numpy bool row
-        self.code = bytes(connect)
-        self.t0 = self.t
-        # the iterate the row leaves at, once its orbits have all repeated
-        self.leave = None
-        self.seen.setdefault(self.code)
-        orbits, bases = [], []
-        for s, (start, users) in enumerate(zip(prices, table.members(self.index, connect))):
-            if self.orbits and self.orbits[s].users == users:
-                orbits.append(self.orbits[s])
-                bases.append(self.bases[s])
-            else:
-                orbits.append(table.orbit(s, self.index, users, start))
-                bases.append(-self.t)
-        self.orbits, self.bases = orbits, bases
-
-    def plan(self, table, max_iters, detect) -> int:
-        """Return the row's next block's iterate count, first advancing its
-        orbits to the prices after the block.
-
-        Once every orbit has repeated, the row's prices repeat from the
-        first iterate where all its orbits are in their cycles, with the lcm
-        of their periods; with detect the row then leaves at the first
-        iterate past one full period whose next prices equal those after
-        max_iters."""
-        end = min(self.t + self.length, max_iters + 1)
-        if self.leave is not None:
-            end = min(end, self.leave + 1)
-        orbits, bases = self.orbits, self.bases
-        for orbit, base in zip(orbits, bases):
-            orbit.extend(base + end, table.step)
-            if len(orbit.prices) > orbit.placed:
-                table.fresh[orbit] = None
-        if detect and self.leave is None and all(o.period for o in orbits):
-            first = max(self.t0, *(o.cycle - b for o, b in zip(orbits, bases)))
-            period = math.lcm(*(o.period for o in orbits))
-            last = first + period - 1
-            self.leave = last + (max_iters - last) % period
-            end = min(end, self.leave + 1)
-        return end - self.t
+        dual = np.add.reduce(np.where(branches, macro, femto), axis=1)
+        dual += np.add.reduce(prices, axis=1)
+        moved = prices[1:] - prices[:-1]
+        quiet = np.flatnonzero(np.add.reduce(moved * moved, axis=1) <= phi)
+        blocks.append((t, prices, dual, branches))
+        # the first iterate whose true branches differ from the assumed ones
+        m = n
+        codes = branches.tobytes()
+        if codes[: n * k] != code * n:
+            m = next(i for i in range(n) if codes[i * k : (i + 1) * k] != code)
+        converged = len(quiet) > 0 and quiet[0] < m
+        if converged:
+            # the movement out of that iterate is that of its true branches
+            n = int(quiet[0]) + 1
+        elif m < n:
+            # the iterates before the switch stand; the row goes on from the
+            # switching iterate with its true branches, in blocks from 1
+            if m:
+                lowest = min(lowest, float(dual[:m].min()))
+                if keep_iterates:
+                    trail.append(prices[:m])
+            t += m
+            connect = branches[m].tolist()
+            code = bytes(connect)
+            seen.setdefault(code)
+            held = _follow(slot, paid, connect, held, prices[m].tolist(), t)
+            t0, blocks, length = t, [], 1
+            continue
+        lowest = min(lowest, float(dual[:n].min()))
+        if keep_iterates:
+            trail.append(prices[:n])
+        t += n
+        length *= 2
+        if converged or t > max_iters or t - 1 == stop:
+            break
+    # the prices after the last iterate; a cycling row that stopped early
+    # finds those after max_iters by periodicity among its blocks since t0
+    last = t if converged or t > max_iters else first + (max_iters + 1 - first) % period
+    a, prices, dual, branches = next(block for block in blocks if block[0] + len(block[1]) > last)
+    seen.setdefault(branches[last - a].tobytes())
+    return (
+        t - 1 if converged else max_iters,
+        converged,
+        prices[last - a],
+        lowest,
+        dual[last - a],
+        seen,
+        np.concatenate(trail) if trail else np.zeros((0, slot.n1)),
+    )
 
 
 def _iterate(
@@ -751,128 +653,51 @@ def _iterate(
     keep_iterates, per row its prices at iterates 1, 2, ... as the rows of
     one array.
 
-    Under a fixed branch pattern each transmitter's price moves on its own
-    load alone, so a row advances as one orbit per transmitter (_Orbit),
-    shared by every row of the stack with the same transmitter lanes, paid
-    members and start price. An orbit ends at its first exact repeat. Once
-    all of a row's orbits have repeated its prices cycle, so its lowest
-    dual value and branch patterns are final and it never converges:
-    without keep_iterates it runs on only to an iterate whose next prices
-    equal those after max_iters, and stops there.
+    The rows take their first branches from one stacked evaluation of
+    every lane at its start price, then each row iterates alone
+    (_iterate_row), sharing nothing with the others. Under a fixed branch
+    pattern each transmitter's price moves on its own load alone (Low &
+    Lapsley, IEEE/ACM ToN 1999), so a row advances as one orbit per
+    transmitter (_Orbit) in Python floats, and an orbit ends at its first
+    exact repeat.
 
-    Rows run in blocks of _FIRST_BLOCK, twice that, ... up to _BLOCK
-    iterates. Each round the orbits that do not yet reach the prices after
-    a row's block advance in Python floats (_Row.plan), the new entries get
-    their lane values in one stacked evaluation (_OrbitTable.place), and the
-    blocks' prices, branches, Lagrangian values and squared price movements
-    are gathered from the orbits' entries in numpy, every sum along the
-    contiguous transmitter or user axis; the lowest dual values fold per
-    block. A row converges at the first iterate whose movement is at most
-    phi, unless its true branches differ from the assumed ones at or before
-    that iterate: then it goes back to the first that differs, takes the
-    true branches and starts again from blocks of 1. Rows never interact,
-    so every row's numbers are those of iterating it alone.
+    A row runs in blocks of _FIRST_BLOCK iterates, then twice that, and so
+    on without a cap. For each block the orbits advance to the prices after
+    the block, and one _lane_values call evaluates the block's prices and
+    those after its last iterate, an (n + 1, n_fbs + 1) array; the
+    branches, Lagrangian values and squared price movements follow in
+    numpy, every sum along the contiguous transmitter or user axis. A row
+    converges at the first iterate whose movement is at most phi, unless
+    its true branches differ from the assumed ones at or before that
+    iterate: then it goes back to the first that differs, takes the true
+    branches (_follow) and starts again from blocks of 1. The last prices'
+    branches and Lagrangian value come from the last block.
 
-    Nothing is evaluated twice: the first branches come from one stacked
-    evaluation of every lane at its start price, whose values become the
-    orbits' start entries, and a row's last branches and Lagrangian value
-    are gathered from the entries of its last prices, which its last block
-    placed.
+    Once all of a row's orbits have repeated, its prices cycle from the
+    first iterate where every orbit is in its cycle, with the lcm of their
+    periods, so its lowest dual value and branch patterns are final and it
+    never converges. Without keep_iterates it stops after one period of
+    that cycle and reads its last prices, those after max_iters, at their
+    place in the cycle.
     """
-    n_rows = len(respond.rate)
-    k, n1 = respond.k, respond.n1
-    table = _OrbitTable(respond, float(step), max_iters)
-    detect = not keep_iterates
-    # the first branches, from every lane's value at its start price; these
-    # are the lane values of the orbits' start entries too
-    price = start.take(respond.price_index)
+    k = respond.k
     lanes = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
-    value = _lane_values(*lanes, price)[1]
-    rows = [_Row(r) for r in range(n_rows)]
-    start_prices = start.tolist()
-    for row, connect in zip(rows, (value[:, :k] >= value[:, k:]).tolist()):
-        row.assume(table, connect, start_prices)
-    table.place_starts(value)
-    # per row, the entries of its last prices
-    last = np.empty((n_rows, n1), dtype=np.int64)
-    live = rows
-    while live:
-        counts = [row.plan(table, max_iters, detect) for row in live]
-        table.place()
-        # per row and transmitter: the arrays' index of the row's first
-        # iterate, less the row's offset in the stack of blocks; the index
-        # where the orbit's cycle starts, past every index if it has not
-        # repeated; and its period
-        starts, cycles, periods, firsts, expected, total = [], [], [], [], [], 0
-        for row, n in zip(live, counts):
-            for o, b in zip(row.orbits, row.bases):
-                starts.append(o.base + b + row.t - total)
-                cycles.append(o.base + o.cycle if o.period else 1 << 62)
-                periods.append(o.period or 1)
-            firsts.append(total)
-            expected.append(row.code * n)
-            total += n
-        where = np.array(starts + cycles + periods).reshape(3, -1, n1).repeat(counts, axis=1)
-        entry = where[0] + table.steps[:, :total]
-        entry -= np.maximum(entry - where[1], 0) // where[2] * where[2]
-        prices, after = table.price[entry]
-        moved = after - prices
-        movement = np.add.reduce(moved * moved, axis=1)
-        branches, dual = table.lagrangian(entry[0], prices)
-        lowest = np.minimum.reduceat(dual, firsts).tolist()
-        # per row, the stack index of the first iterate in its block whose
-        # movement is at most phi, or total if there is none
-        quiet = np.where(movement <= phi, table.steps[0, :total, 0], total)
-        settles = np.minimum.reduceat(quiet, firsts).tolist()
-        code = branches.tobytes()
-        same = code == b"".join(expected)
-        leaving, ends = [], []
-        for row, a, n, c, low, block in zip(live, firsts, counts, settles, lowest, expected):
-            m = n
-            if not same and code[a * k : (a + n) * k] != block:
-                m = next(i for i in range(n) if code[(a + i) * k : (a + i + 1) * k] != row.code)
-            if c - a < m:
-                # the movement out of iterate t + c - a is that of the true
-                # branches, so the row converges there
-                n = c - a + 1
-                row.converged = True
-                low = float(dual[a : a + n].min())
-            elif m < n:
-                # the iterates before the first switch stand
-                if m:
-                    row.dual = min(row.dual, float(dual[a : a + m].min()))
-                    if keep_iterates:
-                        row.trail.append(prices[a : a + m])
-                row.t += m
-                row.length = 1
-                row.assume(table, branches[a + m].tolist(), row.prices(row.t))
-                continue
-            row.dual = min(row.dual, low)
-            if keep_iterates:
-                row.trail.append(prices[a : a + n])
-            row.t += n
-            row.length = min(2 * row.length, _BLOCK)
-            row.left = row.converged or row.t - 1 in (max_iters, row.leave)
-            if row.left:
-                # the prices after the row's last iterate
-                leaving.append(row.index)
-                ends.append(a + n - 1)
-        if leaving:
-            last[leaving] = entry[1][ends]
-        live = [row for row in live if not row.left]
-    last_prices = table.price[last]
-    branches, last_dual = table.lagrangian(last, last_prices)
-    code = branches.tobytes()
-    for row in rows:
-        row.seen.setdefault(code[row.index * k : (row.index + 1) * k])
+    value = _lane_values(*lanes, start.take(respond.price_index))[1]
+    starts = (value[:, :k] >= value[:, k:]).tolist()
+    start, step = start.tolist(), float(step)
+    rows = [
+        _iterate_row(respond, r, connect, start, step, phi, max_iters, keep_iterates)
+        for r, connect in enumerate(starts)
+    ]
+    iterations, converged, last_prices, lowest, last_dual, seen, iterates = zip(*rows)
     return (
-        np.array([row.t - 1 if row.converged else max_iters for row in rows]),
-        np.array([row.converged for row in rows]),
-        last_prices,
-        np.array([row.dual for row in rows]),
-        last_dual,
-        [row.seen for row in rows],
-        [np.concatenate(row.trail) if row.trail else np.zeros((0, n1)) for row in rows],
+        np.array(iterations),
+        np.array(converged),
+        np.array(last_prices),
+        np.array(lowest),
+        np.array(last_dual),
+        list(seen),
+        list(iterates),
     )
 
 
@@ -985,11 +810,11 @@ def solve_noninterfering_batch(
 
     Every row starts from prices_init (all ones by default; a warm start
     from an earlier solve goes here) and follows its own projected gradient
-    iterates until its squared price movement drops to phi. Rows share
-    the price sequences of transmitters whose lanes, members and start
-    price agree (_iterate's station orbits), never a value that depends on
-    another row, and every sum runs over one row, so each row's numbers
-    are exactly those of solving it alone. An empty stack gives an empty
+    iterates until its squared price movement drops to phi. The rows
+    share one evaluation at the start prices, which gives each its first
+    branches, and then iterate one at a time (_iterate), sharing nothing;
+    every sum runs over one row, so each row's numbers are exactly those
+    of solving it alone. An empty stack gives an empty
     list; channel counts must be nonnegative and finite. The returned
     schedule is the best feasible point known: every visited branch pattern
     refilled exactly, and the two heuristics. A traced solve records the
