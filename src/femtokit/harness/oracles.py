@@ -2,6 +2,7 @@
 on, and the cross-check battery that `oracle-check` and the acceptance
 suite both run."""
 
+import copy
 import itertools
 import math
 import os
@@ -31,7 +32,15 @@ from ..scheduler import (
     optbound_upper,
     solve_noninterfering,
 )
-from ..spectrum import PrimaryChannel, SensorProfile, fuse_beliefs, step_primary
+from ..spectrum import (
+    AccessPolicy,
+    PrimaryChannel,
+    SensorProfile,
+    decide_access,
+    fuse_beliefs,
+    sense,
+    step_primary,
+)
 from ..video import StreamState, update_psnr
 
 # exact_schedule enumerates 2^K branch patterns
@@ -283,6 +292,28 @@ def fuse_beliefs_batch(busy_prior: float, observations, profiles) -> float:
     if denom == 0.0:
         raise ValueError("observations are impossible under the given prior and profiles")
     return like_idle / denom
+
+
+def channel_draws_by_slot(
+    channels, profile, policy, num_users, num_slots, rng_primary, rng_sense, rng_access
+) -> list:
+    """The slot-by-slot reference for runners.channel_draws: each slot
+    steps every chain, takes each channel's reports one at a time (its
+    sensing users in user order, then the femto), fuses them and draws the
+    slot's access coins. Returns per slot (occupancy list, report list per
+    channel, posterior array, AccessDecision)."""
+    M = len(channels)
+    slots = []
+    for t in range(num_slots):
+        busy = [step_primary(ch, rng_primary) for ch in channels]
+        reports, p_idle = [], np.empty(M)
+        for m, (ch, state) in enumerate(zip(channels, busy)):
+            obs = [sense(state, profile, rng_sense) for j in range(num_users) if (j + t) % M == m]
+            obs.append(sense(state, profile, rng_sense))
+            reports.append(obs)
+            p_idle[m] = fuse_beliefs(ch.busy_prior, obs, [profile] * len(obs))
+        slots.append((busy, reports, p_idle, decide_access(p_idle, policy, rng_access)))
+    return slots
 
 
 def window_psnr_by_bits(alpha, beta, window_bits, max_rate_bps, window_slots: int):
@@ -559,6 +590,82 @@ def check_greedy_vs_exhaustive(rng, count):
     )
 
 
+def _channel_case(rng, case):
+    """Random chains, sensor, policy and sizes for one channel-draw
+    instance. case (0..5) forces one corner: a prior of 0 (p01 = 0), a
+    prior of 1 (p10 = 0), a sensor without false alarms (an infinite
+    likelihood ratio), the same with priors of 0 that the chains leave (a
+    busy report is then impossible), one channel, or more users than
+    channels."""
+    n_channels = 1 if case == 4 else int(rng.integers(1, 6))
+    n_users = int(rng.integers(n_channels + 1, 10)) if case == 5 else int(rng.integers(1, 10))
+    p01 = 0.0 if case == 0 else float(rng.uniform(0.05, 0.95))
+    p10 = 0.0 if case == 1 else float(rng.uniform(0.05, 0.95))
+    false_alarm = 0.0 if case in (2, 3) else float(rng.uniform(0.0, 0.49))
+    profile = SensorProfile(false_alarm, float(rng.uniform(0.0, 0.49)))
+    prior = 0.0 if case == 3 else None
+    chains = [PrimaryChannel(p01, p10, busy_prior=prior) for _ in range(n_channels)]
+    for ch in chains:
+        ch.reset_stationary(rng)
+    return chains, profile, AccessPolicy(float(rng.uniform(0.0, 1.0))), n_users
+
+
+def check_channel_draws_vs_slot_loop(rng, count):
+    """The instance-wide channel draws of the stream runner equal the
+    slot-by-slot loop bit for bit: occupancy, reports, posteriors (.hex()),
+    access masks and expected counts (.hex()). Where a report is
+    impossible under its prior, both routes raise ValueError."""
+    # runners imports this module, so it is imported here, when the check runs
+    from .runners import channel_draws
+
+    raised = pinned = 0
+    for i in range(count):
+        case = i % 6
+        chains, profile, policy, n_users = _channel_case(rng, case)
+        n_slots = int(rng.integers(1, 13))
+        seed = int(rng.integers(2**32))
+        outcomes = []
+        for route in (channel_draws, channel_draws_by_slot):
+            copies = [copy.copy(ch) for ch in chains]
+            rngs = [make_rng(seed, purpose) for purpose in (1, 2, 3)]
+            try:
+                outcomes.append(route(copies, profile, policy, n_users, n_slots, *rngs))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(got, str) or isinstance(want, str):
+            if got != want:
+                raise AssertionError(f"draw {i}: instance route {got!r} vs slot loop {want!r}")
+            raised += 1
+            continue
+        for t, (busy, reports, p_idle, decision) in enumerate(want):
+            cleared = np.zeros(len(chains), dtype=bool)
+            cleared[list(decision.available)] = True
+            pairs = (
+                ("occupancy", got.busy[t].tolist(), busy),
+                ("reports", [r[v].tolist() for r, v in zip(got.reports[t], got.valid[t])], reports),
+                ("posteriors", [p.hex() for p in got.p_idle[t].tolist()],
+                 [p.hex() for p in p_idle.tolist()]),
+                ("access mask", got.cleared[t].tolist(), cleared.tolist()),
+                ("expected count", float(got.expected[t]).hex(), decision.expected_available.hex()),
+            )
+            for name, a, b in pairs:
+                if a != b:
+                    raise AssertionError(f"draw {i} slot {t}: {name} {a} vs slot loop {b}")
+        if case == 2:
+            pinned += int(np.sum(got.p_idle == 0.0))
+    if not (raised and pinned):
+        raise AssertionError(
+            f"the draws missed a corner: {raised} impossible reports, "
+            f"{pinned} posteriors pinned by an infinite likelihood ratio"
+        )
+    return (
+        f"{count} draws; {raised} raised ValueError alike on both routes, and "
+        f"{pinned} posteriors were pinned at 0 by a sensor without false alarms; "
+        f"every field identical"
+    )
+
+
 def check_psnr_telescoping(rng, count):
     """Per-slot quality updates telescope to the window's delivered bits."""
     T = 10
@@ -615,6 +722,7 @@ def oracle_check() -> list:
         ("schedule-dual-vs-exact", check_dual_vs_exact, 6, 30),
         ("greedy-allocation-vs-exhaustive", check_greedy_vs_exhaustive, 7, 12),
         ("psnr-telescoping-vs-bit-accounting", check_psnr_telescoping, 8, 20),
+        ("channel-draws-instance-vs-slot-loop", check_channel_draws_vs_slot_loop, 9, 300),
     )
     return [(name, *run_check(check, make_rng(2024, path), count))
             for name, check, path, count in battery]

@@ -219,17 +219,32 @@ def _capped(iters: int, budget: "int | None") -> int:
 
 
 def _stream_instance(cfg: StreamConfig, seed, sweep, emit_trace) -> list:
-    rng_primary = make_rng(seed, _RNG_PRIMARY)
-    rng_sense = make_rng(seed, _RNG_SENSE)
-    rng_access = make_rng(seed, _RNG_ACCESS)
-    rng_delivery = make_rng(seed, _RNG_DELIVERY)
-    channels = [PrimaryChannel(cfg.p01, cfg.p10) for _ in range(cfg.num_channels)]
+    """One stream instance in three stages. The channel draws (occupancy,
+    sensing, fusion, access) and the delivery coins depend on no schedule,
+    so they are drawn for all slots at once. The proposed chain runs slot
+    by slot, since each slot's solve starts from the quality and prices the
+    previous one left. The baselines' schedules depend on no quality, so
+    both are scheduled, checked and delivered once over all slots after
+    the chain."""
     rng_init = make_rng(seed, _RNG_DEMAND)
+    channels = [PrimaryChannel(cfg.p01, cfg.p10) for _ in range(cfg.num_channels)]
     for ch in channels:
         ch.reset_stationary(rng_init)
-    profile = SensorProfile(cfg.false_alarm, cfg.miss)
-    policy = AccessPolicy(cfg.gamma)
-    graph = InterferenceGraph(cfg.num_fbs, tuple(tuple(e) for e in cfg.edges))
+    draws = channel_draws(
+        channels,
+        SensorProfile(cfg.false_alarm, cfg.miss),
+        AccessPolicy(cfg.gamma),
+        cfg.num_users,
+        cfg.num_slots,
+        make_rng(seed, _RNG_PRIMARY),
+        make_rng(seed, _RNG_SENSE),
+        make_rng(seed, _RNG_ACCESS),
+    )
+    tally = _Tally(
+        collisions=(draws.cleared & (draws.busy == 1)).sum(axis=0).astype(float),
+        # running sum in slot order, as slot-by-slot tallies add
+        expected_available=float(np.cumsum(draws.expected)[-1]),
+    )
 
     template = _slot_template(cfg)
     alpha = template.w_minus
@@ -237,80 +252,132 @@ def _stream_instance(cfg: StreamConfig, seed, sweep, emit_trace) -> list:
         cap = np.full(cfg.num_users, np.inf)
     else:
         cap = alpha + np.asarray(cfg.beta_db_per_bps) * np.asarray(cfg.max_rate_bps)
-    states = {
-        name: StreamState(alpha, template.rate_mbs, template.rate_fbs, cap) for name in ALGORITHMS
-    }
-    window_sums = {name: np.zeros(cfg.num_users) for name in ALGORITHMS}
-    # independent bit ledger per algorithm: quality must always telescope back
-    # to alpha + beta * delivered_bits / window
-    window_bits = {name: np.zeros(cfg.num_users) for name in ALGORITHMS}
-    tally = _Tally(collisions=np.zeros(cfg.num_channels))
+    coins = make_rng(seed, _RNG_DELIVERY).random((cfg.num_slots, cfg.num_users))
+    # one coin per user and slot decides, for every algorithm alike, whether
+    # its macro and femto transmissions arrive
+    xi_mbs = (coins < template.pbar_mbs).astype(float)
+    xi_fbs = (coins < template.pbar_fbs).astype(float)
 
-    for t in range(cfg.num_slots):
-        true_states, p_idle = _sense_and_fuse(cfg, t, channels, profile, rng_primary, rng_sense)
-        decision = _access(p_idle, true_states, policy, rng_access, tally)
-        gi = _allocate(cfg, template, states["proposed"].psnr, decision, p_idle, graph, tally)
-        record_trace = emit_trace and t == 0
-        solutions = _schedule(cfg, template, t, states["proposed"].psnr, gi, tally, record_trace)
-        _deliver(cfg, template, states, solutions, gi, rng_delivery, window_bits)
-        if (t + 1) % cfg.window_slots == 0:
-            _close_window(cfg, t, states, window_bits, window_sums)
+    window_sums = {name: np.zeros(cfg.num_users) for name in ALGORITHMS}
+    gis, quality, objectives = _proposed_chain(
+        cfg, template, cap, draws, xi_mbs, xi_fbs, tally, window_sums, emit_trace
+    )
+    schedules = _baselines(template, gis, quality, objectives)
+    g_user = np.take(gis, template.assoc - 1, axis=1)
+    for name, sched in schedules.items():
+        state = StreamState(alpha, template.rate_mbs, template.rate_fbs, cap)
+        _deliver_windows(cfg, name, state, sched, xi_mbs, xi_fbs, g_user, window_sums)
     return _stream_rows(cfg, seed, sweep, window_sums, tally)
 
 
-def _sense_and_fuse(cfg, t, channels, profile, rng_primary, rng_sense):
-    """Occupancy, sensing and fusion: the channels' true states and idle
-    posteriors. In slot t user j senses channel (j + t) mod M, and the femto
-    senses every channel."""
-    M = len(channels)
-    true_states = [step_primary(ch, rng_primary) for ch in channels]
-    p_idle = np.empty(M)
-    for m, (ch, busy) in enumerate(zip(channels, true_states)):
-        obs = [sense(busy, profile, rng_sense) for j in range(cfg.num_users) if (j + t) % M == m]
-        obs.append(sense(busy, profile, rng_sense))
-        p_idle[m] = fuse_beliefs(ch.busy_prior, obs, [profile] * len(obs))
-    return true_states, p_idle
+@dataclass
+class ChannelDraws:
+    """An instance's channel draws, one row per slot.
+
+    busy: (S, M) true occupancy. reports and valid: (S, M, R) sensing
+    reports on each channel, in fusion order (its sensing users in user
+    order, then the femto), padded to the longest list; valid marks the
+    reports. p_idle: (S, M) fused idle posteriors. cleared: (S, M) access
+    mask. expected: (S,) expected available channel count per slot.
+    """
+
+    busy: np.ndarray
+    reports: np.ndarray
+    valid: np.ndarray
+    p_idle: np.ndarray
+    cleared: np.ndarray
+    expected: np.ndarray
 
 
-def _access(p_idle, true_states, policy, rng_access, tally):
-    """Access: the cleared channels, counting each one a primary occupies."""
-    decision = decide_access(p_idle, policy, rng_access)
-    for m in decision.available:
-        if true_states[m] == 1:
-            tally.collisions[m] += 1
-    tally.expected_available += decision.expected_available
-    return decision
+def channel_draws(
+    channels, profile, policy, num_users, num_slots, rng_primary, rng_sense, rng_access
+) -> ChannelDraws:
+    """Occupancy, sensing, fusion and access for every slot at once.
+
+    In slot t user j senses channel (j + t) mod M, and the femto senses
+    every channel. A slot's sensing draws go channel by channel, each
+    channel's users in user order and then the femto, as reports taken
+    one at a time would draw them; so do its occupancy and access draws.
+    """
+    M, K, S = len(channels), num_users, num_slots
+    busy = step_primary(channels, rng_primary, slots=S)
+
+    # channel m's first sensing user in slot t is (m - t) mod M, every M-th
+    # user after it senses m too, and the femto adds one more report
+    first = (np.arange(M)[None, :] - np.arange(S)[:, None]) % M
+    n_reports = (K - first + M - 1) // M + 1
+    R = int(n_reports.max())
+    valid = np.arange(R) < n_reports[..., None]
+    # each report's position among its slot's K + M sensing draws
+    position = (np.cumsum(n_reports, axis=1) - n_reports)[..., None] + np.arange(R)
+    slot, channel, _ = np.nonzero(valid)
+    at = position[valid]
+    sensed = np.zeros((S, K + M), dtype=int)
+    sensed[slot, at] = busy[slot, channel]
+    reports = np.zeros((S, M, R), dtype=int)
+    reports[valid] = sense(sensed, profile, rng_sense)[slot, at]
+
+    priors = np.array([ch.busy_prior for ch in channels])
+    p_idle = fuse_beliefs(priors, reports, [profile] * R, valid=valid)
+
+    decision = decide_access(p_idle.ravel(), policy, rng_access)
+    cleared = np.zeros(S * M, dtype=bool)
+    cleared[list(decision.available)] = True
+    cleared = cleared.reshape(S, M)
+    # each slot's sum over its cleared channels, in channel order
+    expected = np.cumsum(np.where(cleared, p_idle, 0.0), axis=1)[:, -1]
+    return ChannelDraws(busy, reports, valid, p_idle, cleared, expected)
 
 
-def _allocate(cfg, template, psnr, decision, p_idle, graph, tally) -> np.ndarray:
-    """Allocation: each femto's expected available channel count.
+def _proposed_chain(cfg, template, cap, draws, xi_mbs, xi_fbs, tally, window_sums, emit_trace):
+    """Allocation, the warm-started slot solve and delivery of the proposed
+    scheduler, slot by slot, with its window checks. Returns the channel
+    vectors (S, n_fbs), the quality each slot was solved at (S, K) and the
+    slot objectives (a list of floats)."""
+    graph = InterferenceGraph(cfg.num_fbs, tuple(tuple(e) for e in cfg.edges))
+    state = StreamState(template.w_minus, template.rate_mbs, template.rate_fbs, cap)
+    bits = np.zeros(cfg.num_users)
+    gis = np.empty((cfg.num_slots, cfg.num_fbs))
+    quality = np.empty((cfg.num_slots, cfg.num_users))
+    objectives = []
+    for t in range(cfg.num_slots):
+        quality[t] = state.psnr
+        gis[t] = gi = _allocate(cfg, template, state.psnr, draws, t, graph, tally)
+        sol = _schedule(cfg, template, state.psnr, gi, tally, emit_trace and t == 0)
+        objectives.append(sol.objective)
+        g_user = gi[template.assoc - 1]
+        update_psnr(state, sol.connect_mbs, sol.rho_mbs, sol.rho_fbs, xi_mbs[t], xi_fbs[t], g_user)
+        bits += _delivered_bits(cfg, sol, xi_mbs[t], xi_fbs[t], g_user)
+        if (t + 1) % cfg.window_slots == 0:
+            _close_window(cfg, t, "proposed", state, bits, window_sums)
+            bits = np.zeros(cfg.num_users)
+    return gis, quality, objectives
+
+
+def _allocate(cfg, template, psnr, draws, t, graph, tally) -> np.ndarray:
+    """Allocation: each femto's expected available channel count in slot t.
 
     A lone femto takes every cleared channel. Interfering femtos share them
     by greedy marginal value, and the greedy bound on the best allocation's
     objective is tallied.
     """
     if cfg.num_fbs == 1:
-        return np.array([decision.expected_available])
+        return draws.expected[t : t + 1]
     base = template.for_slot(psnr, template.fbs_gi)
     evaluator = AllocationValue(
         base, step=cfg.step, phi=cfg.phi, max_iters=_capped(_ALLOC_ITERS, cfg.budget)
     )
-    avail = decision.available
-    alloc, gtrace = greedy_alloc(base, avail, p_idle[list(avail)], graph, value=evaluator)
+    avail = np.flatnonzero(draws.cleared[t])
+    alloc, gtrace = greedy_alloc(
+        base, tuple(avail.tolist()), draws.p_idle[t, avail], graph, value=evaluator
+    )
     tally.upper_bound += evaluator.baseline + optbound_upper(gtrace)
     return alloc.gi()
 
 
-def _schedule(cfg, template, t, psnr, gi, tally, record_trace) -> dict:
-    """Schedule: every algorithm's time shares for slot t, by name.
-
-    The proposed scheduler warm-starts from the previous slot's prices, and
-    neither baseline may beat it on its problem. A baseline's schedule
-    depends on the links, the femto memberships and the channel counts,
-    never on the current quality, so the two rival schedules of that check
-    are also the equal and diversity algorithms' schedules. Their objective
-    is taken under the proposed scheduler's quality, and nothing reads it.
-    """
+def _schedule(cfg, template, psnr, gi, tally, record_trace):
+    """The proposed scheduler's solve of one slot, warm-started from the
+    previous slot's prices, with its tallies."""
     prob = template.for_slot(psnr.copy(), gi)
     sol = solve_noninterfering(
         prob,
@@ -327,47 +394,75 @@ def _schedule(cfg, template, t, psnr, gi, tally, record_trace) -> dict:
     tally.converged += sol.converged
     if record_trace:
         tally.trace = sol.trace
-    equal, diversity = heuristic_equal(prob), heuristic_diversity(prob)
-    for rival in (equal, diversity):
-        if rival.objective > sol.objective + 1e-9:
-            raise HarnessError(
-                f"slot {t}: schedule objective {sol.objective!r} "
-                f"below feasible point {rival.objective!r}"
-            )
-    return {"proposed": sol, "equal": equal, "diversity": diversity}
+    return sol
 
 
-def _deliver(cfg, template, states, solutions, gi, rng_delivery, window_bits):
-    """Delivery: one coin per user decides, for every algorithm alike,
-    whether its macro and femto transmissions arrive; quality and the bit
-    ledger both advance."""
-    draws = rng_delivery.random(cfg.num_users)
-    xi_mbs = (draws < template.pbar_mbs).astype(float)
-    xi_fbs = (draws < template.pbar_fbs).astype(float)
-    g_user = gi[template.assoc - 1]
-    for name, sol in solutions.items():
-        update_psnr(states[name], sol.connect_mbs, sol.rho_mbs, sol.rho_fbs, xi_mbs, xi_fbs, g_user)
-        window_bits[name] += np.where(
-            sol.connect_mbs,
-            xi_mbs * sol.rho_mbs * cfg.common_bandwidth_bps,
-            xi_fbs * sol.rho_fbs * g_user * cfg.channel_bandwidth_bps,
+def _baselines(template, gis, quality, objectives) -> dict:
+    """Both baselines' schedules for every slot, by name.
+
+    A baseline's schedule depends on the links, the femto memberships and
+    the channel counts, never on the current quality, so each rule runs
+    once over the stacked channel vectors. Neither may beat the proposed
+    scheduler on its problem: its objective is taken under the quality the
+    proposed scheduler solved each slot at, and the first slot where one
+    is higher fails the run.
+    """
+    equal = heuristic_equal(template, quality, gis)
+    diversity = heuristic_diversity(template, quality, gis)
+    floor = np.array(objectives) + 1e-9
+    beaten = (equal.objective > floor) | (diversity.objective > floor)
+    if beaten.any():
+        t = int(np.argmax(beaten))
+        rival = equal if equal.objective[t] > floor[t] else diversity
+        raise HarnessError(
+            f"slot {t}: schedule objective {objectives[t]!r} "
+            f"below feasible point {float(rival.objective[t])!r}"
         )
+    return {"equal": equal, "diversity": diversity}
 
 
-def _close_window(cfg, t, states, window_bits, window_sums):
-    """Bit ledger: each algorithm's window quality must equal the one its
-    delivered bits imply. Then quality and ledger restart."""
-    for name, st in states.items():
-        window_sums[name] += st.psnr
-        expected = window_psnr_by_bits(
-            cfg.alpha_db, cfg.beta_db_per_bps, window_bits[name], cfg.max_rate_bps, cfg.window_slots
+def _delivered_bits(cfg, sol, xi_mbs, xi_fbs, g_user):
+    """Bits each user receives in a slot, or in each row of stacked slots."""
+    return np.where(
+        sol.connect_mbs,
+        xi_mbs * sol.rho_mbs * cfg.common_bandwidth_bps,
+        xi_fbs * sol.rho_fbs * g_user * cfg.channel_bandwidth_bps,
+    )
+
+
+def _deliver_windows(cfg, name, state, sched, xi_mbs, xi_fbs, g_user, window_sums):
+    """Delivery of a stacked schedule (one row per slot): each window's
+    slots update quality in one call, the window's bits are their running
+    sum in slot order, and each window is closed as the proposed chain
+    closes its windows."""
+    bits = _delivered_bits(cfg, sched, xi_mbs, xi_fbs, g_user)
+    T = cfg.window_slots
+    for end in range(T, cfg.num_slots + 1, T):
+        rows = slice(end - T, end)
+        update_psnr(
+            state,
+            sched.connect_mbs[rows],
+            sched.rho_mbs[rows],
+            sched.rho_fbs[rows],
+            xi_mbs[rows],
+            xi_fbs[rows],
+            g_user[rows],
         )
-        drift = float(np.abs(st.psnr - expected).max())
-        # written so that a NaN drift fails
-        if not drift <= 1e-9:
-            raise HarnessError(f"slot {t}: {name} quality drifted {drift!r} from bit ledger")
-        st.reset_window()
-        window_bits[name][:] = 0.0
+        _close_window(cfg, end - 1, name, state, np.cumsum(bits[rows], axis=0)[-1], window_sums)
+
+
+def _close_window(cfg, t, name, state, bits, window_sums):
+    """Bit ledger: the window quality must equal the one its delivered
+    bits imply. Then quality restarts."""
+    window_sums[name] += state.psnr
+    expected = window_psnr_by_bits(
+        cfg.alpha_db, cfg.beta_db_per_bps, bits, cfg.max_rate_bps, cfg.window_slots
+    )
+    drift = float(np.abs(state.psnr - expected).max())
+    # written so that a NaN drift fails
+    if not drift <= 1e-9:
+        raise HarnessError(f"slot {t}: {name} quality drifted {drift!r} from bit ledger")
+    state.reset_window()
 
 
 def _stream_rows(cfg, seed, sweep, window_sums, tally) -> list:

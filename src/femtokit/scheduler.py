@@ -123,7 +123,9 @@ class ScheduleSolution:
     """Primal schedule plus solver diagnostics.
 
     connect_mbs is the binary branch choice per user; the losing branch's
-    time share is zero. For heuristic schedules the dual fields are NaN.
+    time share is zero. For heuristic schedules the dual fields are NaN,
+    and a stack of them holds one slot per row of its schedule fields and
+    objective.
     """
 
     connect_mbs: np.ndarray
@@ -138,12 +140,15 @@ class ScheduleSolution:
     trace: "list | None" = None
 
 
-def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs):
-    """Expected log-quality sum along the last (user) axis of stacked schedules."""
+def _objective(problem: SlotProblem, g_user, connect_mbs, rho_mbs, rho_fbs, w_minus=None):
+    """Expected log-quality sum along the last (user) axis of stacked
+    schedules, at the problem's current quality or at w_minus, which may
+    hold one row per schedule."""
+    w = problem.w_minus if w_minus is None else w_minus
     arg = np.where(
         connect_mbs,
-        problem.w_minus + rho_mbs * problem.rate_mbs,
-        problem.w_minus + rho_fbs * g_user * problem.rate_fbs,
+        w + rho_mbs * problem.rate_mbs,
+        w + rho_fbs * g_user * problem.rate_fbs,
     )
     if not np.all(arg > 0):
         raise ValueError("log argument must stay positive")
@@ -906,15 +911,31 @@ def _best_link(problem: SlotProblem, g_user):
     return connect, np.where(connect, share, 0.0), np.where(connect, 0.0, share)
 
 
-def _heuristic_solution(problem: SlotProblem, heuristic) -> ScheduleSolution:
-    """A baseline's schedule for the problem's channel vector: its batch of one."""
-    g_user = problem.fbs_gi[problem.assoc - 1]
-    connect, rho0, rhof = (part[0] for part in heuristic(problem, g_user[None, :]))
+def _heuristic_stack(problem: SlotProblem, heuristic, w_minus, gis) -> ScheduleSolution:
+    """A baseline's schedules of the problem's links under each row of a
+    (B, n_fbs) stack of channel vectors, each scored at its row of a (B, K)
+    stack of current qualities. Checks both stacks as SlotProblem checks
+    one row, with its messages."""
+    w_minus = np.asarray(w_minus, dtype=float)
+    gis = np.asarray(gis, dtype=float)
+    if gis.ndim != 2 or gis.shape[1] != problem.n_fbs:
+        raise ValueError("gis must hold one channel vector per femto station in each row")
+    if w_minus.shape != (len(gis), problem.num_users):
+        raise ValueError("w_minus must hold one quality per user in each row of gis")
+    if len(gis):
+        # each check passes only on the valid values, and min and max
+        # return NaN if any entry is NaN, so NaN fails it
+        if not (w_minus.min() > 0 and w_minus.max() < math.inf):
+            raise ValueError("current quality must be positive and finite")
+        if not (gis.min() >= 0 and gis.max() < math.inf):
+            raise ValueError("expected channel counts must be nonnegative and finite")
+    g_user = np.take(gis, problem.assoc - 1, axis=1)
+    connect, rho0, rhof = heuristic(problem, g_user)
     return ScheduleSolution(
         connect_mbs=connect,
         rho_mbs=rho0,
         rho_fbs=rhof,
-        objective=float(_objective(problem, g_user, connect, rho0, rhof)),
+        objective=_objective(problem, g_user, connect, rho0, rhof, w_minus),
         dual_value=float("nan"),
         duality_gap=float("nan"),
         iterations=0,
@@ -923,15 +944,35 @@ def _heuristic_solution(problem: SlotProblem, heuristic) -> ScheduleSolution:
     )
 
 
-def heuristic_equal(problem: SlotProblem) -> ScheduleSolution:
-    """Baseline: users pick the better link, transmitters split time evenly."""
-    return _heuristic_solution(problem, _equal_split)
+def _heuristic_solution(problem: SlotProblem, heuristic, w_minus, gis) -> ScheduleSolution:
+    """A baseline's stacked schedules, or without stacks the problem's own
+    slot as the batch of one."""
+    if (w_minus is None) != (gis is None):
+        raise ValueError("a stack of slots needs both w_minus and gis")
+    if gis is not None:
+        return _heuristic_stack(problem, heuristic, w_minus, gis)
+    one = _heuristic_stack(problem, heuristic, problem.w_minus[None, :], problem.fbs_gi[None, :])
+    one.connect_mbs, one.rho_mbs, one.rho_fbs = one.connect_mbs[0], one.rho_mbs[0], one.rho_fbs[0]
+    one.objective = float(one.objective[0])
+    return one
 
 
-def heuristic_diversity(problem: SlotProblem) -> ScheduleSolution:
+def heuristic_equal(problem: SlotProblem, w_minus=None, gis=None) -> ScheduleSolution:
+    """Baseline: users pick the better link, transmitters split time evenly.
+
+    Given stacks w_minus (B, K) and gis (B, n_fbs), row b is the schedule
+    of the problem's links under channel vector gis[b], scored at current
+    quality w_minus[b], and each schedule field and the objective gain that
+    leading row axis. Without them it schedules the problem's own slot.
+    """
+    return _heuristic_solution(problem, _equal_split, w_minus, gis)
+
+
+def heuristic_diversity(problem: SlotProblem, w_minus=None, gis=None) -> ScheduleSolution:
     """Baseline: users pick the better link, each transmitter then gives its
-    whole slot to its best-link chooser; everyone else idles."""
-    return _heuristic_solution(problem, _best_link)
+    whole slot to its best-link chooser; everyone else idles. Stacks
+    w_minus and gis work as in heuristic_equal."""
+    return _heuristic_solution(problem, _best_link, w_minus, gis)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femtokit.harness import cli, oracles, runners
 from femtokit.harness.cli import main, parse_seeds
@@ -40,6 +43,8 @@ from femtokit.harness.runners import (
     run_multicast,
     run_streaming,
 )
+from femtokit.scheduler import heuristic_equal
+from femtokit.video import StreamState, update_psnr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -421,6 +426,94 @@ class TestRunners:
         monkeypatch.setattr(runners, "window_psnr_by_bits", poisoned)
         with pytest.raises(HarnessError, match="drifted nan"):
             run_streaming(config_from_dict(dict(STREAM_BASE)), [0])
+
+    def test_each_baselines_ledger_is_checked(self, monkeypatch):
+        # STREAM_BASE has two windows; the proposed chain closes both first,
+        # then each baseline closes its own
+        real = runners.window_psnr_by_bits
+        calls = []
+
+        def poisoned_after_proposed(alpha, beta, bits, max_rate, window_slots):
+            calls.append(bits)
+            good = real(alpha, beta, bits, max_rate, window_slots)
+            return good if len(calls) <= 2 else np.full(len(bits), math.nan)
+
+        monkeypatch.setattr(runners, "window_psnr_by_bits", poisoned_after_proposed)
+        with pytest.raises(HarnessError, match="slot 4: equal quality drifted nan"):
+            run_streaming(config_from_dict(dict(STREAM_BASE)), [0])
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_a_slot_that_loses_to_equal_split_fails_the_run(self, monkeypatch, k):
+        # the rival check runs once over all slots after the proposed chain,
+        # and must still name the slot
+        real = runners.solve_noninterfering
+        slots = []
+
+        def weakened(prob, **kwargs):
+            sol = real(prob, **kwargs)
+            if len(slots) == k:
+                sol.objective = heuristic_equal(prob).objective - 1.0
+            slots.append(prob)
+            return sol
+
+        monkeypatch.setattr(runners, "solve_noninterfering", weakened)
+        with pytest.raises(HarnessError, match=rf"^slot {k}: schedule objective") as failed:
+            run_streaming(config_from_dict(dict(STREAM_BASE)), [0])
+        rival = heuristic_equal(slots[k]).objective
+        assert str(failed.value).endswith(f"below feasible point {rival!r}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), max_rate=st.sampled_from([None, 2e5, 4e5]))
+    def test_stacked_delivery_is_the_slot_recursion_bit_for_bit(self, data, max_rate):
+        cfg = config_from_dict(dict(STREAM_BASE, max_rate_bps=max_rate))
+        S, K, T = cfg.num_slots, cfg.num_users, cfg.window_slots
+        template = runners._slot_template(cfg)
+        cap = np.full(K, np.inf) if max_rate is None else template.w_minus + 5e-5 * max_rate
+
+        def stack(values):
+            row = st.lists(values, min_size=K, max_size=K)
+            return np.array(data.draw(st.lists(row, min_size=S, max_size=S)), dtype=float)
+
+        share = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        sched = types.SimpleNamespace(
+            connect_mbs=stack(st.booleans()).astype(bool),
+            rho_mbs=stack(share),
+            rho_fbs=stack(share),
+        )
+        coins = st.sampled_from([0.0, 1.0])
+        xi_mbs, xi_fbs = stack(coins), stack(coins)
+        g_user = stack(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0))
+
+        ledger = []
+
+        def recorded(alpha, beta, bits, max_rate_bps, window_slots):
+            ledger.append(np.array(bits))
+            return oracles.window_psnr_by_bits(alpha, beta, bits, max_rate_bps, window_slots)
+
+        sums = {"equal": np.zeros(K)}
+        state = StreamState(template.w_minus, template.rate_mbs, template.rate_fbs, cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runners, "window_psnr_by_bits", recorded)
+            runners._deliver_windows(cfg, "equal", state, sched, xi_mbs, xi_fbs, g_user, sums)
+
+        # reference: the slot recursion with a running bit ledger
+        one = StreamState(template.w_minus, template.rate_mbs, template.rate_fbs, cap)
+        want_sums, want_bits, bits = np.zeros(K), [], np.zeros(K)
+        for t in range(S):
+            row = (sched.connect_mbs[t], sched.rho_mbs[t], sched.rho_fbs[t])
+            update_psnr(one, *row, xi_mbs[t], xi_fbs[t], g_user[t])
+            bits += np.where(
+                row[0],
+                xi_mbs[t] * row[1] * cfg.common_bandwidth_bps,
+                xi_fbs[t] * row[2] * g_user[t] * cfg.channel_bandwidth_bps,
+            )
+            if (t + 1) % T == 0:
+                want_sums += one.psnr
+                want_bits.append(bits.copy())
+                one.reset_window()
+                bits = np.zeros(K)
+        assert sums["equal"].tobytes() == want_sums.tobytes()
+        assert [b.tobytes() for b in ledger] == [b.tobytes() for b in want_bits]
 
     def test_stationary_fraction_helper(self):
         assert markov_busy_fraction(0.4, 0.3) == pytest.approx(4.0 / 7.0)

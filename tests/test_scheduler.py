@@ -1435,6 +1435,56 @@ class TestHeuristics:
             for part in ("connect_mbs", "rho_mbs", "rho_fbs"):
                 assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_slot_stack_is_each_slot_scheduled_alone(self, data):
+        # the stream runner schedules each baseline once over all slots, and
+        # scores row t at the quality the proposed scheduler solved slot t at
+        prob = data.draw(slot_problems())
+        gis = np.array(data.draw(channel_stacks(prob.n_fbs)))
+        quality = st.lists(st.floats(1.0, 60.0), min_size=prob.num_users, max_size=prob.num_users)
+        w_minus = np.array(data.draw(st.lists(quality, min_size=len(gis), max_size=len(gis))))
+        for heuristic in (heuristic_equal, heuristic_diversity):
+            stack = heuristic(prob, w_minus, gis)
+            assert stack.objective.shape == (len(gis),)
+            for r in range(len(gis)):
+                lone = heuristic(prob.for_slot(w_minus[r], gis[r]))
+                for part in ("connect_mbs", "rho_mbs", "rho_fbs"):
+                    assert bits(getattr(stack, part)[r]) == bits(getattr(lone, part))
+                assert bits(stack.objective[r]) == bits(lone.objective)
+
+    @pytest.mark.parametrize(
+        "w_minus, gis, message",
+        [
+            ([[30.0, 31.0]], None, "both w_minus and gis"),
+            (None, [[1.0]], "both w_minus and gis"),
+            ([[30.0, 31.0]], [[1.0, 2.0]], "one channel vector per femto"),
+            ([[30.0, 31.0]], [1.0], "one channel vector per femto"),
+            ([[30.0, 31.0]], [[1.0], [2.0]], "one quality per user"),
+            ([30.0, 31.0], [[1.0]], "one quality per user"),
+            ([[30.0, math.nan]], [[1.0]], "current quality"),
+            ([[30.0, 0.0]], [[1.0]], "current quality"),
+            ([[30.0, math.inf]], [[1.0]], "current quality"),
+            ([[30.0, 31.0]], [[-1.0]], "expected channel counts"),
+            ([[30.0, 31.0]], [[math.nan]], "expected channel counts"),
+            ([[30.0, 31.0]], [[math.inf]], "expected channel counts"),
+        ],
+    )
+    def test_slot_stacks_are_checked_as_slot_problems(self, w_minus, gis, message):
+        prob = SlotProblem(
+            w_minus=[30.0, 30.0],
+            pbar_mbs=[0.9, 0.2],
+            pbar_fbs=[0.5, 0.9],
+            rate_mbs=[60.0, 60.0],
+            rate_fbs=[40.0, 40.0],
+            assoc=[1, 1],
+            n_fbs=1,
+            fbs_gi=[1.0],
+        )
+        for heuristic in (heuristic_equal, heuristic_diversity):
+            with pytest.raises(ValueError, match=message):
+                heuristic(prob, w_minus, gis)
+
     def test_equal_split_within_each_pool(self):
         prob = SlotProblem(
             w_minus=[30.0, 30.0, 30.0],

@@ -49,6 +49,24 @@ class TestPrimaryChannel:
         ch = PrimaryChannel(0.0, 0.0, busy_prior=0.0, state=1)
         assert all(step_primary(ch, rng) == 1 for _ in range(10))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rates=st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=2, max_size=8),
+        slots=st.integers(0, 12),
+    )
+    def test_stacked_steps_are_rounds_of_single_steps(self, seed, rates, slots):
+        pairs = list(zip(rates[::2], rates[1::2]))
+        stacked = [PrimaryChannel(p01, p10, state=m % 2) for m, (p01, p10) in enumerate(pairs)]
+        single = [PrimaryChannel(p01, p10, state=m % 2) for m, (p01, p10) in enumerate(pairs)]
+        rng_a, rng_b = make_rng(seed, 1), make_rng(seed, 1)
+        got = step_primary(stacked, rng_a, slots=slots)
+        want = [[step_primary(ch, rng_b) for ch in single] for _ in range(slots)]
+        assert got.shape == (slots, len(pairs))
+        assert got.tolist() == want
+        assert [ch.state for ch in stacked] == [ch.state for ch in single]
+        assert rng_a.random() == rng_b.random()
+
 
 class TestSensing:
     def test_report_error_rates(self):
@@ -67,6 +85,30 @@ class TestSensing:
             SensorProfile(0.1, -0.01)
         with pytest.raises(ValueError):
             sense(2, SensorProfile(0.1, 0.1), make_rng(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        states=st.lists(
+            st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=1, max_size=6
+        ),
+        errors=st.tuples(st.sampled_from([0.0, 0.1, 0.49]), st.sampled_from([0.0, 0.2, 0.45])),
+    )
+    def test_an_array_of_states_draws_as_single_reports_in_c_order(self, seed, states, errors):
+        profile = SensorProfile(*errors)
+        grid = np.array(states)
+        rng_a, rng_b = make_rng(seed, 2), make_rng(seed, 2)
+        got = sense(grid, profile, rng_a)
+        want = [[sense(int(s), profile, rng_b) for s in row] for row in grid]
+        assert got.shape == grid.shape
+        assert got.tolist() == want
+        assert rng_a.random() == rng_b.random()
+
+    def test_an_array_with_a_bad_state_is_rejected_before_drawing(self):
+        rng = make_rng(0, 3)
+        with pytest.raises(ValueError, match="true_state"):
+            sense(np.array([[0, 1], [2, 0]]), SensorProfile(0.1, 0.1), rng)
+        assert rng.random() == make_rng(0, 3).random()
 
 
 class TestFusion:
@@ -133,6 +175,83 @@ class TestFusion:
             fuse_beliefs(1.2, [0], [SensorProfile(0.3, 0.3)])
 
 
+# (prior, report lists, profile per position): fusion inputs with every
+# corner the stream runner can reach, padded to one length per draw
+PRIORS = st.sampled_from([0.0, 0.25, 4 / 7, 0.9, 1.0])
+PROFILES = st.tuples(st.sampled_from([0.0, 0.05, 0.3]), st.sampled_from([0.0, 0.2, 0.45]))
+
+
+def padded(report_lists):
+    """(reports, valid) arrays for report lists, padded to the longest."""
+    width = max(map(len, report_lists))
+    reports = np.zeros((len(report_lists), width), dtype=int)
+    valid = np.zeros((len(report_lists), width), dtype=bool)
+    for r, obs in enumerate(report_lists):
+        reports[r, : len(obs)] = obs
+        valid[r, : len(obs)] = True
+    return reports, valid
+
+
+class TestArrayFusion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        priors=st.lists(PRIORS, min_size=1, max_size=6),
+        lists=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=4), min_size=6, max_size=6),
+        errors=st.lists(PROFILES, min_size=4, max_size=4),
+    )
+    def test_each_row_is_the_list_route_bit_for_bit(self, priors, lists, errors):
+        profiles = [SensorProfile(*e) for e in errors]
+        lists = lists[: len(priors)]
+        reports, valid = padded(lists)
+        # padding holds 1s, which the update must skip
+        reports[~valid] = 1
+        want = []
+        for prior, obs in zip(priors, lists):
+            try:
+                want.append(fuse_beliefs(prior, obs, profiles[: len(obs)]).hex())
+            except ValueError as exc:
+                want.append(str(exc))
+        width = reports.shape[1]
+        if any(not w.startswith("0x") for w in want):
+            with pytest.raises(ValueError, match="impossible"):
+                fuse_beliefs(np.array(priors), reports, profiles[:width], valid=valid)
+            return
+        got = fuse_beliefs(np.array(priors), reports, profiles[:width], valid=valid)
+        assert got.shape == (len(priors),)
+        assert [p.hex() for p in got.tolist()] == want
+
+    def test_leading_axes_and_a_broadcast_prior(self):
+        profile = SensorProfile(0.3, 0.3)
+        reports = np.array([[[0, 1], [1, 1]], [[0, 0], [1, 0]], [[1, 0], [0, 1]]])
+        got = fuse_beliefs(np.array([0.2, 0.7]), reports, [profile, profile])
+        assert got.shape == (3, 2)
+        for s in range(3):
+            for m, prior in enumerate((0.2, 0.7)):
+                want = fuse_beliefs(prior, reports[s, m].tolist(), [profile, profile])
+                assert got[s, m].hex() == want.hex()
+
+    def test_array_input_validation(self):
+        profile = SensorProfile(0.3, 0.3)
+        reports = np.array([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="at least one observation"):
+            fuse_beliefs(0.5, reports, [profile] * 2, valid=np.array([[True, True], [False, True]]))
+        with pytest.raises(ValueError, match="at least one observation"):
+            fuse_beliefs(0.5, np.zeros((2, 0), dtype=int), [], valid=np.zeros((2, 0), dtype=bool))
+        with pytest.raises(ValueError, match="valid must mark"):
+            fuse_beliefs(0.5, reports, [profile] * 2, valid=np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="one sensor profile"):
+            fuse_beliefs(0.5, reports, [profile])
+        with pytest.raises(ValueError, match="0/1 reports"):
+            fuse_beliefs(0.5, np.array([[0, 2], [1, 0]]), [profile] * 2)
+        with pytest.raises(ValueError, match="busy_prior"):
+            fuse_beliefs(np.array([0.5, math.nan]), reports, [profile] * 2)
+        # a bad value in a padded position is not a report
+        got = fuse_beliefs(
+            0.5, np.array([[0, 7]]), [profile] * 2, valid=np.array([[True, False]])
+        )
+        assert got[0] == fuse_beliefs(0.5, [0], [profile])
+
+
 class TestAccess:
     def test_budget_spread_over_busy_probability(self):
         assert access_probability(0.7, 0.2) == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -162,6 +281,45 @@ class TestAccess:
         assert decision.available == (0, 1)
         assert decision.expected_available == pytest.approx(0.75)
         assert decision.p_access == pytest.approx([1.0, 1.0])
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_an_array_gets_each_scalar_probability(self, p_idle, gamma):
+        got = access_probability(np.array(p_idle, dtype=float), gamma)
+        assert [p.hex() for p in got.tolist()] == [
+            access_probability(p, gamma).hex() for p in p_idle
+        ]
+
+    def test_an_array_is_checked_as_each_scalar(self):
+        with pytest.raises(ValueError, match="p_idle"):
+            access_probability(np.array([0.5, math.nan]), 0.2)
+        with pytest.raises(ValueError, match="p_idle"):
+            access_probability(np.array([0.5, 1.5]), 0.2)
+        with pytest.raises(ValueError, match="gamma"):
+            access_probability(np.array([0.5]), 1.2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        slots=st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_consecutive_slots_offered_at_once_decide_as_slot_by_slot(self, seed, slots):
+        policy = AccessPolicy(0.3)
+        flat = decide_access(np.array(slots).ravel(), policy, make_rng(seed, 4))
+        rng = make_rng(seed, 4)
+        available, p_access = [], []
+        for t, p_idle in enumerate(slots):
+            one = decide_access(p_idle, policy, rng)
+            available += [3 * t + m for m in one.available]
+            p_access += one.p_access.tolist()
+        assert flat.available == tuple(available)
+        assert flat.p_access.tolist() == p_access
 
     def test_decision_reproducible_for_a_seeded_stream(self):
         a = decide_access([0.6, 0.2, 0.9], AccessPolicy(0.2), make_rng(9, 74))

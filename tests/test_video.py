@@ -140,3 +140,84 @@ class TestStreamState:
             gains += np.where(connect, xi0 * rho0 * st_.rate_mbs, xif * rhof * g * st_.rate_fbs)
         expected = np.minimum(st_.alpha + gains, st_.psnr_cap)
         assert np.max(np.abs(st_.psnr - expected)) < 1e-9
+
+
+def slot_stacks(draw, n_slots, n_users):
+    """(connect, rho_mbs, rho_fbs, xi_mbs, xi_fbs, g_user) stacks with one
+    row per slot, shares in [0, 1] with exact 0s and 1s among them."""
+    def rows(values):
+        row = st.lists(values, min_size=n_users, max_size=n_users)
+        stack = draw(st.lists(row, min_size=n_slots, max_size=n_slots))
+        return np.array(stack, dtype=float).reshape(n_slots, n_users)
+
+    share = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    coin = st.sampled_from([0.0, 1.0])
+    return (
+        rows(st.booleans()).astype(bool),
+        rows(share),
+        rows(share),
+        rows(coin),
+        rows(coin),
+        rows(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 6.0)),
+    )
+
+
+class TestStackedSlots:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n_slots=st.integers(0, 12),
+        n_users=st.integers(1, 5),
+        capped=st.booleans(),
+    )
+    def test_a_stack_is_the_slot_recursion_bit_for_bit(self, data, n_slots, n_users, capped):
+        def per_user(values, n=n_users):
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+        alpha = per_user(st.floats(20.0, 40.0))
+        rates = per_user(st.floats(0.0, 3.0), 2 * n_users)
+        cap = alpha + data.draw(st.floats(0.0, 8.0)) if capped else np.full(n_users, np.inf)
+        stack = slot_stacks(data.draw, n_slots, n_users)
+        stacked = StreamState(alpha, rates[:n_users], rates[n_users:], cap)
+        single = StreamState(alpha, rates[:n_users], rates[n_users:], cap)
+        got = update_psnr(stacked, *stack)
+        for row in zip(*stack):
+            update_psnr(single, *row)
+        assert got is stacked.psnr
+        assert got.tobytes() == single.psnr.tobytes()
+
+    def test_shares_just_below_zero_take_the_rows_in_turn(self):
+        # a gain of -1e-7 after the cap binds: the recursion leaves the cap,
+        # which a capped running sum would not
+        stack = (
+            np.array([[True], [True]]),
+            np.array([[1.0], [-1e-7]]),
+            np.zeros((2, 1)),
+            np.ones((2, 1)),
+            np.ones((2, 1)),
+            np.ones((2, 1)),
+        )
+        stacked = StreamState(np.array([30.0]), np.array([2.0]), np.array([1.0]), np.array([31.0]))
+        single = StreamState(np.array([30.0]), np.array([2.0]), np.array([1.0]), np.array([31.0]))
+        update_psnr(stacked, *stack)
+        for row in zip(*stack):
+            update_psnr(single, *row)
+        assert stacked.psnr.tobytes() == single.psnr.tobytes()
+        assert stacked.psnr[0] < 31.0
+
+    @pytest.mark.parametrize("share", ["rho_mbs", "rho_fbs"])
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.5])
+    def test_a_bad_share_in_any_row_is_rejected(self, share, bad):
+        st_ = fresh_state()
+        shares = {"rho_mbs": np.zeros((3, 2)), "rho_fbs": np.zeros((3, 2))}
+        shares[share][2, 1] = bad
+        with pytest.raises(ValueError, match=share):
+            update_psnr(
+                st_,
+                np.zeros((3, 2), dtype=bool),
+                xi_mbs=np.ones((3, 2)),
+                xi_fbs=np.ones((3, 2)),
+                g_user=np.ones((3, 2)),
+                **shares,
+            )
+        assert st_.psnr.tolist() == [30.0, 32.0]
