@@ -201,27 +201,16 @@ def _fuse_array(busy_prior, obs, profiles, valid):
 def access_probability(p_idle, gamma: float):
     """min(gamma / P(busy), 1): the largest access rate keeping expected
     collisions per slot at or below gamma. An array of idle probabilities
-    gets an array of access probabilities, each the float one would get."""
-    if isinstance(p_idle, np.ndarray):
-        return _access_array(p_idle, gamma)
-    if not 0.0 <= p_idle <= 1.0:
-        raise ValueError(f"p_idle must be a probability, got {p_idle}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be a probability, got {gamma}")
-    if p_idle == 1.0:
-        return 1.0
-    return min(gamma / (1.0 - p_idle), 1.0)
-
-
-def _access_array(p_idle: np.ndarray, gamma: float) -> np.ndarray:
-    """access_probability of each entry, with the same checks."""
+    gets an array of access probabilities; a scalar gets a float."""
+    p = np.asarray(p_idle, dtype=float)
     # min and max return NaN if any entry is NaN, so NaN fails the check
-    if len(p_idle) and not (p_idle.min() >= 0.0 and p_idle.max() <= 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError(f"p_idle must be a probability, got {p_idle}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be a probability, got {gamma}")
-    certain = p_idle == 1.0
-    return np.where(certain, 1.0, np.minimum(gamma / np.where(certain, 1.0, 1.0 - p_idle), 1.0))
+    certain = p == 1.0
+    q = np.where(certain, 1.0, np.minimum(gamma / np.where(certain, 1.0, 1.0 - p), 1.0))
+    return float(q) if q.ndim == 0 else q
 
 
 @dataclass(frozen=True)

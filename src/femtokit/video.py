@@ -95,11 +95,8 @@ def update_psnr(
     g_user scales the femto rate by the expected available channels of the
     user's femto. Raises if any time-share input leaves [0, 1 + _SHARE_TOL].
 
-    Inputs with one row per slot apply those slots in order. When no gain
-    is negative they are applied at once: the quality is the cap or the
-    running sum of the gains in slot order, whichever is lower, which is
-    the slot recursion bit for bit, since a user that reaches its cap
-    stays there. Negative gains (shares just below 0) go row by row.
+    Inputs with one row per slot apply those slots in order, after every
+    row's shares are checked.
     """
     connect_mbs = np.asarray(connect_mbs, dtype=bool)
     rho_mbs = np.asarray(rho_mbs, dtype=float)
@@ -113,12 +110,6 @@ def update_psnr(
         np.asarray(xi_mbs, dtype=float) * rho_mbs * state.rate_mbs,
         np.asarray(xi_fbs, dtype=float) * rho_fbs * np.asarray(g_user, dtype=float) * state.rate_fbs,
     )
-    if gain.ndim == 1:
-        state.psnr = np.minimum(state.psnr + gain, state.psnr_cap)
-    elif np.all(gain >= 0.0):
-        summed = np.cumsum(np.concatenate([state.psnr[None, :], gain]), axis=0)[-1]
-        state.psnr = np.minimum(summed, state.psnr_cap)
-    else:
-        for row in gain:
-            state.psnr = np.minimum(state.psnr + row, state.psnr_cap)
+    for row in gain.reshape(-1, gain.shape[-1]):
+        state.psnr = np.minimum(state.psnr + row, state.psnr_cap)
     return state.psnr

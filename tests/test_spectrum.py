@@ -287,10 +287,15 @@ class TestAccess:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_an_array_gets_each_scalar_probability(self, p_idle, gamma):
+        def by_floats(p):
+            return 1.0 if p == 1.0 else min(gamma / (1.0 - p), 1.0)
+
         got = access_probability(np.array(p_idle, dtype=float), gamma)
-        assert [p.hex() for p in got.tolist()] == [
-            access_probability(p, gamma).hex() for p in p_idle
-        ]
+        assert [p.hex() for p in got.tolist()] == [by_floats(p).hex() for p in p_idle]
+        for p in p_idle:
+            for scalar in (p, np.array(p)):
+                one = access_probability(scalar, gamma)
+                assert type(one) is float and one.hex() == by_floats(p).hex()
 
     def test_an_array_is_checked_as_each_scalar(self):
         with pytest.raises(ValueError, match="p_idle"):

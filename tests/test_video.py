@@ -187,8 +187,7 @@ class TestStackedSlots:
         assert got.tobytes() == single.psnr.tobytes()
 
     def test_shares_just_below_zero_take_the_rows_in_turn(self):
-        # a gain of -1e-7 after the cap binds: the recursion leaves the cap,
-        # which a capped running sum would not
+        # a gain of -1e-7 after the cap binds takes the user off the cap
         stack = (
             np.array([[True], [True]]),
             np.array([[1.0], [-1e-7]]),
