@@ -18,6 +18,7 @@ from ..multicast import (
 )
 from ..netmodel import FadingSpec, footprint_volume, make_rng, sample_gains, watts_to_dbm
 from ..scheduler import (
+    ENUMERATION_MAX_USERS,
     AllocationValue,
     InterferenceGraph,
     SlotProblem,
@@ -38,7 +39,7 @@ from ..spectrum import (
     step_primary,
 )
 from ..video import LossModel, StreamState, success_probability, update_psnr
-from .config import MulticastConfig, StreamConfig, sweep_points
+from .config import ConfigError, MulticastConfig, StreamConfig, sweep_points
 from .csvio import ResultRow, format_sweep
 from .oracles import window_psnr_by_bits
 
@@ -59,8 +60,6 @@ ALGORITHMS = ("proposed", "equal", "diversity")
 _DECODE_THRESHOLD = 1.0
 # multicast instances this small also get exhaustive-search rows
 _EXHAUSTIVE_MAX_USERS = 8
-# price iterations per candidate solve of greedy channel allocation
-_ALLOC_ITERS = 120
 
 
 def run_multicast(cfg: MulticastConfig, seeds) -> list:
@@ -164,8 +163,15 @@ def run_streaming(cfg: StreamConfig, seeds) -> list:
 
     Every algorithm sees the same primary activity, sensing reports, access
     draws, channel allocation, and delivery coin flips; only the schedule
-    differs.
+    differs. With more than one femto, greedy channel allocation scores
+    candidates by enumerating branch patterns, so a config with more than
+    ENUMERATION_MAX_USERS users fails before any instance runs.
     """
+    if cfg.num_fbs > 1 and cfg.num_users > ENUMERATION_MAX_USERS:
+        raise ConfigError(
+            f"greedy channel allocation takes at most {ENUMERATION_MAX_USERS} users, "
+            f"got {cfg.num_users} with {cfg.num_fbs} femto stations"
+        )
     rows = []
     for si, (value, point) in enumerate(sweep_points(cfg)):
         sweep = format_sweep(value)
@@ -212,10 +218,6 @@ class _Tally:
     upper_bound: float = 0.0
     warm_prices: "np.ndarray | None" = None
     trace: "list | None" = None
-
-
-def _capped(iters: int, budget: "int | None") -> int:
-    return iters if budget is None else min(iters, budget)
 
 
 def _stream_instance(cfg: StreamConfig, seed, sweep, emit_trace) -> list:
@@ -364,9 +366,7 @@ def _allocate(cfg, template, psnr, draws, t, graph, tally) -> np.ndarray:
     if cfg.num_fbs == 1:
         return draws.expected[t : t + 1]
     base = template.for_slot(psnr, template.fbs_gi)
-    evaluator = AllocationValue(
-        base, step=cfg.step, phi=cfg.phi, max_iters=_capped(_ALLOC_ITERS, cfg.budget)
-    )
+    evaluator = AllocationValue(base)
     avail = np.flatnonzero(draws.cleared[t])
     alloc, gtrace = greedy_alloc(
         base, tuple(avail.tolist()), draws.p_idle[t, avail], graph, value=evaluator
@@ -384,7 +384,7 @@ def _schedule(cfg, template, psnr, gi, tally, record_trace):
         prices_init=tally.warm_prices if tally.warm_prices is not None else init_prices(prob),
         step=cfg.step,
         phi=cfg.phi,
-        max_iters=_capped(cfg.max_iters, cfg.budget),
+        max_iters=cfg.max_iters if cfg.budget is None else min(cfg.max_iters, cfg.budget),
         record_trace=record_trace,
     )
     tally.warm_prices = sol.prices

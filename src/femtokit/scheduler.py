@@ -10,11 +10,13 @@ branch choice is binary, so the relaxation loses nothing.
 
 When femto stations interfere, licensed channels are handed out by a greedy
 marginal-value rule on (femto, channel) pairs; the value of an allocation is
-the scheduling objective it enables, measured against the no-channel
-baseline so the greedy trace telescopes exactly.
+the slot optimum it enables, certified by weak duality or found by
+enumerating branch patterns, measured against the no-channel baseline so
+the greedy trace telescopes exactly.
 """
 
 import copy
+import itertools
 import math
 import struct
 import sys
@@ -38,6 +40,9 @@ _FIRST_BLOCK = 16
 # gaps measured at most 4.3e-16 of the dual, and rejected ones at least
 # 7.8e-6 (README, numerical notes)
 _CERTIFY_TOL = 1e-12
+# AllocationValue enumerates all 2^K branch patterns of a row its
+# certificate rejects, and refuses problems with more users than this
+ENUMERATION_MAX_USERS = 12
 
 
 @dataclass
@@ -170,16 +175,15 @@ def _lane_values(pbar, w, rate, offset, unpaid, price):
 
 
 class _Slot:
-    """What every stacked solve of one slot problem shares: the lanes'
-    constants that do not depend on the channel counts, which each row of
-    the price iteration reads on its own, and a pool-share memo.
+    """What every solve of one slot problem shares: the lanes' constants
+    that do not depend on the channel counts, and a pool-share memo.
 
     Lanes run macro first, then femto, one per user on each side. The memo
     maps a pool, keyed by its transmitter, its members' positions and their
     rates, to its waterfilled shares and its clearing price. With pbar and
     w fixed by the problem, both are a pure function of those rates, so no
     pool is waterfilled or priced twice while the object lives:
-    solve_noninterfering_batch builds one per call, AllocationValue one per
+    solve_noninterfering builds one per call, AllocationValue one per
     greedy slot, and nothing is shared across slots.
     """
 
@@ -212,12 +216,12 @@ class _Responder:
     terms are computed once per stack.
 
     __call__ and load are the reference route of an iterate, which the
-    tests and a traced solve's repaired iterates run. load sums each
-    transmitter's shares left to right in user order, as the orbits do.
-    The price iteration only takes the lanes: each row takes its own, and
-    checks branches and takes Lagrangian values from __call__'s elementwise
-    formula (_lane_values), evaluated once per block of its iterates after
-    one stacked evaluation at the start prices.
+    tests, a traced solve's repaired iterates and the allocation
+    certificate run. load sums each transmitter's shares left to right in
+    user order, as the orbits do. The price iteration only takes the lanes
+    of a one-row responder, and checks branches and takes Lagrangian values
+    from __call__'s elementwise formula (_lane_values), evaluated at the
+    start prices and then once per block of its iterates.
     """
 
     def __init__(self, slot: _Slot, g_user):
@@ -551,18 +555,52 @@ def _follow(slot: _Slot, paid, connect, held, prices, t) -> list:
     return pairs
 
 
-def _iterate_row(respond: _Responder, r, connect, start, step, phi, max_iters, keep_iterates):
-    """Row r of _iterate, alone, from the branch pattern connect at the
-    start prices start (a list). Returns its iteration count, converged
-    flag, last prices, lowest dual value, Lagrangian value at its last
-    prices, branch patterns (a dict) and iterate prices."""
+def _iterate(respond: _Responder, start, step, phi, max_iters, keep_iterates):
+    """Projected gradient price iteration on the one row of respond's
+    lanes, from the start prices start (an array).
+
+    The row stops once its squared price movement drops to phi. Returns
+    its iteration count, converged flag, last prices, lowest dual value
+    over its iterates and the Lagrangian value at its last prices; the
+    branch patterns of its iterates in order of first appearance, then
+    that at its last prices (as dict keys); and, with keep_iterates, its
+    prices at iterates 1, 2, ... as the rows of one array.
+
+    The row takes its first branches from one evaluation of every lane at
+    its start price. Under a fixed branch pattern each transmitter's price
+    moves on its own load alone (Low & Lapsley, IEEE/ACM ToN 1999), so the
+    row advances as one orbit per transmitter (_Orbit) in Python floats,
+    and an orbit ends at its first exact repeat.
+
+    The row runs in blocks of _FIRST_BLOCK iterates, then twice that, and
+    so on without a cap. For each block the orbits advance to the prices
+    after the block, and one _lane_values call evaluates the block's
+    prices and those after its last iterate, an (n + 1, n_fbs + 1) array;
+    the branches, Lagrangian values and squared price movements follow in
+    numpy, every sum along the contiguous transmitter or user axis. The
+    row converges at the first iterate whose movement is at most phi,
+    unless its true branches differ from the assumed ones at or before
+    that iterate: then it goes back to the first that differs, takes the
+    true branches (_follow) and starts again from blocks of 1. The last
+    prices' branches and Lagrangian value come from the last block.
+
+    Once all of the row's orbits have repeated, its prices cycle from the
+    first iterate where every orbit is in its cycle, with the lcm of their
+    periods, so its lowest dual value and branch patterns are final and it
+    never converges. Without keep_iterates it stops after one period of
+    that cycle and reads its last prices, those after max_iters, at their
+    place in the cycle.
+    """
     slot, k = respond.slot, respond.k
-    lanes = (respond.pbar, respond.w, respond.rate[r], respond.offset[r], respond.unpaid[r])
+    lanes = (respond.pbar, respond.w, respond.rate[0], respond.offset[0], respond.unpaid[0])
+    value = _lane_values(*lanes, start.take(slot.price_index))[1]
+    connect = (value[:k] >= value[k:]).tolist()
+    step = float(step)
     paid = [
         None if unpaid else (pbar, offset)
         for pbar, offset, unpaid in zip(slot.lane_pbar, lanes[3].tolist(), lanes[4].tolist())
     ]
-    held = _follow(slot, paid, connect, None, start, 1)
+    held = _follow(slot, paid, connect, None, start.tolist(), 1)
     code = bytes(connect)
     seen, trail = {code: None}, []
     # the next iterate, the first under the current pattern, and the blocks
@@ -640,72 +678,6 @@ def _iterate_row(respond: _Responder, r, connect, start, step, phi, max_iters, k
     )
 
 
-def _iterate(
-    respond: _Responder,
-    start,
-    step: float,
-    phi: float,
-    max_iters: int,
-    keep_iterates: bool,
-):
-    """Projected gradient price iteration on every row of respond's stack.
-
-    A row stops once its squared price movement drops to phi. Returns
-    per-row iteration counts, converged flags, last prices, lowest dual
-    values over its iterates and the Lagrangian value at its last prices;
-    per row, the branch patterns of its iterates in order of first
-    appearance, then that at its last prices (as dict keys); and, with
-    keep_iterates, per row its prices at iterates 1, 2, ... as the rows of
-    one array.
-
-    The rows take their first branches from one stacked evaluation of
-    every lane at its start price, then each row iterates alone
-    (_iterate_row), sharing nothing with the others. Under a fixed branch
-    pattern each transmitter's price moves on its own load alone (Low &
-    Lapsley, IEEE/ACM ToN 1999), so a row advances as one orbit per
-    transmitter (_Orbit) in Python floats, and an orbit ends at its first
-    exact repeat.
-
-    A row runs in blocks of _FIRST_BLOCK iterates, then twice that, and so
-    on without a cap. For each block the orbits advance to the prices after
-    the block, and one _lane_values call evaluates the block's prices and
-    those after its last iterate, an (n + 1, n_fbs + 1) array; the
-    branches, Lagrangian values and squared price movements follow in
-    numpy, every sum along the contiguous transmitter or user axis. A row
-    converges at the first iterate whose movement is at most phi, unless
-    its true branches differ from the assumed ones at or before that
-    iterate: then it goes back to the first that differs, takes the true
-    branches (_follow) and starts again from blocks of 1. The last prices'
-    branches and Lagrangian value come from the last block.
-
-    Once all of a row's orbits have repeated, its prices cycle from the
-    first iterate where every orbit is in its cycle, with the lcm of their
-    periods, so its lowest dual value and branch patterns are final and it
-    never converges. Without keep_iterates it stops after one period of
-    that cycle and reads its last prices, those after max_iters, at their
-    place in the cycle.
-    """
-    k = respond.k
-    lanes = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
-    value = _lane_values(*lanes, start.take(respond.price_index))[1]
-    starts = (value[:, :k] >= value[:, k:]).tolist()
-    start, step = start.tolist(), float(step)
-    rows = [
-        _iterate_row(respond, r, connect, start, step, phi, max_iters, keep_iterates)
-        for r, connect in enumerate(starts)
-    ]
-    iterations, converged, last_prices, lowest, last_dual, seen, iterates = zip(*rows)
-    return (
-        np.array(iterations),
-        np.array(converged),
-        np.array(last_prices),
-        np.array(lowest),
-        np.array(last_dual),
-        list(seen),
-        list(iterates),
-    )
-
-
 def _repaired_iterates(slot: _Slot, g_user, iterate_prices):
     """Objectives of the repaired iterates at the rows of iterate_prices,
     under one row of per-user channel counts."""
@@ -716,147 +688,6 @@ def _repaired_iterates(slot: _Slot, g_user, iterate_prices):
     return _objective(problem, g_user, connect, rho0, rhof)
 
 
-def _stack_inputs(problem: SlotProblem, gis, prices_init, step, phi, max_iters):
-    """Check a stack solve's inputs; return gis as a (B, n_fbs) float array
-    and the start prices (all ones when prices_init is None)."""
-    # written so that NaN fails each check
-    if not 0 < step < math.inf:
-        raise ValueError("step size must be positive and finite")
-    if not phi >= 0:
-        raise ValueError("phi cannot be negative")
-    if max_iters < 1:
-        raise ValueError("need at least one iteration")
-    gis = np.asarray(gis, dtype=float)
-    if gis.ndim != 2 or gis.shape[1] != problem.n_fbs:
-        raise ValueError("gis must hold one channel vector per femto station in each row")
-    start = (
-        np.ones(problem.n_fbs + 1)
-        if prices_init is None
-        else np.array(prices_init, dtype=float)
-    )
-    if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
-        raise ValueError("prices_init must be a nonnegative finite price per transmitter")
-    if len(gis) and not (gis.min() >= 0 and gis.max() < math.inf):
-        raise ValueError("expected channel counts must be nonnegative and finite")
-    return gis, start
-
-
-def _solve_stack(slot: _Slot, gis, prices_init, step, phi, max_iters, record_trace=False):
-    """The price iteration and primal recovery of solve_noninterfering_batch
-    on slot's problem. Returns, per row: its best objective (a list of
-    floats); its last prices, dual value, iteration count and converged
-    flag (arrays); the index of its chosen candidate (a list) into the
-    stacked (connect, rho_mbs, rho_fbs) candidates, which come next; and
-    its trace, None untraced. None for an empty stack. Pools are
-    waterfilled through slot's memo."""
-    problem = slot.problem
-    gis, start = _stack_inputs(problem, gis, prices_init, step, phi, max_iters)
-    if not len(gis):
-        return None
-    g_user = np.take(gis, problem.assoc - 1, axis=1)
-
-    respond = _Responder(slot, g_user)
-    iterations, converged, last_prices, best_dual, last_dual, seen, iterates = _iterate(
-        respond, start, step, phi, max_iters, keep_iterates=record_trace
-    )
-    dual = np.minimum(best_dual, last_dual)
-
-    # primal recovery: the dual iteration fixes each visited branch pattern,
-    # and the continuous inner problem for a fixed pattern splits into
-    # independent per-transmitter waterfilling problems solved exactly
-    n_rows = len(gis)
-    counts = [len(patterns) for patterns in seen]
-    patterns = np.frombuffer(b"".join(b"".join(patterns) for patterns in seen), dtype=bool)
-    patterns = patterns.reshape(-1, slot.k)
-    owner = np.repeat(np.arange(n_rows), counts)
-    # primal polish: the returned point is the best feasible point known,
-    # so a finite stopping tolerance never leaves it below a baseline
-    stack = [
-        (patterns, *_refill_patterns(slot, g_user[owner], patterns)[:2]),
-        _equal_split(problem, g_user),
-        _best_link(problem, g_user),
-    ]
-    # a stable sort by row puts each row's candidates side by side, in order:
-    # refilled patterns, equal split, best link
-    owner = np.concatenate([owner, np.arange(n_rows), np.arange(n_rows)])
-    order = np.argsort(owner, kind="stable")
-    candidates = tuple(np.concatenate(part)[order] for part in zip(*stack))
-    scores = _objective(problem, g_user[owner[order]], *candidates).tolist()
-    objective, chosen, end = [], [], 0
-    for count in counts:
-        mine = scores[end : end + count + 2]
-        # max, like argmax, keeps the first of equal objectives, in the
-        # order refilled patterns, equal split, best link
-        best = max(mine)
-        objective.append(best)
-        chosen.append(end + mine.index(best))
-        end += count + 2
-    traces = [None] * n_rows
-    if record_trace:
-        for r, prices in enumerate(iterates):
-            traced = _repaired_iterates(slot, g_user[r], prices)
-            traces[r] = [
-                (i, p.copy(), float(obj)) for i, (p, obj) in enumerate(zip(prices, traced), 1)
-            ]
-    return objective, last_prices, dual, iterations, converged, chosen, candidates, traces
-
-
-def solve_noninterfering_batch(
-    problem: SlotProblem,
-    gis,
-    prices_init=None,
-    step: float = 0.01,
-    phi: float = 1e-6,
-    max_iters: int = 10000,
-    record_trace: bool = False,
-) -> list:
-    """Price iteration for one slot under each row of a (B, n_fbs) stack of
-    per-femto channel vectors; returns one ScheduleSolution per row.
-
-    Every row starts from prices_init (all ones by default; a warm start
-    from an earlier solve goes here) and follows its own projected gradient
-    iterates until its squared price movement drops to phi. The rows
-    share one evaluation at the start prices, which gives each its first
-    branches, and then iterate one at a time (_iterate), sharing nothing;
-    every sum runs over one row, so each row's numbers are exactly those
-    of solving it alone. An empty stack gives an empty
-    list; channel counts must be nonnegative and finite. The returned
-    schedule is the best feasible point known: every visited branch pattern
-    refilled exactly, and the two heuristics. A traced solve records the
-    repaired iterates' objectives in its trace but never picks from them,
-    so tracing leaves the schedule, and every later slot, as it is. Rows
-    that hit max_iters are flagged converged=False.
-
-    This is a wrapper: the stack solve (_solve_stack) runs on a fresh
-    _Slot, so its pool-share memo lives for this call, and the arrays it
-    returns become the ScheduleSolutions. AllocationValue runs the same
-    stack solve, on a slot of its own, for the candidate rows its
-    certificate rejects, and reads the arrays directly.
-    """
-    solved = _solve_stack(_Slot(problem), gis, prices_init, step, phi, max_iters, record_trace)
-    if solved is None:
-        return []
-    objective, prices, dual, iterations, converged, chosen, candidates, traces = solved
-    connect, rho_mbs, rho_fbs = candidates
-    solutions = []
-    for r, (c, d) in enumerate(zip(chosen, dual.tolist())):
-        solutions.append(
-            ScheduleSolution(
-                connect_mbs=connect[c].copy(),
-                rho_mbs=rho_mbs[c].copy(),
-                rho_fbs=rho_fbs[c].copy(),
-                objective=objective[r],
-                dual_value=d,
-                duality_gap=abs(d - objective[r]) / max(abs(d), 1e-12),
-                iterations=int(iterations[r]),
-                converged=bool(converged[r]),
-                prices=prices[r].copy(),
-                trace=traces[r],
-            )
-        )
-    return solutions
-
-
 def solve_noninterfering(
     problem: SlotProblem,
     prices_init=None,
@@ -865,17 +696,70 @@ def solve_noninterfering(
     max_iters: int = 10000,
     record_trace: bool = False,
 ) -> ScheduleSolution:
-    """Price iteration for one slot under its channel vector problem.fbs_gi:
-    the batch of one."""
-    return solve_noninterfering_batch(
-        problem,
-        problem.fbs_gi[None, :],
-        prices_init=prices_init,
-        step=step,
-        phi=phi,
-        max_iters=max_iters,
-        record_trace=record_trace,
-    )[0]
+    """Price iteration for one slot under its channel vector problem.fbs_gi.
+
+    Starts from prices_init (all ones by default; a warm start from an
+    earlier solve goes here) and follows the projected gradient iterates
+    (_iterate) until the squared price movement drops to phi; a solve
+    that hits max_iters is flagged converged=False. The returned schedule
+    is the best feasible point known: every visited branch pattern
+    refilled exactly, and the two heuristics. A traced solve records the
+    repaired iterates' objectives in its trace but never picks from them,
+    so tracing leaves the schedule, and every later slot, as it is. The
+    solve runs on a fresh _Slot, so its pool-share memo lives for this
+    call.
+    """
+    # written so that NaN fails each check
+    if not 0 < step < math.inf:
+        raise ValueError("step size must be positive and finite")
+    if not phi >= 0:
+        raise ValueError("phi cannot be negative")
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
+    start = (
+        np.ones(problem.n_fbs + 1)
+        if prices_init is None
+        else np.array(prices_init, dtype=float)
+    )
+    if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
+        raise ValueError("prices_init must be a nonnegative finite price per transmitter")
+    slot = _Slot(problem)
+    g_user = problem.fbs_gi[None, problem.assoc - 1]
+    iterations, converged, prices, lowest, last_dual, seen, iterates = _iterate(
+        _Responder(slot, g_user), start, step, phi, max_iters, record_trace
+    )
+    dual = float(np.minimum(lowest, last_dual))
+
+    # primal recovery: the dual iteration fixes each visited branch pattern,
+    # and the continuous inner problem for a fixed pattern splits into
+    # independent per-transmitter waterfilling problems solved exactly
+    patterns = np.frombuffer(b"".join(seen), dtype=bool).reshape(-1, slot.k)
+    refill = _refill_patterns(slot, np.broadcast_to(g_user, patterns.shape), patterns)
+    # primal polish: the returned point is the best feasible point known,
+    # so a finite stopping tolerance never leaves it below a baseline
+    stack = [(patterns, *refill[:2]), _equal_split(problem, g_user), _best_link(problem, g_user)]
+    connect, rho_mbs, rho_fbs = (np.concatenate(part) for part in zip(*stack))
+    scores = _objective(problem, g_user, connect, rho_mbs, rho_fbs)
+    # argmax keeps the first of equal objectives, in the order refilled
+    # patterns, equal split, best link
+    best = int(np.argmax(scores))
+    objective = float(scores[best])
+    trace = None
+    if record_trace:
+        traced = _repaired_iterates(slot, g_user[0], iterates)
+        trace = [(i, p.copy(), float(obj)) for i, (p, obj) in enumerate(zip(iterates, traced), 1)]
+    return ScheduleSolution(
+        connect_mbs=connect[best].copy(),
+        rho_mbs=rho_mbs[best].copy(),
+        rho_fbs=rho_fbs[best].copy(),
+        objective=objective,
+        dual_value=dual,
+        duality_gap=abs(dual - objective) / max(abs(dual), 1e-12),
+        iterations=int(iterations),
+        converged=bool(converged),
+        prices=prices.copy(),
+        trace=trace,
+    )
 
 
 def _preferred_mbs(problem: SlotProblem, g_user) -> np.ndarray:
@@ -911,24 +795,28 @@ def _best_link(problem: SlotProblem, g_user):
     return connect, np.where(connect, share, 0.0), np.where(connect, 0.0, share)
 
 
-def _heuristic_stack(problem: SlotProblem, heuristic, w_minus, gis) -> ScheduleSolution:
-    """A baseline's schedules of the problem's links under each row of a
-    (B, n_fbs) stack of channel vectors, each scored at its row of a (B, K)
-    stack of current qualities. Checks both stacks as SlotProblem checks
-    one row, with its messages."""
-    w_minus = np.asarray(w_minus, dtype=float)
+def _channel_rows(problem: SlotProblem, gis) -> np.ndarray:
+    """gis as a checked (B, n_fbs) float stack of channel vectors."""
     gis = np.asarray(gis, dtype=float)
     if gis.ndim != 2 or gis.shape[1] != problem.n_fbs:
         raise ValueError("gis must hold one channel vector per femto station in each row")
+    # min and max return NaN if any entry is NaN, so NaN fails the check
+    if len(gis) and not (gis.min() >= 0 and gis.max() < math.inf):
+        raise ValueError("expected channel counts must be nonnegative and finite")
+    return gis
+
+
+def _heuristic_stack(problem: SlotProblem, heuristic, w_minus, gis) -> ScheduleSolution:
+    """A baseline's schedules of the problem's links under each row of a
+    (B, n_fbs) stack of channel vectors, each scored at its row of a (B, K)
+    stack of current qualities. Checks both stacks with SlotProblem's
+    messages for one row."""
+    gis = _channel_rows(problem, gis)
+    w_minus = np.asarray(w_minus, dtype=float)
     if w_minus.shape != (len(gis), problem.num_users):
         raise ValueError("w_minus must hold one quality per user in each row of gis")
-    if len(gis):
-        # each check passes only on the valid values, and min and max
-        # return NaN if any entry is NaN, so NaN fails it
-        if not (w_minus.min() > 0 and w_minus.max() < math.inf):
-            raise ValueError("current quality must be positive and finite")
-        if not (gis.min() >= 0 and gis.max() < math.inf):
-            raise ValueError("expected channel counts must be nonnegative and finite")
+    if len(gis) and not (w_minus.min() > 0 and w_minus.max() < math.inf):
+        raise ValueError("current quality must be positive and finite")
     g_user = np.take(gis, problem.assoc - 1, axis=1)
     connect, rho0, rhof = heuristic(problem, g_user)
     return ScheduleSolution(
@@ -944,35 +832,22 @@ def _heuristic_stack(problem: SlotProblem, heuristic, w_minus, gis) -> ScheduleS
     )
 
 
-def _heuristic_solution(problem: SlotProblem, heuristic, w_minus, gis) -> ScheduleSolution:
-    """A baseline's stacked schedules, or without stacks the problem's own
-    slot as the batch of one."""
-    if (w_minus is None) != (gis is None):
-        raise ValueError("a stack of slots needs both w_minus and gis")
-    if gis is not None:
-        return _heuristic_stack(problem, heuristic, w_minus, gis)
-    one = _heuristic_stack(problem, heuristic, problem.w_minus[None, :], problem.fbs_gi[None, :])
-    one.connect_mbs, one.rho_mbs, one.rho_fbs = one.connect_mbs[0], one.rho_mbs[0], one.rho_fbs[0]
-    one.objective = float(one.objective[0])
-    return one
-
-
-def heuristic_equal(problem: SlotProblem, w_minus=None, gis=None) -> ScheduleSolution:
+def heuristic_equal(problem: SlotProblem, w_minus, gis) -> ScheduleSolution:
     """Baseline: users pick the better link, transmitters split time evenly.
 
     Given stacks w_minus (B, K) and gis (B, n_fbs), row b is the schedule
     of the problem's links under channel vector gis[b], scored at current
     quality w_minus[b], and each schedule field and the objective gain that
-    leading row axis. Without them it schedules the problem's own slot.
+    leading row axis.
     """
-    return _heuristic_solution(problem, _equal_split, w_minus, gis)
+    return _heuristic_stack(problem, _equal_split, w_minus, gis)
 
 
-def heuristic_diversity(problem: SlotProblem, w_minus=None, gis=None) -> ScheduleSolution:
+def heuristic_diversity(problem: SlotProblem, w_minus, gis) -> ScheduleSolution:
     """Baseline: users pick the better link, each transmitter then gives its
     whole slot to its best-link chooser; everyone else idles. Stacks
     w_minus and gis work as in heuristic_equal."""
-    return _heuristic_solution(problem, _best_link, w_minus, gis)
+    return _heuristic_stack(problem, _best_link, w_minus, gis)
 
 
 @dataclass(frozen=True)
@@ -1080,6 +955,22 @@ def _certify(slot: _Slot, gis, start):
     return objective, prices, certified
 
 
+def _best_pattern(slot: _Slot, gi):
+    """The slot optimum under the channel vector gi. For a fixed branch
+    pattern the slot splits into per-transmitter pools, each waterfilled
+    exactly (Boyd & Vandenberghe, Convex Optimization, 5.5.3), so the
+    optimum is the best of all 2^K patterns refilled through slot's memo;
+    the first of equal objectives wins, in itertools.product order.
+    Returns its objective and its pools' clearing prices."""
+    problem = slot.problem
+    patterns = np.array(list(itertools.product((False, True), repeat=slot.k)))
+    g_user = np.broadcast_to(gi[problem.assoc - 1], patterns.shape)
+    rho_mbs, rho_fbs, prices = _refill_patterns(slot, g_user, patterns)
+    objective = _objective(problem, g_user, patterns, rho_mbs, rho_fbs)
+    best = int(np.argmax(objective))
+    return float(objective[best]), prices[best]
+
+
 class AllocationValue:
     """Objective improvement enabled by a channel allocation.
 
@@ -1089,35 +980,27 @@ class AllocationValue:
     weak-duality certificate (_certify): its branch pattern at the start
     prices, refilled, against the dual at that pattern's pool-clearing
     prices. A certified row's value is that pattern's objective, within
-    _CERTIFY_TOL * max(|dual|, 1) of the slot optimum, and its clearing
-    prices are cached as its warm-start prices. The other rows run, as one
-    stack from the same start prices, the budgeted price iteration that
-    solve_noninterfering_batch wraps (_solve_stack), and cache its best
-    objective and last prices. Where the start pattern is optimal, the
-    stack solve would return that pattern's objective too, since it refills
-    the start pattern first and keeps the first of equal objectives. The
-    counters rows and fallback_rows hold the rows scored and those that
-    took the price iteration. Every solve runs on one _Slot built here, so
-    the slot's lane constants are set up once and its memo waterfills and
-    prices each pool once for the life of this object, one greedy slot;
-    objectives and prices are read from arrays, without building
-    schedules. A custom solver callable (problem, gi, prices_init) ->
-    (objective, prices_or_None) replaces both routes, e.g. with an exact
-    enumeration on tiny instances, and is called once per fresh vector.
+    _CERTIFY_TOL * max(|dual|, 1) of the slot optimum. Every other row
+    takes the slot optimum by enumerating all 2^K branch patterns
+    (_best_pattern), so each value is the optimum that greedy's
+    1/(1 + d_max) guarantee assumes; problems above
+    ENUMERATION_MAX_USERS users are refused. Either way the row's pools'
+    clearing prices are cached as its warm-start prices. The counters rows
+    and fallback_rows hold the rows scored and those that were enumerated.
+    Every row is scored on one _Slot built here, so its memo waterfills
+    and prices each pool once for the life of this object, one greedy
+    slot. A custom solver callable (problem, gi, prices_init) ->
+    (objective, prices_or_None) replaces both routes and is called once
+    per fresh vector.
     """
 
-    def __init__(
-        self,
-        problem: SlotProblem,
-        step: float = 0.01,
-        phi: float = 1e-6,
-        max_iters: int = 2000,
-        solver=None,
-    ):
+    def __init__(self, problem: SlotProblem, solver=None):
+        if problem.num_users > ENUMERATION_MAX_USERS:
+            raise ValueError(
+                f"allocation value refused: {problem.num_users} users exceeds "
+                f"the limit of {ENUMERATION_MAX_USERS}"
+            )
         self.problem = problem
-        self.step = step
-        self.phi = phi
-        self.max_iters = max_iters
         self._solver = solver
         self._slot = _Slot(problem)
         self._cache = {}
@@ -1130,17 +1013,15 @@ class AllocationValue:
         """(objective, prices) for each row of gis."""
         if self._solver is not None:
             return [self._solver(self.problem, gi, prices_init) for gi in gis]
-        opts = self.step, self.phi, self.max_iters
-        gis, start = _stack_inputs(self.problem, gis, prices_init, *opts)
+        gis = _channel_rows(self.problem, gis)
+        start = np.ones(self.problem.n_fbs + 1) if prices_init is None else prices_init
         objective, prices, certified = _certify(self._slot, gis, start)
         solved = list(zip(objective.tolist(), prices))
-        fallback = np.flatnonzero(~certified)
+        fallback = np.flatnonzero(~certified).tolist()
         self.rows += len(gis)
         self.fallback_rows += len(fallback)
-        if len(fallback):
-            objective, prices = _solve_stack(self._slot, gis[fallback], start, *opts)[:2]
-            for r, row in zip(fallback.tolist(), zip(objective, prices)):
-                solved[r] = row
+        for r in fallback:
+            solved[r] = _best_pattern(self._slot, gis[r])
         return solved
 
     def improvements(self, gis, warm_key=None) -> list:

@@ -229,14 +229,10 @@ class AccessPolicy:
 
 @dataclass(frozen=True)
 class AccessDecision:
-    """Channels cleared for secondary use.
-
-    expected_available is the sum of idle posteriors over the cleared
-    channels: the expected number of genuinely idle channels in the set.
-    """
+    """Channels cleared for secondary use, and each offered channel's
+    access probability."""
 
     available: tuple
-    expected_available: float
     p_access: np.ndarray
 
 
@@ -251,5 +247,4 @@ def decide_access(p_idle, policy: AccessPolicy, rng: np.random.Generator) -> Acc
     p_access = policy.access_probability(p_idle)
     draws = rng.random(p_idle.shape[0])
     available = tuple(np.flatnonzero(draws < p_access).tolist())
-    expected = float(sum(p_idle[m] for m in available))
-    return AccessDecision(available=available, expected_available=expected, p_access=p_access)
+    return AccessDecision(available=available, p_access=p_access)

@@ -43,7 +43,7 @@ from femtokit.harness.runners import (
     run_multicast,
     run_streaming,
 )
-from femtokit.scheduler import heuristic_equal
+from femtokit.scheduler import ENUMERATION_MAX_USERS, heuristic_equal
 from femtokit.video import StreamState, update_psnr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -449,17 +449,21 @@ class TestRunners:
         real = runners.solve_noninterfering
         slots = []
 
+        def equal_split(prob):
+            # the baseline's schedule of the slot, as a stack of one
+            return heuristic_equal(prob, prob.w_minus[None, :], prob.fbs_gi[None, :]).objective[0]
+
         def weakened(prob, **kwargs):
             sol = real(prob, **kwargs)
             if len(slots) == k:
-                sol.objective = heuristic_equal(prob).objective - 1.0
+                sol.objective = float(equal_split(prob)) - 1.0
             slots.append(prob)
             return sol
 
         monkeypatch.setattr(runners, "solve_noninterfering", weakened)
         with pytest.raises(HarnessError, match=rf"^slot {k}: schedule objective") as failed:
             run_streaming(config_from_dict(dict(STREAM_BASE)), [0])
-        rival = heuristic_equal(slots[k]).objective
+        rival = float(equal_split(slots[k]))
         assert str(failed.value).endswith(f"below feasible point {rival!r}")
 
     @settings(max_examples=40, deadline=None)
@@ -613,6 +617,29 @@ class TestCli:
     def test_derived_setting_exits_two(self, tmp_path, monkeypatch, capsys, scenario, message):
         assert self.exits_two_before_running(tmp_path, monkeypatch, scenario)
         assert message in capsys.readouterr().err
+
+    def test_too_many_users_for_greedy_allocation_exits_two(self, tmp_path, monkeypatch, capsys):
+        # greedy allocation scores candidates by enumerating 2^K branch
+        # patterns, so more users than the limit fail before any instance
+        ran = []
+        monkeypatch.setattr(runners, "_stream_instance", lambda cfg, *args: ran.append(cfg) or [])
+        limit = ENUMERATION_MAX_USERS
+        cfg = tmp_path / "cfg.json"
+
+        def run(**fields):
+            cfg.write_text(json.dumps(dict(STREAM_BASE, **fields)))
+            out = str(tmp_path / "x.csv")
+            return self.run_cli("run", "--config", str(cfg), "--seeds", "0", "--out", out)
+
+        two = dict(num_fbs=2, edges=[[1, 2]])
+        assert run(num_users=limit + 1, assoc=[1, 2] * (limit // 2) + [1], **two) == 2
+        message = f"at most {limit} users, got {limit + 1} with 2 femto stations"
+        assert message in capsys.readouterr().err
+        assert ran == []
+        # at the limit, or with one femto and no allocation, instances run
+        assert run(num_users=limit, assoc=[1, 2] * (limit // 2), **two) == 0
+        assert run(num_users=limit + 1) == 0
+        assert [c.num_users for c in ran] == [limit, limit + 1]
 
     def test_bad_seed_spec_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -277,9 +277,11 @@ class TestAccess:
     def test_decision_accounts_expected_idle_channels(self):
         rng = make_rng(8, 73)
         policy = AccessPolicy(1.0)
-        decision = decide_access([0.25, 0.5], policy, rng)
+        p_idle = [0.25, 0.5]
+        decision = decide_access(p_idle, policy, rng)
         assert decision.available == (0, 1)
-        assert decision.expected_available == pytest.approx(0.75)
+        # callers sum the cleared posteriors themselves
+        assert sum(p_idle[m] for m in decision.available) == pytest.approx(0.75)
         assert decision.p_access == pytest.approx([1.0, 1.0])
 
     @given(
