@@ -10,13 +10,12 @@ branch choice is binary, so the relaxation loses nothing.
 
 When femto stations interfere, licensed channels are handed out by a greedy
 marginal-value rule on (femto, channel) pairs; the value of an allocation is
-the slot optimum it enables, certified by weak duality or found by
-enumerating branch patterns, measured against the no-channel baseline so
-the greedy trace telescopes exactly.
+the slot optimum it enables, found by enumerating branch patterns with
+closed-form pool values, measured against the no-channel baseline so the
+greedy trace telescopes exactly.
 """
 
 import copy
-import itertools
 import math
 import struct
 import sys
@@ -34,14 +33,8 @@ _FLOAT_MAX = sys.float_info.max
 # switched starts again from 1, and each block that checks out doubles the
 # next. Each check has a fixed numpy cost, and branches rarely switch.
 _FIRST_BLOCK = 16
-# a candidate row's branch pattern is certified optimal when the dual at
-# its pool-clearing prices exceeds its objective by at most this share of
-# the dual's magnitude (or of 1), about 4,500 rounding units. Certified
-# gaps measured at most 4.3e-16 of the dual, and rejected ones at least
-# 7.8e-6 (README, numerical notes)
-_CERTIFY_TOL = 1e-12
-# AllocationValue enumerates all 2^K branch patterns of a row its
-# certificate rejects, and refuses problems with more users than this
+# AllocationValue enumerates all 2^K branch patterns of every row, and
+# refuses problems with more users than this
 ENUMERATION_MAX_USERS = 12
 
 
@@ -180,9 +173,9 @@ class _Slot:
 
     Lanes run macro first, then femto, one per user on each side. The memo
     maps a pool, keyed by its transmitter, its members' positions and their
-    rates, to its waterfilled shares and its clearing price. With pbar and
-    w fixed by the problem, both are a pure function of those rates, so no
-    pool is waterfilled or priced twice while the object lives:
+    rates, to its waterfilled shares. With pbar and w fixed by the problem,
+    they are a pure function of those rates, so no pool is waterfilled
+    twice while the object lives:
     solve_noninterfering builds one per call, AllocationValue one per
     greedy slot, and nothing is shared across slots.
     """
@@ -216,12 +209,12 @@ class _Responder:
     terms are computed once per stack.
 
     __call__ and load are the reference route of an iterate, which the
-    tests, a traced solve's repaired iterates and the allocation
-    certificate run. load sums each transmitter's shares left to right in
-    user order, as the orbits do. The price iteration only takes the lanes
-    of a one-row responder, and checks branches and takes Lagrangian values
-    from __call__'s elementwise formula (_lane_values), evaluated at the
-    start prices and then once per block of its iterates.
+    tests and a traced solve's repaired iterates run. load sums each
+    transmitter's shares left to right in user order, as the orbits do.
+    The price iteration only takes the lanes of a one-row responder, and
+    checks branches and takes Lagrangian values from __call__'s
+    elementwise formula (_lane_values), evaluated at the start prices and
+    then once per block of its iterates.
     """
 
     def __init__(self, slot: _Slot, g_user):
@@ -360,11 +353,9 @@ def _filling_threshold(pbar, offset, hi, seed) -> float:
     return _float(a)
 
 
-def _pool_shares(pbar, w, rate) -> tuple:
+def _pool_shares(pbar, w, rate) -> list:
     """Optimal shares of one pool's members, from lists of Python floats of
-    their pbar, w and rate, and the pool's closed-form clearing price over
-    its paid members (_clearing_price; 0.0 when none is paid). Members with
-    zero rate get nothing.
+    their pbar, w and rate. Members with zero rate get nothing.
 
     The shares are defined as _POOL_BISECTIONS bisection steps on the
     pool's price, keeping the half whose box-clipped stationary shares
@@ -377,15 +368,14 @@ def _pool_shares(pbar, w, rate) -> tuple:
     shares = [0.0] * len(w)
     pos = [i for i, r in enumerate(rate) if r > 0]
     if not pos:
-        return shares, 0.0
+        return shares
     pb = [pbar[i] for i in pos]
     # where a subnormal rate overflows w/rate to inf, the largest float
     # still clips the member's share to 0 at every price
     offset = [min(w[i] / rate[i], _FLOAT_MAX) for i in pos]
     ratio = [pbar[i] * rate[i] / w[i] for i in pos]
     hi = max(ratio) * 2.0 + 1.0
-    price = _clearing_price(pb, ratio, offset)
-    threshold = _filling_threshold(pb, offset, hi, price)
+    threshold = _filling_threshold(pb, offset, hi, _clearing_price(pb, ratio, offset))
     lo = 0.0
     for _ in range(_POOL_BISECTIONS):
         mid = 0.5 * (lo + hi)
@@ -397,7 +387,7 @@ def _pool_shares(pbar, w, rate) -> tuple:
     # nobody a share), so the shares at hi never overfill the slot
     for i, x in zip(pos, _clipped_shares(pb, offset, hi)):
         shares[i] = x
-    return shares, price
+    return shares
 
 
 def _refill_patterns(slot: _Slot, g_user, patterns):
@@ -407,17 +397,16 @@ def _refill_patterns(slot: _Slot, g_user, patterns):
     looked up in slot's memo, keyed by transmitter, members and their rates
     (a 0.0 and a -0.0 rate share a key, and both take nothing), so patterns,
     channel vectors and solves of the slot that share a pool fill it once.
-    Returns the macro and femto shares and, shape (N, n_fbs + 1), each
-    pool's clearing price (0.0 on a transmitter without a paid member)."""
+    Returns the macro and femto shares."""
     memo, assoc, k = slot.pools, slot.assoc, slot.k
     pbar, w = slot.lane_pbar, slot.lane_w
     rate_fbs = (slot.problem.rate_fbs * g_user).tolist()
-    rho, prices = [], []
+    rho = []
     for row, rf in zip(patterns.tolist(), rate_fbs):
         members = [[] for _ in range(slot.n1)]
         for j, macro in enumerate(row):
             members[0 if macro else assoc[j]].append(j)
-        shares, price = [0.0] * k, [0.0] * slot.n1
+        shares = [0.0] * k
         for s, users in enumerate(members):
             if users:
                 rate = rf if s else slot.rate_mbs
@@ -428,13 +417,11 @@ def _refill_patterns(slot: _Slot, g_user, patterns):
                     pool = memo[key] = _pool_shares(
                         [pbar[i] for i in lanes], [w[i] for i in lanes], key[2]
                     )
-                filled, price[s] = pool
-                for j, x in zip(users, filled):
+                for j, x in zip(users, pool):
                     shares[j] = x
         rho.append(shares)
-        prices.append(price)
     rho = np.array(rho)
-    return np.where(patterns, rho, 0.0), np.where(patterns, 0.0, rho), np.array(prices)
+    return np.where(patterns, rho, 0.0), np.where(patterns, 0.0, rho)
 
 
 def init_prices(problem: SlotProblem) -> np.ndarray:
@@ -737,7 +724,7 @@ def solve_noninterfering(
     refill = _refill_patterns(slot, np.broadcast_to(g_user, patterns.shape), patterns)
     # primal polish: the returned point is the best feasible point known,
     # so a finite stopping tolerance never leaves it below a baseline
-    stack = [(patterns, *refill[:2]), _equal_split(problem, g_user), _best_link(problem, g_user)]
+    stack = [(patterns, *refill), _equal_split(problem, g_user), _best_link(problem, g_user)]
     connect, rho_mbs, rho_fbs = (np.concatenate(part) for part in zip(*stack))
     scores = _objective(problem, g_user, connect, rho_mbs, rho_fbs)
     # argmax keeps the first of equal objectives, in the order refilled
@@ -930,68 +917,127 @@ class GreedyTrace:
     baseline: float
 
 
-def _certify(slot: _Slot, gis, start):
-    """Weak-duality certificates for the rows of a checked (B, n_fbs) stack
-    gis at the start prices start.
-
-    Each row takes its branch pattern at start, as the price iteration's
-    first iterate does, and refills it through slot's memo: its objective
-    bounds the slot optimum from below. The dual at any nonnegative prices
-    bounds it from above (Boyd & Vandenberghe, Convex Optimization, 5.2),
-    and it is evaluated at the pattern's own pool-clearing prices. A row is
-    certified when the two meet, dual - objective <= _CERTIFY_TOL *
-    max(|dual|, 1). Returns per row the pattern's objective, its clearing
-    prices (shape (B, n_fbs + 1)) and whether it is certified."""
-    problem, k = slot.problem, slot.k
-    g_user = np.take(gis, problem.assoc - 1, axis=1)
-    respond = _Responder(slot, g_user)
-    lanes = (respond.pbar, respond.w, respond.rate, respond.offset, respond.unpaid)
-    value = _lane_values(*lanes, start.take(slot.price_index))[1]
-    patterns = value[:, :k] >= value[:, k:]
-    rho_mbs, rho_fbs, prices = _refill_patterns(slot, g_user, patterns)
-    objective = _objective(problem, g_user, patterns, rho_mbs, rho_fbs)
-    dual = np.add.reduce(respond(prices)[3], axis=1) + np.add.reduce(prices, axis=1)
-    certified = dual - objective <= _CERTIFY_TOL * np.maximum(np.abs(dual), 1.0)
-    return objective, prices, certified
+def _subsets(m: int) -> np.ndarray:
+    """All 2^m subsets of m members as the columns of an (m, 2^m) bool
+    matrix, in itertools.product((False, True), repeat=m) order: member 0
+    is the most significant bit of a column's index."""
+    return (np.arange(2**m) >> np.arange(m - 1, -1, -1)[:, None] & 1).astype(bool)
 
 
-def _best_pattern(slot: _Slot, gi):
-    """The slot optimum under the channel vector gi. For a fixed branch
-    pattern the slot splits into per-transmitter pools, each waterfilled
-    exactly (Boyd & Vandenberghe, Convex Optimization, 5.5.3), so the
-    optimum is the best of all 2^K patterns refilled through slot's memo;
-    the first of equal objectives wins, in itertools.product order.
-    Returns its objective and its pools' clearing prices."""
-    problem = slot.problem
-    patterns = np.array(list(itertools.product((False, True), repeat=slot.k)))
-    g_user = np.broadcast_to(gi[problem.assoc - 1], patterns.shape)
-    rho_mbs, rho_fbs, prices = _refill_patterns(slot, g_user, patterns)
-    objective = _objective(problem, g_user, patterns, rho_mbs, rho_fbs)
-    best = int(np.argmax(objective))
-    return float(objective[best]), prices[best]
+def _paid_lanes(pbar, w, rate) -> list:
+    """(position, pbar, offset w/rate, pbar*log(ratio)) of each lane that
+    waterfilling can pay, from arrays of the lanes' pbar, w and rate, in
+    waterfill order: by ratio = pbar*rate/w, largest first, a stable sort.
+
+    A lane is paid when its pbar and rate are positive, its offset does
+    not overflow and its ratio does not underflow to 0; any other lane
+    takes nothing at every price. Take a pool's members in this order,
+    with running sums P of pbar, O of offset and A of pbar*log(ratio).
+    With every rate scaled by g > 0, the first n members clear the pool at
+    the price mu = g*P_n/(g + O_n) (Boyd & Vandenberghe, Convex
+    Optimization, 5.5.3), member n is served while pbar_n*(g + O_n) >
+    P_n*offset_n, and a served member ends at w + rho*rate = pbar*rate/mu.
+    So with n the last served member the pool's value is the sum of
+    pbar*log(w) over all of its members plus A_n + P_n*log((g + O_n)/P_n),
+    and that sum alone when nobody is served or g is 0."""
+    paid = []
+    for j, (pb, wj, r) in enumerate(zip(pbar.tolist(), w.tolist(), rate.tolist())):
+        # Python floats overflow and underflow without a warning
+        if pb > 0.0 and r > 0.0:
+            offset, ratio = wj / r, pb * r / wj
+            if offset < math.inf and ratio > 0.0:
+                paid.append((-ratio, j, pb, offset, pb * math.log(ratio)))
+    paid.sort()
+    return [lane[1:] for lane in paid]
+
+
+def _macro_values(problem: SlotProblem, subsets) -> np.ndarray:
+    """The closed-form value (_paid_lanes) of the macro pool of every
+    branch pattern at once, the patterns being the columns of subsets
+    (_subsets of the users) and each pattern's users on the macro the
+    pool's members."""
+    value = problem.pbar_mbs * np.log(problem.w_minus) @ subsets
+    lanes = _paid_lanes(problem.pbar_mbs, problem.w_minus, problem.rate_mbs)
+    if not lanes:
+        return value
+    index, pb, off, pb_log_ratio = (np.array(x) for x in zip(*lanes))
+    member = subsets[index]
+    # the running sums P, O and A over each pattern's members, lane by lane
+    sums = np.array([pb, off, pb_log_ratio])[:, :, None] * member
+    for c in range(1, len(lanes)):
+        sums[:, c] += sums[:, c - 1]
+    p, o, a = sums
+    served = member & (pb[:, None] * (1.0 + o) > p * off[:, None])
+    # the last served lane of each pattern, counted from 1 (0: nobody)
+    last = (served * np.arange(1, len(lanes) + 1)[:, None]).max(axis=0)
+    cols = np.flatnonzero(last)
+    last = last[cols] - 1
+    p, o, a = p[last, cols], o[last, cols], a[last, cols]
+    value[cols] += a + p * np.log((1.0 + o) / p)
+    return value
+
+
+def _femto_steps(problem: SlotProblem, users) -> list:
+    """Per subset of a femto's users (the columns of _subsets), the sum of
+    pbar*log(w) over its members and its paid members' (pbar, offset, P,
+    O, A) in waterfill order (_paid_lanes), as Python floats, at unit
+    channel count."""
+    pbar, w = problem.pbar_fbs[users], problem.w_minus[users]
+    lanes = _paid_lanes(pbar, w, problem.rate_fbs[users])
+    pb_log_w = (pbar * np.log(w)).tolist()
+    steps = []
+    for row in _subsets(len(users)).T.tolist():
+        base = 0.0
+        for x, inside in zip(pb_log_w, row):
+            if inside:
+                base += x
+        p = o = a = 0.0
+        paid = []
+        for b, pb, off, pb_log_ratio in lanes:
+            if row[b]:
+                p, o, a = p + pb, o + off, a + pb_log_ratio
+                paid.append((pb, off, p, o, a))
+        steps.append((base, paid))
+    return steps
+
+
+def _femto_table(steps, g: float) -> list:
+    """The closed-form value (_paid_lanes) of each subset's pool
+    (_femto_steps) when the femto has g expected channels, which scales
+    every member's rate by g."""
+    table = []
+    for base, paid in steps:
+        last = None
+        if g > 0.0:
+            for lane in paid:
+                pb, off, p, o, _ = lane
+                if pb * (g + o) > p * off:
+                    last = lane
+        if last is not None:
+            _, _, p, o, a = last
+            base += a + p * math.log((g + o) / p)
+        table.append(base)
+    return table
 
 
 class AllocationValue:
     """Objective improvement enabled by a channel allocation.
 
     Evaluations are memoized by the per-femto expected-channel vector, and
-    the vectors of one call are scored together, from the prices cached
-    for the allocation they extend (warm_key). Each fresh row first gets a
-    weak-duality certificate (_certify): its branch pattern at the start
-    prices, refilled, against the dual at that pattern's pool-clearing
-    prices. A certified row's value is that pattern's objective, within
-    _CERTIFY_TOL * max(|dual|, 1) of the slot optimum. Every other row
-    takes the slot optimum by enumerating all 2^K branch patterns
-    (_best_pattern), so each value is the optimum that greedy's
-    1/(1 + d_max) guarantee assumes; problems above
-    ENUMERATION_MAX_USERS users are refused. Either way the row's pools'
-    clearing prices are cached as its warm-start prices. The counters rows
-    and fallback_rows hold the rows scored and those that were enumerated.
-    Every row is scored on one _Slot built here, so its memo waterfills
-    and prices each pool once for the life of this object, one greedy
-    slot. A custom solver callable (problem, gi, prices_init) ->
-    (objective, prices_or_None) replaces both routes and is called once
-    per fresh vector.
+    the fresh vectors of one call are scored together. Each takes the slot
+    optimum, which greedy's 1/(1 + d_max) guarantee assumes: for a fixed
+    branch pattern the slot splits into per-transmitter pools, each
+    waterfilled exactly, so the optimum is the best of all 2^K patterns.
+    Each pattern is valued in closed form as the sum of its pools' values
+    (_paid_lanes): the macro pool's for every pattern once, in numpy,
+    since it does not depend on the channels, and each femto's for every
+    subset of its users per channel count, in Python floats (memoized).
+    The first best pattern in itertools.product order is refilled through
+    a _Slot built here, whose memo waterfills each pool once for the life
+    of this object (one greedy slot), and its objective is the row's
+    value. Problems above ENUMERATION_MAX_USERS users are refused. A
+    custom solver callable (problem, gi) -> objective replaces the
+    enumeration and is called once per fresh vector.
     """
 
     def __init__(self, problem: SlotProblem, solver=None):
@@ -1003,42 +1049,55 @@ class AllocationValue:
         self.problem = problem
         self._solver = solver
         self._slot = _Slot(problem)
+        subsets = self._subsets = _subsets(problem.num_users)
+        self._macro = _macro_values(problem, subsets)
+        # per femto: each pattern's subset of its users on the femto, as a
+        # column of their _subsets, those subsets' pool steps, and their
+        # _femto_table per channel count
+        self._femtos = []
+        for i in range(1, problem.n_fbs + 1):
+            users = np.flatnonzero(problem.assoc == i)
+            bits = 1 << np.arange(len(users) - 1, -1, -1)
+            index = 2 ** len(users) - 1 - bits @ subsets[users]
+            self._femtos.append((index, _femto_steps(problem, users), {}))
         self._cache = {}
-        self.rows = self.fallback_rows = 0
         zero = np.zeros(problem.n_fbs)
-        [(self.baseline, prices)] = self._solve(zero[None, :], None)
-        self._cache[tuple(zero)] = (0.0, prices)
+        [self.baseline] = self._solve(zero[None, :])
+        self._cache[tuple(zero)] = 0.0
 
-    def _solve(self, gis, prices_init):
-        """(objective, prices) for each row of gis."""
+    def _solve(self, gis) -> list:
+        """The slot optimum under each row of gis."""
+        problem = self.problem
         if self._solver is not None:
-            return [self._solver(self.problem, gi, prices_init) for gi in gis]
-        gis = _channel_rows(self.problem, gis)
-        start = np.ones(self.problem.n_fbs + 1) if prices_init is None else prices_init
-        objective, prices, certified = _certify(self._slot, gis, start)
-        solved = list(zip(objective.tolist(), prices))
-        fallback = np.flatnonzero(~certified).tolist()
-        self.rows += len(gis)
-        self.fallback_rows += len(fallback)
-        for r in fallback:
-            solved[r] = _best_pattern(self._slot, gis[r])
-        return solved
+            return [self._solver(problem, gi) for gi in gis]
+        gis = _channel_rows(problem, gis)
+        value = self._macro
+        for (index, steps, tables), counts in zip(self._femtos, gis.T.tolist()):
+            rows = []
+            for g in counts:
+                table = tables.get(g)
+                if table is None:
+                    table = tables[g] = _femto_table(steps, g)
+                rows.append(table)
+            value = value + np.array(rows)[:, index]
+        # argmax keeps the first of equal values, in itertools.product order
+        patterns = self._subsets[:, np.argmax(value, axis=1)].T
+        g_user = np.take(gis, problem.assoc - 1, axis=1)
+        rho_mbs, rho_fbs = _refill_patterns(self._slot, g_user, patterns)
+        return _objective(problem, g_user, patterns, rho_mbs, rho_fbs).tolist()
 
-    def improvements(self, gis, warm_key=None) -> list:
+    def improvements(self, gis) -> list:
         """Improvement of each expected-channel vector in gis; the vectors
-        not yet cached are solved together from the prices cached at
-        warm_key."""
+        not yet cached are solved together."""
         keys = [tuple(float(g) for g in gi) for gi in gis]
         fresh = list(dict.fromkeys(key for key in keys if key not in self._cache))
         if fresh:
-            warm = self._cache.get(warm_key) if warm_key is not None else None
-            solved = self._solve(np.array(fresh, dtype=float), None if warm is None else warm[1])
-            for key, (objective, prices) in zip(fresh, solved):
-                self._cache[key] = (objective - self.baseline, prices)
-        return [self._cache[key][0] for key in keys]
+            for key, objective in zip(fresh, self._solve(np.array(fresh, dtype=float))):
+                self._cache[key] = objective - self.baseline
+        return [self._cache[key] for key in keys]
 
-    def improvement(self, gi, warm_key=None) -> float:
-        return self.improvements([gi], warm_key=warm_key)[0]
+    def improvement(self, gi) -> float:
+        return self.improvements([gi])[0]
 
 
 def greedy_alloc(
@@ -1068,7 +1127,6 @@ def greedy_alloc(
     candidates = {(i, m) for i in range(1, n + 1) for m in range(len(channels))}
     steps = []
     current_value = 0.0
-    current_key = tuple(assigned @ p_idle)
     while candidates:
         pairs = sorted(candidates)
         gis = []
@@ -1078,7 +1136,7 @@ def greedy_alloc(
             gis.append(trial @ p_idle)
         best_pair = None
         best_value = -math.inf
-        for (i, m), v in zip(pairs, value.improvements(gis, warm_key=current_key)):
+        for (i, m), v in zip(pairs, value.improvements(gis)):
             if v > best_value:
                 best_value = v
                 best_pair = (i, m)
@@ -1090,7 +1148,6 @@ def greedy_alloc(
         )
         assigned[i - 1, m] = 1
         current_value = best_value
-        current_key = tuple(assigned @ p_idle)
         candidates.discard((i, m))
         for nbr in graph.neighbors(i):
             candidates.discard((nbr, m))

@@ -1,6 +1,7 @@
 """Slot scheduling: price iteration, heuristics, and channel allocation."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -461,14 +462,8 @@ def far_seed(seed):
 
 def pool_shares(*pools):
     """The fast path's shares of each (pbar, w, rate) pool of arrays, which
-    it takes as lists of Python floats, without the clearing price it also
-    returns."""
-    return [np.array(pool_fill(pool)[0]) for pool in pools]
-
-
-def pool_fill(pool):
-    """The fast path's (shares, clearing price) of a (pbar, w, rate) pool."""
-    return scheduler._pool_shares(*(part.tolist() for part in pool))
+    it takes as lists of Python floats."""
+    return [np.array(scheduler._pool_shares(*(part.tolist() for part in pool))) for pool in pools]
 
 
 class TestWaterfillPool:
@@ -478,9 +473,16 @@ class TestWaterfillPool:
         pbar, w, rate = pool
         shares, value, mu = waterfill_pool(pbar, w, rate)
         assert np.all(shares >= 0.0)
-        # the price the fast path stores with the shares, which the
-        # allocation certificate prices the pool at
-        assert pool_fill(pool)[1] == pytest.approx(mu, rel=1e-12, abs=0.0)
+        # the closed-form price that seeds the fast path's threshold search,
+        # over the members with a positive rate (0.0 when there are none)
+        paid = rate > 0
+        seed = 0.0
+        if np.any(paid):
+            pb, wp, rp = pbar[paid], w[paid], rate[paid]
+            seed = scheduler._clearing_price(
+                pb.tolist(), (pb * rp / wp).tolist(), (wp / rp).tolist()
+            )
+        assert seed == pytest.approx(mu, rel=1e-12, abs=0.0)
         if not np.any((rate > 0) & (pbar > 0)):
             assert np.all(shares == 0.0) and mu == 0.0
             return
@@ -562,6 +564,30 @@ class TestWaterfillPool:
             want = lone_bisection(pbar, w, rate)
         assert bits(got) == bits(want) and got[0] == 0.0
 
+    def test_the_closed_form_leaves_out_a_member_whose_offset_overflows(self):
+        # w/rate overflows on the subnormal rate; the closed form takes the
+        # member as unpaid, and so does the plain enumeration that uses it,
+        # without a RuntimeWarning (which pyproject.toml makes an error)
+        shares, value, mu = waterfill_pool([0.9, 0.8], [30.0, 35.0], [5e-324, 50.0])
+        assert shares.tolist() == [0.0, 1.0] and mu == pytest.approx(0.8 / 1.7, rel=1e-15)
+        assert value == pytest.approx(0.9 * math.log(30.0) + 0.8 * math.log(85.0), rel=1e-15)
+        prob = SlotProblem(
+            w_minus=[30.0, 35.0],
+            pbar_mbs=[0.9, 0.8],
+            pbar_fbs=[0.5, 0.6],
+            rate_mbs=[5e-324, 50.0],
+            rate_fbs=[40.0, 5e-324],
+            assoc=[1, 1],
+            n_fbs=1,
+            fbs_gi=[1.0],
+        )
+        # both on the macro, user 0 unpaid there, beats user 0 on its femto
+        # (0.5*log(70)) and user 1 unpaid on its femto (0.6*log(35))
+        connect, rho_mbs, rho_fbs, objective, _ = exact_schedule(prob)
+        assert connect.tolist() == [True, True]
+        assert rho_mbs.tolist() == [0.0, 1.0] and rho_fbs.tolist() == [0.0, 0.0]
+        assert objective == pytest.approx(value, rel=1e-15)
+
     def test_all_inactive_pool_takes_no_time_at_price_zero(self):
         shares, value, mu = waterfill_pool([0.0, 0.7, 0.0], [30.0, 35.0, 40.0], [50.0, 0.0, 0.0])
         assert shares.tolist() == [0.0, 0.0, 0.0] and mu == 0.0
@@ -636,7 +662,7 @@ KINK_SLOT = SlotProblem(
 
 class TestBatchedPriceIteration:
     """One slot under several channel rows: one price iteration per row,
-    and AllocationValue's certified or enumerated row values."""
+    and AllocationValue's enumerated row values."""
 
     def test_rows_stop_at_their_own_iteration(self):
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
@@ -672,23 +698,16 @@ class TestBatchedPriceIteration:
             shared += len(keys) < sum(keys.values())
         assert shared
 
-        # one AllocationValue fills a pool once over all of its calls: the
-        # baseline, then two candidate stacks that share pools. Here every
-        # row falls back, so each certificate's refill is followed by one
-        # enumeration per row, which refills the start patterns again from
-        # the memo along with every other pattern
+        # one AllocationValue refills one best pattern per fresh row and
+        # fills a pool once over all of its calls: the baseline, then two
+        # candidate stacks whose best patterns share pools
         bisected.clear()
         refilled.clear()
         value = AllocationValue(prob)
-        value.improvements(gis[:3], warm_key=(0.0, 0.0))
-        value.improvements(gis[3:], warm_key=(0.0, 0.0))
+        value.improvements(gis[:3])
+        value.improvements(gis[3:])
+        assert [len(g_user) for g_user, _ in refilled] == [1, 2, 2]
         per_call = pool_keys(prob, refilled)
-        assert value.fallback_rows == value.rows == 5
-        # certificate, enumeration per row: baseline, then two calls of two
-        every = 2**prob.num_users
-        assert [len(g_user) for g_user, _ in refilled] == [1, every] + [2, every, every] * 2
-        for certificate, rows in ((0, [1]), (2, [3, 4]), (5, [6, 7])):
-            assert set(per_call[certificate]) <= set().union(*(per_call[r] for r in rows))
         keys = set().union(*per_call)
         assert sum(bisected) == len(keys) < sum(sum(uses.values()) for uses in per_call)
 
@@ -712,9 +731,8 @@ class TestBatchedPriceIteration:
     def test_an_untraced_solve_makes_no_reference_call(self, monkeypatch):
         # the first branches come from one evaluation at the start prices,
         # and every later branch and Lagrangian value from the row's block
-        # evaluations; __call__ is the reference that the tests, a traced
-        # solve's repaired iterates and the allocation certificate's one
-        # stacked dual evaluation run
+        # evaluations; __call__ is the reference that the tests and a
+        # traced solve's repaired iterates run
         calls = []
         reference = scheduler._Responder.__call__
 
@@ -727,104 +745,70 @@ class TestBatchedPriceIteration:
         gis = [[0.0, 0.0], [0.5, 1.0], [2.5, 0.2], [3.0, 3.0]]
         solve_rows(prob, gis, max_iters=150)
         assert calls == []
-        # the baseline, then the three fresh rows; the rows that fall back
-        # are enumerated, which adds no call
+        # AllocationValue values patterns in closed form and refills them
         value = AllocationValue(prob)
-        value.improvements(gis, warm_key=(0.0, 0.0))
-        assert value.fallback_rows > 0
-        assert calls == [1, 3]
+        value.improvements(gis)
+        assert calls == []
         solve_noninterfering(prob, max_iters=150, record_trace=True)
-        assert len(calls) > 2
+        assert calls
 
     @pytest.mark.parametrize("calls", ["one call", "two calls", "reverse order"])
-    def test_allocation_values_are_certified_or_enumerated(self, calls):
-        # AllocationValue scores every row from the prices cached at the
-        # warm key, whatever rows share its call: a certified row caches
-        # its start pattern's objective and, as its warm prices, that
-        # pattern's pool-clearing prices; a row that falls back caches the
-        # best of all its patterns and that pattern's clearing prices.
-        # Here the baseline and one candidate certify and four candidates
-        # are enumerated
+    def test_allocation_values_do_not_depend_on_the_call(self, calls):
+        # a row's value is the same bit for bit whatever rows share its call
+        # and in whatever order they come: here against one AllocationValue
+        # per row, and each is the slot optimum
         prob = random_problem(make_rng(40, 96), n_users=7, n_fbs=3)
         gis = [[0.5, 1.0, 0.0], [0.5, 2.0, 0.0], [1.5, 1.0, 0.7], [0.0, 1.0, 2.4], [2.5, 0.2, 1.0]]
         value = AllocationValue(prob)
-        zero = (0.0, 0.0, 0.0)
         stacks = {
             "one call": [gis],
             "two calls": [gis[:2], gis[2:]],
             "reverse order": [gis[::-1]],
         }[calls]
         for stack in stacks:
-            value.improvements(stack, warm_key=zero)
-        ones = np.ones(prob.n_fbs + 1)
-        [baseline], [clearing], [certified] = scheduler._certify(
-            _Slot(prob), np.zeros((1, 3)), ones
-        )
-        assert certified
-        assert bits(value.baseline) == bits(baseline)
-        warm = value._cache[zero][1]
-        assert bits(warm) == bits(clearing)
-        objective, clearing, certified = scheduler._certify(_Slot(prob), np.array(gis), warm)
-        assert certified.tolist() == [False, False, False, False, True]
-        assert (value.rows, value.fallback_rows) == (6, 4)
-        for gi, *certificate, ok in zip(gis, objective, clearing, certified):
-            want = certificate if ok else scheduler._best_pattern(_Slot(prob), np.array(gi))
-            improvement, prices = value._cache[tuple(gi)]
-            assert bits(improvement) == bits(want[0] - value.baseline)
-            assert bits(prices) == bits(want[1])
+            value.improvements(stack)
+        for gi in gis:
+            alone = AllocationValue(prob)
+            assert bits(value.baseline) == bits(alone.baseline)
+            got = value.improvement(gi)
+            assert bits(got) == bits(alone.improvement(gi))
+            exact = exact_schedule(prob, np.array(gi))[3]
+            assert got + value.baseline == pytest.approx(exact, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_certified_rows_are_optimal_and_the_rest_are_enumerated(self, data):
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        n_fbs = data.draw(st.integers(1, 3))
-        prob = random_slot_problem(make_rng(seed), data.draw(st.integers(1, 7)), n_fbs)
-        gis = data.draw(channel_stacks(n_fbs))
+    def test_allocation_values_are_a_refilled_best_pattern(self, data):
+        # each value is, bit for bit, the objective of one branch pattern
+        # refilled through the slot's pool memo, and that pattern is the
+        # best of all 2^K refilled patterns and the plain enumeration's
+        # optimum to 1e-12. The slots' rates reach down to 1e-3, so pools
+        # often leave a member unserved
+        prob = data.draw(slot_problems(max_users=7))
+        gis = data.draw(channel_stacks(prob.n_fbs))
         value = AllocationValue(prob)
-        zero = tuple([0.0] * n_fbs)
-        warm = value._cache[zero][1]
-        got = value.improvements(gis, warm_key=zero)
-        objective, clearing, certified = scheduler._certify(_Slot(prob), np.array(gis), warm)
-        fresh = [r for r, gi in enumerate(gis) if tuple(gi) != zero]
-        # rows are counted once per distinct vector, the baseline's included
-        ones = np.ones(n_fbs + 1)
-        [base_certified] = scheduler._certify(_Slot(prob), np.zeros((1, n_fbs)), ones)[2]
-        distinct = {tuple(gis[r]): r for r in fresh}.values()
-        assert value.rows == 1 + len(distinct)
-        assert value.fallback_rows == (not base_certified) + sum(not certified[r] for r in distinct)
-        for r in fresh:
-            exact = exact_schedule(prob, np.array(gis[r]))[3]
-            if certified[r]:
-                assert got[r] == pytest.approx(exact - value.baseline, rel=1e-9, abs=1e-9 * abs(exact))
-                assert bits(got[r]) == bits(objective[r] - value.baseline)
-                assert bits(value._cache[tuple(gis[r])][1]) == bits(clearing[r])
-            else:
-                best, prices = scheduler._best_pattern(_Slot(prob), np.array(gis[r]))
-                assert best == pytest.approx(exact, rel=1e-12)
-                assert bits(got[r]) == bits(best - value.baseline)
-                assert bits(value._cache[tuple(gis[r])][1]) == bits(prices)
+        got = value.improvements(gis)
+        for gi, improvement in zip(gis, got):
+            refilled = refilled_patterns(prob, gi)
+            assert bits(improvement) in {bits(v - value.baseline) for v in refilled.tolist()}
+            best = float(refilled.max())
+            assert improvement + value.baseline == pytest.approx(best, rel=1e-12)
+            exact = exact_schedule(prob, np.array(gi))[3]
+            assert best == pytest.approx(exact, rel=1e-12)
 
-    def test_a_start_pattern_that_is_not_optimal_falls_back(self):
-        # both users prefer their femto at the start prices, but the macro's
-        # wide channel then stays idle, so moving a user there gains: the
-        # dual at the idle macro's zero price exceeds the pattern's objective
-        prob = KINK_SLOT
-        start = np.array([1.0, 1.0])
-        [start_value], [clearing], [certified] = scheduler._certify(
-            _Slot(prob), np.array([[1.0]]), start
-        )
-        exact = exact_schedule(prob, np.array([1.0]))
-        assert not certified and start_value < exact[3] - 0.1
-        assert clearing[0] == 0.0 and not exact[0].all() and exact[0].any()
-        value = AllocationValue(prob)
-        rows, fallbacks = value.rows, value.fallback_rows
-        [got] = value.improvements([[1.0]], warm_key=(0.0,))
-        assert (value.rows - rows, value.fallback_rows - fallbacks) == (1, 1)
-        best, prices = scheduler._best_pattern(_Slot(prob), np.array([1.0]))
-        assert bits(got) == bits(best - value.baseline)
-        assert bits(value._cache[(1.0,)][1]) == bits(prices)
-        # the best pattern's pools: one user on each station
-        assert prices.tolist() == pytest.approx(exact[4].tolist(), rel=1e-12)
+    def test_tied_best_patterns_take_the_first_in_product_order(self):
+        # the kink slot's two users are identical, so putting either on the
+        # macro gives the same closed-form value bit for bit; the first in
+        # itertools.product order, user 0 on its femto and user 1 on the
+        # macro, is the one refilled, at no channels and at one. The plain
+        # enumeration keeps the same one
+        value = AllocationValue(KINK_SLOT)
+        value.improvements([[1.0]])
+        assert set(value._slot.pools) == {
+            (0, (1,), (100.0,)),
+            (1, (0,), (0.0,)),
+            (1, (0,), (50.0,)),
+        }
+        assert exact_schedule(KINK_SLOT, [1.0])[0].tolist() == [False, True]
 
     def test_greedy_values_reach_the_optimum_on_a_symmetric_kink_slot(self):
         # the slot that the runner's slot solve misses (the strict xfail
@@ -832,7 +816,7 @@ class TestBatchedPriceIteration:
         # candidate value is the slot optimum that its 1/(1 + d_max)
         # guarantee assumes
         value = AllocationValue(KINK_SLOT)
-        [got] = value.improvements([[1.0]], warm_key=(0.0,))
+        [got] = value.improvements([[1.0]])
         want = exact_schedule(KINK_SLOT, [1.0])[3]
         assert got + value.baseline == pytest.approx(want, rel=1e-12)
 
@@ -847,10 +831,11 @@ class TestBatchedPriceIteration:
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 value.improvements([row])
-        # every fallback enumerates 2^K patterns, so problems above the
-        # limit are refused, with a custom solver too
+        # every row enumerates 2^K patterns, so problems above the limit
+        # are refused, with a custom solver too
         limit = scheduler.ENUMERATION_MAX_USERS
-        assert AllocationValue(random_problem(make_rng(42, 99), n_users=limit)).rows == 1
+        at_limit = random_problem(make_rng(42, 99), n_users=limit)
+        assert math.isfinite(AllocationValue(at_limit).baseline)
         big = random_problem(make_rng(42, 99), n_users=limit + 1)
         for solver in (None, exact_allocation_solver):
             message = f"{limit + 1} users exceeds the limit of {limit}"
@@ -869,7 +854,7 @@ class TestBatchedPriceIteration:
         def pools_filled(problem):
             bisected.clear()
             value = AllocationValue(problem)
-            got = value.improvements(gis, warm_key=(0.0, 0.0))
+            got = value.improvements(gis)
             return value, got, sum(bisected)
 
         _, alone, alone_filled = pools_filled(other)
@@ -908,8 +893,72 @@ class TestBatchedPriceIteration:
                 solve_noninterfering(lone.for_slot(lone.w_minus, row))
 
 
+class TestEnumerationCorners:
+    """AllocationValue's closed-form pattern values on lanes that
+    waterfilling never pays equal the plain enumeration's optimum, with no
+    RuntimeWarning (pyproject.toml makes one an error)."""
+
+    GIS = [[0.0, 0.0], [1.2, 0.0], [0.0, 2.0], [0.7, 1.6], [3.0, 0.4]]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"pbar_mbs": 0.0},
+            {"pbar_fbs": 0.0},
+            {"pbar_mbs": 0.0, "pbar_fbs": 0.0},
+            {"rate_mbs": 0.0},
+            {"rate_fbs": 0.0},
+            {"rate_mbs": 0.0, "rate_fbs": 0.0},
+            {"rate_mbs": 5e-324},
+            {"rate_fbs": 5e-324},
+            {"rate_mbs": 5e-324, "rate_fbs": 5e-324},
+            # pbar*rate/w underflows to 0 while w/rate stays finite
+            {"pbar_mbs": 5e-324, "rate_mbs": 1e-3},
+            {"pbar_fbs": 5e-324, "rate_fbs": 1e-3},
+        ],
+        ids=lambda changes: "-".join(f"{field}={entry!r}" for field, entry in changes.items()),
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unpaid_lanes_match_the_plain_enumeration(self, changes, seed):
+        # users 1 and 3 take the changed entries; the rows hold zero
+        # channel counts on either femto and on both
+        fields = dataclasses.asdict(random_slot_problem(make_rng(61, seed), 5, 2))
+        for field, entry in changes.items():
+            fields[field][[1, 3]] = entry
+        prob = SlotProblem(**fields)
+        value = AllocationValue(prob)
+        for gi, improvement in zip(self.GIS, value.improvements(self.GIS)):
+            exact = exact_schedule(prob, np.array(gi))[3]
+            assert value.baseline + improvement == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    def test_a_femto_without_users_and_a_lone_user(self):
+        prob = SlotProblem(
+            w_minus=[30.0],
+            pbar_mbs=[0.6],
+            pbar_fbs=[0.9],
+            rate_mbs=[40.0],
+            rate_fbs=[5e-324],
+            assoc=[2],
+            n_fbs=3,
+            fbs_gi=[0.0, 0.0, 0.0],
+        )
+        value = AllocationValue(prob)
+        for gi in ([0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [0.0, 1e-300, 0.0]):
+            exact = exact_schedule(prob, np.array(gi))[3]
+            assert value.baseline + value.improvement(gi) == pytest.approx(exact, rel=1e-12)
+
+
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+def refilled_patterns(prob, gi):
+    """The objective of every branch pattern in itertools.product order
+    under the channel vector gi, each refilled through one _Slot's memo."""
+    patterns = np.array(list(itertools.product((False, True), repeat=prob.num_users)))
+    g_user = np.broadcast_to(np.asarray(gi, dtype=float)[prob.assoc - 1], patterns.shape)
+    rho_mbs, rho_fbs = scheduler._refill_patterns(_Slot(prob), g_user, patterns)
+    return scheduler._objective(prob, g_user, patterns, rho_mbs, rho_fbs)
 
 
 def counting_pool_shares(bisected):
@@ -1574,12 +1623,11 @@ def one_solve_per_candidate_greedy(problem, channels, p_idle, graph, value):
     steps = []
     current = 0.0
     while candidates:
-        key = tuple(assigned @ p_idle)
         best_pair, best_value = None, -math.inf
         for i, m in sorted(candidates):
             trial = assigned.copy()
             trial[i - 1, m] = 1
-            v = value.improvement(trial @ p_idle, warm_key=key)
+            v = value.improvement(trial @ p_idle)
             if v > best_value:
                 best_pair, best_value = (i, m), v
         i, m = best_pair
@@ -1633,9 +1681,9 @@ class TestGreedyAllocation:
         prob = self.make_problem(rng, 1, 2)
         calls = []
 
-        def counting_solver(problem, gi, prices_init):
+        def counting_solver(problem, gi):
             calls.append(tuple(gi))
-            return exact_allocation_solver(problem, gi, prices_init)
+            return exact_allocation_solver(problem, gi)
 
         value = AllocationValue(prob, solver=counting_solver)
         value.improvement([0.5])
@@ -1649,9 +1697,9 @@ class TestGreedyAllocation:
         prob = self.make_problem(rng, 2, 3)
         calls = []
 
-        def counting_solver(problem, gi, prices_init):
+        def counting_solver(problem, gi):
             calls.append(tuple(gi))
-            return exact_allocation_solver(problem, gi, prices_init)
+            return exact_allocation_solver(problem, gi)
 
         value = AllocationValue(prob, solver=counting_solver)
         got = value.improvements([[0.5, 0.0], [0.2, 0.7], [0.5, 0.0], [0.0, 0.0]])
