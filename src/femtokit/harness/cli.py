@@ -5,7 +5,6 @@ validation or oracle check.
 """
 
 import argparse
-import dataclasses
 import sys
 
 from .config import ConfigError, StreamConfig, load_config
@@ -50,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds", default="0..9", help="'a', 'a..b' (inclusive), or 'a,b,c'")
     run.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     run.add_argument("--aggregate", default=None, help="also write mean/ci95 CSV here")
-    run.add_argument(
-        "--budget", type=int, default=None,
-        help="cap on price iterations per solve (stream scenarios only)",
-    )
     subs.add_parser("oracle-check", help="cross-check fast solvers against reference ones")
     return parser
 
@@ -70,12 +65,6 @@ def _emit(rows, args) -> None:
 def _run(args) -> int:
     cfg = load_config(args.config)
     seeds = parse_seeds(args.seeds)
-    if args.budget is not None:
-        if args.budget < 1:
-            raise ConfigError(f"--budget must be >= 1, got {args.budget}")
-        if not isinstance(cfg, StreamConfig):
-            raise ConfigError("--budget applies only to stream scenarios")
-        cfg = dataclasses.replace(cfg, budget=args.budget)
     if isinstance(cfg, StreamConfig):
         rows = run_streaming(cfg, seeds)
     else:

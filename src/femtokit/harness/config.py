@@ -14,7 +14,7 @@ class ConfigError(Exception):
 
 
 MULTICAST_SWEEPS = ("num_levels", "mbs_bandwidth_hz")
-STREAM_SWEEPS = ("num_channels", "eta", "sensing_error", "common_bandwidth_bps", "budget")
+STREAM_SWEEPS = ("num_channels", "eta", "sensing_error", "common_bandwidth_bps", "max_iters")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -167,7 +167,6 @@ class StreamConfig:
     phi: float = 1e-6
     max_iters: int = 2000
     emit_trace: bool = False
-    budget: "int | None" = None
     sweep: "dict | None" = None
 
     def __post_init__(self):
@@ -207,11 +206,7 @@ class StreamConfig:
         self.mean_sinr_fbs = self._per_user("mean_sinr_fbs", self.mean_sinr_fbs, positive=True)
         _require(self.step > 0, "step must be positive")
         _require(self.phi >= 0, "phi cannot be negative")
-        if self.budget is not None:
-            _require_count(self, "budget", 1)
         _check_sweep(self, STREAM_SWEEPS)
-        if self.sweep is not None and self.sweep["parameter"] == "budget":
-            _require(self.budget is None, "budget conflicts with the budget sweep")
 
     def at(self, value) -> "StreamConfig":
         """The plain config of one sweep point.

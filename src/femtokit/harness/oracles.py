@@ -3,6 +3,7 @@ on, and the cross-check battery that `oracle-check` and the acceptance
 suite both run."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import os
@@ -590,12 +591,18 @@ def check_allocation_value_vs_exact(rng, count):
     """AllocationValue's slot optimum under each channel vector, its
     baseline plus its improvement, equals the plain enumeration's
     (exact_schedule) on random slots of 1 to 8 users and 1 to 3 femtos,
-    six channel vectors each, with some channel counts zero."""
+    six channel vectors each, with some channel counts zero. Unlike
+    random_slot_problem's, the slots' rates reach down to 1e-3, about one
+    in ten exactly 0, so pools often leave a member unserved."""
     worst = 0.0
     rows = 0
     for _ in range(count):
         n_fbs = int(rng.integers(1, 4))
-        problem = random_slot_problem(rng, int(rng.integers(1, 9)), n_fbs)
+        n_users = int(rng.integers(1, 9))
+        rates = rng.uniform(1e-3, 120.0, (2, n_users)) * (rng.random((2, n_users)) >= 0.1)
+        problem = dataclasses.replace(
+            random_slot_problem(rng, n_users, n_fbs), rate_mbs=rates[0], rate_fbs=rates[1]
+        )
         gis = rng.uniform(0.0, 3.0, (6, n_fbs)) * (rng.random((6, n_fbs)) < 0.7)
         value = AllocationValue(problem)
         for gi, improvement in zip(gis, value.improvements(gis)):
@@ -733,24 +740,25 @@ def run_check(check, rng, count):
         return False, f"raised {type(exc).__name__}: {exc} (at {where})"
 
 
-def oracle_check() -> list:
-    """The battery: every check on its own fixed random stream.
+# the battery: (name, check, rng path, count) per check, each on its own
+# fixed random stream
+BATTERY = (
+    ("multicast-recursion-vs-folded", check_recursion_vs_folded, 0, 300),
+    ("multicast-closed-form-single-station", check_single_station_closed_form, 1, 300),
+    ("multicast-solvers-and-bounds-vs-exhaustive", check_solvers_and_bounds, 2, 120),
+    ("multicast-exhaustive-stack-vs-loop", check_exhaustive_stack_vs_loop, 3, 100),
+    ("fusion-sequential-vs-batch", check_fusion_routes, 4, 500),
+    ("markov-stationary-fraction", check_markov_fraction, 5, 200_000),
+    ("schedule-dual-vs-exact", check_dual_vs_exact, 6, 30),
+    ("greedy-allocation-vs-exhaustive", check_greedy_vs_exhaustive, 7, 12),
+    ("allocation-value-vs-exact", check_allocation_value_vs_exact, 10, 30),
+    ("psnr-telescoping-vs-bit-accounting", check_psnr_telescoping, 8, 20),
+    ("channel-draws-instance-vs-slot-loop", check_channel_draws_vs_slot_loop, 9, 300),
+)
 
-    Returns (name, ok, detail) triples; all-ok means the fast paths agree
-    with their reference counterparts.
-    """
-    battery = (
-        ("multicast-recursion-vs-folded", check_recursion_vs_folded, 0, 300),
-        ("multicast-closed-form-single-station", check_single_station_closed_form, 1, 300),
-        ("multicast-solvers-and-bounds-vs-exhaustive", check_solvers_and_bounds, 2, 120),
-        ("multicast-exhaustive-stack-vs-loop", check_exhaustive_stack_vs_loop, 3, 100),
-        ("fusion-sequential-vs-batch", check_fusion_routes, 4, 500),
-        ("markov-stationary-fraction", check_markov_fraction, 5, 200_000),
-        ("schedule-dual-vs-exact", check_dual_vs_exact, 6, 30),
-        ("greedy-allocation-vs-exhaustive", check_greedy_vs_exhaustive, 7, 12),
-        ("allocation-value-vs-exact", check_allocation_value_vs_exact, 10, 30),
-        ("psnr-telescoping-vs-bit-accounting", check_psnr_telescoping, 8, 20),
-        ("channel-draws-instance-vs-slot-loop", check_channel_draws_vs_slot_loop, 9, 300),
-    )
+
+def oracle_check() -> list:
+    """Every check of BATTERY, as (name, ok, detail) triples; all-ok means
+    the fast paths agree with their reference counterparts."""
     return [(name, *run_check(check, make_rng(2024, path), count))
-            for name, check, path, count in battery]
+            for name, check, path, count in BATTERY]

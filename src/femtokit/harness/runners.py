@@ -25,7 +25,6 @@ from ..scheduler import (
     greedy_alloc,
     heuristic_diversity,
     heuristic_equal,
-    init_prices,
     optbound_upper,
     solve_noninterfering,
 )
@@ -381,10 +380,10 @@ def _schedule(cfg, template, psnr, gi, tally, record_trace):
     prob = template.for_slot(psnr.copy(), gi)
     sol = solve_noninterfering(
         prob,
-        prices_init=tally.warm_prices if tally.warm_prices is not None else init_prices(prob),
+        prices_init=tally.warm_prices,
         step=cfg.step,
         phi=cfg.phi,
-        max_iters=cfg.max_iters if cfg.budget is None else min(cfg.max_iters, cfg.budget),
+        max_iters=cfg.max_iters,
         record_trace=record_trace,
     )
     tally.warm_prices = sol.prices

@@ -685,16 +685,16 @@ def solve_noninterfering(
 ) -> ScheduleSolution:
     """Price iteration for one slot under its channel vector problem.fbs_gi.
 
-    Starts from prices_init (all ones by default; a warm start from an
-    earlier solve goes here) and follows the projected gradient iterates
-    (_iterate) until the squared price movement drops to phi; a solve
-    that hits max_iters is flagged converged=False. The returned schedule
-    is the best feasible point known: every visited branch pattern
-    refilled exactly, and the two heuristics. A traced solve records the
-    repaired iterates' objectives in its trace but never picks from them,
-    so tracing leaves the schedule, and every later slot, as it is. The
-    solve runs on a fresh _Slot, so its pool-share memo lives for this
-    call.
+    Starts from prices_init (by default the cold start init_prices(problem);
+    a warm start from an earlier solve goes here) and follows the projected
+    gradient iterates (_iterate) until the squared price movement drops to
+    phi; a solve that hits max_iters is flagged converged=False. The
+    returned schedule is the best feasible point known: every visited
+    branch pattern refilled exactly, and the two heuristics. A traced
+    solve records the repaired iterates' objectives in its trace but never
+    picks from them, so tracing leaves the schedule, and every later slot,
+    as it is. The solve runs on a fresh _Slot, so its pool-share memo
+    lives for this call.
     """
     # written so that NaN fails each check
     if not 0 < step < math.inf:
@@ -703,11 +703,7 @@ def solve_noninterfering(
         raise ValueError("phi cannot be negative")
     if max_iters < 1:
         raise ValueError("need at least one iteration")
-    start = (
-        np.ones(problem.n_fbs + 1)
-        if prices_init is None
-        else np.array(prices_init, dtype=float)
-    )
+    start = init_prices(problem) if prices_init is None else np.array(prices_init, dtype=float)
     if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
         raise ValueError("prices_init must be a nonnegative finite price per transmitter")
     slot = _Slot(problem)

@@ -87,7 +87,7 @@ SWEEP_POINTS = {
     "eta": (STREAM_BASE, 0.5, {"p01": pytest.approx(0.3)}),  # 0.5 * p10 / (1 - 0.5)
     "sensing_error": (STREAM_BASE, [0.2, 0.48], {"false_alarm": 0.2, "miss": 0.48}),
     "common_bandwidth_bps": (STREAM_BASE, 4e5, {"common_bandwidth_bps": 4e5}),
-    "budget": (STREAM_BASE, 7, {"budget": 7}),
+    "max_iters": (STREAM_BASE, 7, {"max_iters": 7}),
     "num_levels": (MULTICAST_BASE, 3, {"num_levels": 3}),
     "mbs_bandwidth_hz": (FEMTO_MULTICAST, 2e6, {"mbs_bandwidth_hz": 2e6}),
 }
@@ -98,7 +98,7 @@ BAD_SWEEP_VALUES = {
     "eta": (STREAM_BASE, 1.0),
     "sensing_error": (STREAM_BASE, [0.6, 0.1]),
     "common_bandwidth_bps": (STREAM_BASE, -3e5),
-    "budget": (STREAM_BASE, 0),
+    "max_iters": (STREAM_BASE, 0),
     "num_levels": (MULTICAST_BASE, 0),
     "mbs_bandwidth_hz": (FEMTO_MULTICAST, 2.5e6),  # leaves no femto band
 }
@@ -108,7 +108,7 @@ FLOAT_COUNTS = [
     pytest.param(dict(base, **{name: 2.5}), id=f"{base['kind']}-{name}")
     for base, names in (
         (STREAM_BASE, ("num_users", "num_channels", "num_slots", "window_slots", "num_fbs",
-                       "max_iters", "budget")),
+                       "max_iters")),
         (MULTICAST_BASE, ("num_users", "num_levels", "num_fbs")),
     )
     for name in names
@@ -413,8 +413,8 @@ class TestRunners:
         rows = run_multicast(config_from_dict(scenario), [0, 1])
         assert ("heuristic" in {r.algorithm for r in rows}) is heuristic
 
-    def test_budget_caps_solver_iterations(self):
-        cfg = config_from_dict(dict(STREAM_BASE, max_iters=500, budget=1))
+    def test_max_iters_caps_solver_iterations(self):
+        cfg = config_from_dict(dict(STREAM_BASE, max_iters=1))
         rows = run_streaming(cfg, [0])
         iters = [r for r in rows if r.metric == "iterations_mean"]
         assert all(r.value <= 1.0 for r in iters)
@@ -610,6 +610,7 @@ class TestCli:
                          id="include_heuristic"),
             pytest.param(dict(STREAM_BASE, alloc_iters=120), "unknown config keys",
                          id="alloc_iters"),
+            pytest.param(dict(STREAM_BASE, budget=5), "unknown config keys", id="budget"),
             pytest.param(dict(MULTICAST_BASE, macro_only_fraction=0.2),
                          "macro_only_fraction needs femto stations", id="macro_only_no_femto"),
         ],
@@ -652,29 +653,12 @@ class TestCli:
         assert self.run_cli("run", "--config", str(cfg), "--seeds=-1") == 2
         assert "negative seed" in capsys.readouterr().err
 
-    def test_budget_below_one_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(STREAM_BASE))
-        for budget in ("-5", "0"):
-            code = self.run_cli("run", "--config", str(cfg), "--seeds", "0", "--budget", budget)
-            assert code == 2
-            assert "--budget must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "scenario, message",
-        [
-            (dict(STREAM_BASE, sweep={"parameter": "budget", "values": [1, 2]}), "budget sweep"),
-            (
-                dict(MULTICAST_BASE, sweep={"parameter": "num_levels", "values": [1, 2]}),
-                "only to stream scenarios",
-            ),
-        ],
-    )
-    def test_budget_flag_conflicts_exit_two_before_running(
-        self, tmp_path, monkeypatch, capsys, scenario, message
-    ):
-        assert self.exits_two_before_running(tmp_path, monkeypatch, scenario, "--budget", "5")
-        assert message in capsys.readouterr().err
+    def test_budget_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # max_iters in the config is the only iteration cap
+        with pytest.raises(SystemExit) as exc:
+            self.exits_two_before_running(tmp_path, monkeypatch, STREAM_BASE, "--budget", "5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
     def test_oracle_check_prints_one_ok_line_per_check(self, capsys):
         assert self.run_cli("oracle-check") == 0
@@ -688,7 +672,8 @@ class TestCli:
         def crash(rng, count):
             raise ValueError("boom")
 
-        monkeypatch.setattr(oracles, "check_dual_vs_exact", crash)
+        cheap = next(c for c in oracles.BATTERY if c[0] == "fusion-sequential-vs-batch")
+        monkeypatch.setattr(oracles, "BATTERY", (("schedule-dual-vs-exact", crash, 6, 30), cheap))
         assert self.run_cli("oracle-check") == 3
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if line.startswith("FAIL")]

@@ -28,11 +28,13 @@ from femtokit.scheduler import (
     solve_noninterfering,
 )
 from femtokit.harness.oracles import (
+    BATTERY,
     brute_force_alloc,
     diminishing_gains_margin,
     exact_allocation_solver,
     exact_schedule,
     random_slot_problem,
+    run_check,
     support_margin,
     waterfill_pool,
 )
@@ -321,7 +323,7 @@ class TestPriceIteration:
             n_fbs=1,
             fbs_gi=[1.0],
         )
-        prices = None if start == "ones" else init_prices(prob)
+        prices = np.ones(prob.n_fbs + 1) if start == "ones" else init_prices(prob)
         sol = solve_noninterfering(prob, prices_init=prices, max_iters=2000)
         assert sol.objective == pytest.approx(exact_schedule(prob)[3], rel=1e-9)
 
@@ -384,6 +386,12 @@ class TestPriceIteration:
         prices = init_prices(prob)
         assert prices[0] == pytest.approx(0.5 * 1.0 / 4.0)
         assert prices[1] == pytest.approx(0.25 * 2.0 / 5.0)
+
+    def test_a_solve_without_prices_starts_cold(self):
+        prob = random_problem(make_rng(25, 85), n_users=4, n_fbs=2)
+        for max_iters in (1, 50):
+            given = solve_noninterfering(prob, prices_init=init_prices(prob), max_iters=max_iters)
+            assert_same_solution(solve_noninterfering(prob, max_iters=max_iters), given)
 
 
 @st.composite
@@ -794,6 +802,24 @@ class TestBatchedPriceIteration:
             assert improvement + value.baseline == pytest.approx(best, rel=1e-12)
             exact = exact_schedule(prob, np.array(gi))[3]
             assert best == pytest.approx(exact, rel=1e-12)
+
+    def test_the_battery_catches_a_pool_that_serves_every_member(self, monkeypatch):
+        # a _femto_table whose served test always passes pays every lane,
+        # so unserved members count with negative shares; the battery's
+        # allocation-value draws reach that boundary
+        def always_served(steps, g):
+            table = []
+            for base, paid in steps:
+                if g > 0.0 and paid:
+                    _, _, p, o, a = paid[-1]
+                    base += a + p * math.log((g + o) / p)
+                table.append(base)
+            return table
+
+        monkeypatch.setattr(scheduler, "_femto_table", always_served)
+        _, check, path, count = next(c for c in BATTERY if c[0] == "allocation-value-vs-exact")
+        ok, detail = run_check(check, make_rng(2024, path), count)
+        assert not ok and detail.startswith("allocation value ")
 
     def test_tied_best_patterns_take_the_first_in_product_order(self):
         # the kink slot's two users are identical, so putting either on the
