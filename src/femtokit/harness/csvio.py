@@ -5,7 +5,6 @@ Floats are rendered with %.12g so identical runs produce identical bytes.
 
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -111,12 +110,6 @@ def write_rows(target, rows) -> None:
     writer.writerow(COLUMNS)
     for r in rows:
         writer.writerow((r.scenario, r.seed, r.sweep, r.algorithm, r.metric, format_value(r.value)))
-
-
-def rows_to_bytes(rows) -> bytes:
-    buf = io.StringIO()
-    write_rows(buf, rows)
-    return buf.getvalue().encode("utf-8")
 
 
 def read_rows(path) -> list:

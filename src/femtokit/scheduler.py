@@ -17,8 +17,6 @@ greedy trace telescopes exactly.
 
 import copy
 import math
-import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,6 @@ import numpy as np
 _OVERLOAD_TOL = 1e-6
 # bisection steps on a pool's price in _pool_shares
 _POOL_BISECTIONS = 60
-_FLOAT_MAX = sys.float_info.max
 # iterates a row of the price iteration runs between two checks of its
 # branches: a row starts with a block of _FIRST_BLOCK, a row whose branches
 # switched starts again from 1, and each block that checks out doubles the
@@ -270,123 +267,41 @@ def _repaired(rho_mbs, rho_fbs, load, assoc):
     return rho_mbs * scale[:, :1], rho_fbs * np.take(scale, assoc, axis=1)
 
 
-def _clearing_price(pbar, ratio, offset) -> float:
-    """A pool's closed-form waterfill price (Boyd & Vandenberghe, Convex
-    Optimization, 5.5.3): sorted by ratio = pbar*rate/w, largest first, the
-    first m members clear the slot at sum pbar / (1 + sum offset), m being
-    the number still above that price. The sort is stable and the sums run
-    in that order. The price only seeds _filling_threshold, which returns
-    the same threshold from any seed."""
-    cum_pbar = cum_offset = 0.0
-    mus, served = [], 0
-    for i in sorted(range(len(ratio)), key=ratio.__getitem__, reverse=True):
-        cum_pbar += pbar[i]
-        cum_offset += offset[i]
-        mu = cum_pbar / (1.0 + cum_offset)
-        mus.append(mu)
-        served += pbar[i] > mu * offset[i]
-    return mus[max(served - 1, 0)]
-
-
-def _clipped_shares(pbar, offset, price) -> list:
-    """A pool's box-clipped stationary shares clip(pbar/price - offset, 0, 1)
-    at price, in Python floats. A tiny price saturates pbar/price to +inf,
-    which clips to 1."""
-    shares = []
-    for pb, off in zip(pbar, offset):
-        x = pb / price - off
-        shares.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
-    return shares
-
-
-_DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
-
-
-def _bits(x: float) -> int:
-    return _INT64.unpack(_DOUBLE.pack(x))[0]
-
-
-def _float(n: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(n))[0]
-
-
-def _filling_threshold(pbar, offset, hi, seed) -> float:
-    """The largest price in (0, hi] whose clipped shares fill the slot (sum
-    to at least 1), or 0.0 if none does. The shares are summed left to
-    right in member order.
-
-    The test is monotone in the price in floating point: pbar/price is
-    correctly rounded, then a constant is subtracted, the result clipped and
-    summed in a fixed order, and each step preserves order. So the prices
-    that fill are exactly the positive floats up to the threshold. Positive
-    floats sort like their int64 bit patterns, so the search keeps a bracket
-    (a fills, b does not) in bit space: it gallops from seed, a step of 1,
-    2, 4, ... floats at a time, until a test lands on the other side, then
-    bisects until b is a's successor. seed only sets how many tests run,
-    never the result."""
-
-    def fills(n):
-        # an explicit loop: from Python 3.12 on the builtin sum of floats
-        # is compensated, so its bits would depend on the Python version
-        total = 0.0
-        for x in _clipped_shares(pbar, offset, _float(n)):
-            total += x
-        return total >= 1.0
-
-    # 0.0 stands in for "no price fills", and the float after hi is never
-    # tested by the bisection, so neither bracket end needs a test
-    a, b = 0, _bits(hi) + 1
-    probe = min(max(_bits(seed), 1), b - 1)
-    up = fills(probe)
-    a, b = (probe, b) if up else (a, probe)
-    stride = 1
-    while b - a > 1:
-        probe = min(a + stride, b - 1) if up else max(b - stride, a + 1)
-        filled = fills(probe)
-        a, b = (probe, b) if filled else (a, probe)
-        if filled != up:
-            break
-        stride *= 2
-    while b - a > 1:
-        probe = (a + b) // 2
-        a, b = (probe, b) if fills(probe) else (a, probe)
-    return _float(a)
-
-
 def _pool_shares(pbar, w, rate) -> list:
     """Optimal shares of one pool's members, from lists of Python floats of
     their pbar, w and rate. Members with zero rate get nothing.
 
-    The shares are defined as _POOL_BISECTIONS bisection steps on the
-    pool's price, keeping the half whose box-clipped stationary shares
-    clip(pbar/price - w/rate, 0, 1) fill the slot (their running sum in
-    member order is at least 1), then the shares at the upper end. The
-    steps are replayed against the pool's filling threshold
-    (_filling_threshold, seeded at the closed-form price): a price fills
-    exactly when it is at most the threshold, so the shares are those of
-    the bisection bit for bit."""
+    The pool's price is bisected (Boyd & Vandenberghe, Convex Optimization,
+    5.5.3) for _POOL_BISECTIONS steps, keeping the half whose box-clipped
+    stationary shares clip(pbar/price - w/rate, 0, 1) fill the slot (their
+    running sum in member order is at least 1); the shares are those at the
+    upper end. A subnormal rate overflows w/rate to inf; every price tried
+    is at least 2^-60 and pbar at most 1, so pbar/price - inf is -inf and
+    that member's share clips to 0."""
     shares = [0.0] * len(w)
     pos = [i for i, r in enumerate(rate) if r > 0]
     if not pos:
         return shares
-    pb = [pbar[i] for i in pos]
-    # where a subnormal rate overflows w/rate to inf, the largest float
-    # still clips the member's share to 0 at every price
-    offset = [min(w[i] / rate[i], _FLOAT_MAX) for i in pos]
-    ratio = [pbar[i] * rate[i] / w[i] for i in pos]
-    hi = max(ratio) * 2.0 + 1.0
-    threshold = _filling_threshold(pb, offset, hi, _clearing_price(pb, ratio, offset))
-    lo = 0.0
+    members = [(pbar[i], w[i] / rate[i]) for i in pos]
+    lo, hi = 0.0, max([pbar[i] * rate[i] / w[i] for i in pos]) * 2.0 + 1.0
     for _ in range(_POOL_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if mid <= threshold:
+        # an explicit loop: from Python 3.12 on the builtin sum of floats
+        # is compensated, so its bits would depend on the Python version
+        total = 0.0
+        for pb, off in members:
+            x = pb / mid - off
+            if x > 0.0:
+                total += x if x < 1.0 else 1.0
+        if total >= 1.0:
             lo = mid
         else:
             hi = mid
     # hi only ever takes prices whose shares sum below 1 (the first hi gives
     # nobody a share), so the shares at hi never overfill the slot
-    for i, x in zip(pos, _clipped_shares(pb, offset, hi)):
-        shares[i] = x
+    for i, (pb, off) in zip(pos, members):
+        x = pb / hi - off
+        shares[i] = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
     return shares
 
 
@@ -678,9 +593,10 @@ def _repaired_iterates(slot: _Slot, g_user, iterate_prices):
 def solve_noninterfering(
     problem: SlotProblem,
     prices_init=None,
-    step: float = 0.01,
-    phi: float = 1e-6,
-    max_iters: int = 10000,
+    *,
+    step: float,
+    phi: float,
+    max_iters: int,
     record_trace: bool = False,
 ) -> ScheduleSolution:
     """Price iteration for one slot under its channel vector problem.fbs_gi.
@@ -688,8 +604,9 @@ def solve_noninterfering(
     Starts from prices_init (by default the cold start init_prices(problem);
     a warm start from an earlier solve goes here) and follows the projected
     gradient iterates (_iterate) until the squared price movement drops to
-    phi; a solve that hits max_iters is flagged converged=False. The
-    returned schedule is the best feasible point known: every visited
+    phi; a solve that hits max_iters is flagged converged=False. step, phi
+    and max_iters have no defaults here: StreamConfig holds the only ones.
+    The returned schedule is the best feasible point known: every visited
     branch pattern refilled exactly, and the two heuristics. A traced
     solve records the repaired iterates' objectives in its trace but never
     picks from them, so tracing leaves the schedule, and every later slot,

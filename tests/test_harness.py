@@ -31,7 +31,6 @@ from femtokit.harness.csvio import (
     format_sweep,
     format_value,
     read_rows,
-    rows_to_bytes,
     t_critical,
     write_aggregate,
     write_rows,
@@ -47,6 +46,18 @@ from femtokit.scheduler import ENUMERATION_MAX_USERS, heuristic_equal
 from femtokit.video import StreamState, update_psnr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def fresh_python(*args) -> str:
+    """The standard output of a new interpreter run with args, with this
+    package's source on its path."""
+    src = str(Path(oracles.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
 
 MULTICAST_BASE = {
     "name": "unit-multicast",
@@ -271,6 +282,17 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(bad)
 
+    def test_configs_and_csv_load_without_numpy(self):
+        # configs and result rows need no solver: the benchmark times
+        # importing femtokit and loading configs as its set-up, so a numpy
+        # import here would move that time
+        script = (
+            "import sys\n"
+            "import femtokit.harness.config, femtokit.harness.csvio\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert fresh_python("-c", script) == "False\n"
+
 
 class TestSeedSpecs:
     def test_forms(self):
@@ -313,7 +335,9 @@ class TestCsv:
         ]
 
     def test_exact_bytes_with_lf_endings(self):
-        got = rows_to_bytes(self.ROWS[:1])
+        buf = io.StringIO()
+        write_rows(buf, self.ROWS[:1])
+        got = buf.getvalue().encode("utf-8")
         assert got == (
             b"scenario,seed,sweep,algorithm,metric,value\n"
             b"s,0,4,proposed,psnr_mean,0.333333333333\n"
@@ -690,13 +714,7 @@ class TestCli:
             "ok, detail = oracles.run_check(oracles.check_fusion_routes, None, 0)\n"
             "print(__debug__, ok, detail)\n"
         )
-        src = str(Path(oracles.__file__).resolve().parents[2])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
+        out = fresh_python("-O", "-c", script)
         assert out.startswith("False False sequential ")
         assert out.rstrip().endswith(" vs batch 2.0")
 

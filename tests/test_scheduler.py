@@ -233,7 +233,7 @@ class TestDualUpdate:
         monkeypatch.setattr(scheduler, "_iterate", None)
         for step in (0.0, -0.01):
             with pytest.raises(ValueError, match="step"):
-                solve_noninterfering(one_user_problem(), step=step)
+                solve_noninterfering(one_user_problem(), step=step, phi=1e-6, max_iters=10_000)
 
 
 class TestObjectiveValue:
@@ -266,7 +266,7 @@ class TestObjectiveValue:
 class TestPriceIteration:
     def test_single_user_takes_the_better_branch(self):
         prob = one_user_problem(w=30.0, pbar0=0.9, pbarf=0.8, rate0=60.0, ratef=40.0)
-        sol = solve_noninterfering(prob, phi=1e-12)
+        sol = solve_noninterfering(prob, step=0.01, phi=1e-12, max_iters=10_000)
         assert sol.connect_mbs.tolist() == [True]
         assert sol.rho_mbs == pytest.approx([1.0], abs=1e-9)
         assert sol.objective == pytest.approx(0.9 * math.log(90.0), rel=1e-9)
@@ -275,7 +275,7 @@ class TestPriceIteration:
     def test_losing_branch_share_is_exactly_zero(self):
         rng = make_rng(20, 80)
         for _ in range(10):
-            sol = solve_noninterfering(random_problem(rng), phi=1e-12)
+            sol = solve_noninterfering(random_problem(rng), step=0.01, phi=1e-12, max_iters=10_000)
             off = ~sol.connect_mbs
             assert np.all(sol.rho_mbs[off] == 0.0)
             assert np.all(sol.rho_fbs[sol.connect_mbs] == 0.0)
@@ -284,7 +284,7 @@ class TestPriceIteration:
         rng = make_rng(21, 81)
         for _ in range(10):
             prob = random_problem(rng, n_fbs=2)
-            sol = solve_noninterfering(prob, phi=1e-12)
+            sol = solve_noninterfering(prob, step=0.01, phi=1e-12, max_iters=10_000)
             assert sol.rho_mbs.sum() <= 1.0 + 1e-9
             for i in (1, 2):
                 pool = prob.assoc == i
@@ -297,7 +297,7 @@ class TestPriceIteration:
             prob = random_problem(rng)
             if support_margin(prob) < 0.01:
                 continue
-            sol = solve_noninterfering(prob, phi=1e-12)
+            sol = solve_noninterfering(prob, step=0.01, phi=1e-12, max_iters=10_000)
             _, _, _, best, _ = exact_schedule(prob)
             assert sol.objective == pytest.approx(best, rel=1e-6)
             assert sol.duality_gap <= 1e-3
@@ -324,14 +324,14 @@ class TestPriceIteration:
             fbs_gi=[1.0],
         )
         prices = np.ones(prob.n_fbs + 1) if start == "ones" else init_prices(prob)
-        sol = solve_noninterfering(prob, prices_init=prices, max_iters=2000)
+        sol = solve_noninterfering(prob, prices_init=prices, step=0.01, phi=1e-6, max_iters=2000)
         assert sol.objective == pytest.approx(exact_schedule(prob)[3], rel=1e-9)
 
     def test_never_below_the_baselines(self):
         rng = make_rng(23, 83)
         for _ in range(30):
             prob = random_problem(rng, n_users=int(rng.integers(1, 6)), n_fbs=2)
-            sol = solve_noninterfering(prob)
+            sol = solve_noninterfering(prob, step=0.01, phi=1e-6, max_iters=10_000)
             floor = max(
                 slot_baseline(heuristic_equal, prob).objective[0],
                 slot_baseline(heuristic_diversity, prob).objective[0],
@@ -341,7 +341,7 @@ class TestPriceIteration:
     def test_tiny_iteration_budget_still_feasible_and_competitive(self):
         rng = make_rng(24, 84)
         prob = random_problem(rng, n_users=3)
-        sol = solve_noninterfering(prob, max_iters=2)
+        sol = solve_noninterfering(prob, step=0.01, phi=1e-6, max_iters=2)
         assert sol.iterations <= 2
         assert sol.rho_mbs.sum() <= 1.0 + 1e-9
         floor = max(
@@ -353,33 +353,40 @@ class TestPriceIteration:
     def test_warm_start_from_supporting_prices_converges_immediately(self):
         rng = make_rng(25, 85)
         prob = random_problem(rng)
-        first = solve_noninterfering(prob, phi=1e-12)
-        again = solve_noninterfering(prob, prices_init=first.prices, phi=1e-12)
+        first = solve_noninterfering(prob, step=0.01, phi=1e-12, max_iters=10_000)
+        again = solve_noninterfering(
+            prob, prices_init=first.prices, step=0.01, phi=1e-12, max_iters=10_000
+        )
         assert again.iterations <= first.iterations
 
     def test_trace_records_every_iteration(self):
         prob = one_user_problem(w=30.0, pbar0=0.9, pbarf=0.8, rate0=60.0, ratef=40.0)
-        sol = solve_noninterfering(prob, phi=1e-12, record_trace=True)
+        sol = solve_noninterfering(prob, step=0.01, phi=1e-12, max_iters=10_000, record_trace=True)
         assert sol.trace is not None and len(sol.trace) == sol.iterations
         it, prices, obj = sol.trace[-1]
         assert it == sol.iterations and np.isfinite(obj)
 
     def test_option_validation(self):
         prob = one_user_problem()
-        with pytest.raises(ValueError):
-            solve_noninterfering(prob, phi=-1.0)
-        with pytest.raises(ValueError):
-            solve_noninterfering(prob, max_iters=0)
-        with pytest.raises(ValueError):
-            solve_noninterfering(prob, step=0.0)
-        with pytest.raises(ValueError):
-            solve_noninterfering(prob, step=-0.01)
-        for opts in (dict(step=math.nan), dict(step=math.inf), dict(phi=math.nan)):
+        valid = dict(step=0.01, phi=1e-6, max_iters=10_000)
+        bad = (
+            dict(phi=-1.0),
+            dict(max_iters=0),
+            dict(step=0.0),
+            dict(step=-0.01),
+            dict(step=math.nan),
+            dict(step=math.inf),
+            dict(phi=math.nan),
+        )
+        for opts in bad:
             with pytest.raises(ValueError):
-                solve_noninterfering(prob, **opts)
+                solve_noninterfering(prob, **{**valid, **opts})
         for prices_init in ([1.0, -1.0], [1.0, math.inf], [math.nan, 1.0]):
             with pytest.raises(ValueError, match="prices_init"):
-                solve_noninterfering(prob, prices_init=prices_init)
+                solve_noninterfering(prob, prices_init=prices_init, **valid)
+        # the iteration settings have their one default in StreamConfig
+        with pytest.raises(TypeError):
+            solve_noninterfering(prob)
 
     def test_cold_start_prices_sit_on_the_demand_scale(self):
         prob = one_user_problem(w=3.0, pbar0=0.5, pbarf=0.25, rate0=1.0, ratef=2.0, gi=1.0)
@@ -390,8 +397,9 @@ class TestPriceIteration:
     def test_a_solve_without_prices_starts_cold(self):
         prob = random_problem(make_rng(25, 85), n_users=4, n_fbs=2)
         for max_iters in (1, 50):
-            given = solve_noninterfering(prob, prices_init=init_prices(prob), max_iters=max_iters)
-            assert_same_solution(solve_noninterfering(prob, max_iters=max_iters), given)
+            opts = dict(step=0.01, phi=1e-6, max_iters=max_iters)
+            given = solve_noninterfering(prob, prices_init=init_prices(prob), **opts)
+            assert_same_solution(solve_noninterfering(prob, **opts), given)
 
 
 @st.composite
@@ -458,16 +466,6 @@ def lone_bisection(pbar, w, rate, total=running_sum):
     return shares
 
 
-def far_seed(seed):
-    """A stand-in for the threshold search's closed-form seed: the pool
-    seeded at its bisection's first upper price ("hi") or at one price."""
-
-    def seeds(pbar, ratio, offset):
-        return max(ratio) * 2.0 + 1.0 if seed == "hi" else seed
-
-    return seeds
-
-
 def pool_shares(*pools):
     """The fast path's shares of each (pbar, w, rate) pool of arrays, which
     it takes as lists of Python floats."""
@@ -481,16 +479,6 @@ class TestWaterfillPool:
         pbar, w, rate = pool
         shares, value, mu = waterfill_pool(pbar, w, rate)
         assert np.all(shares >= 0.0)
-        # the closed-form price that seeds the fast path's threshold search,
-        # over the members with a positive rate (0.0 when there are none)
-        paid = rate > 0
-        seed = 0.0
-        if np.any(paid):
-            pb, wp, rp = pbar[paid], w[paid], rate[paid]
-            seed = scheduler._clearing_price(
-                pb.tolist(), (pb * rp / wp).tolist(), (wp / rp).tolist()
-            )
-        assert seed == pytest.approx(mu, rel=1e-12, abs=0.0)
         if not np.any((rate > 0) & (pbar > 0)):
             assert np.all(shares == 0.0) and mu == 0.0
             return
@@ -524,49 +512,11 @@ class TestWaterfillPool:
         assert bits(got) == bits(lone_bisection(*pool))
         assert bits(got) != bits(lone_bisection(*pool, total=np.sum))
 
-    @settings(max_examples=100, deadline=None)
-    @given(stack=pool_stacks(), seed=st.sampled_from(["hi", 1e-300, 0.0]))
-    def test_far_seeds_reach_the_lone_bisection(self, stack, seed):
-        # no workload's seed is this far off, so only here does the
-        # threshold search gallop far
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scheduler, "_clearing_price", far_seed(seed))
-            shares = pool_shares(*stack)
-        for (pbar, w, rate), got in zip(stack, shares):
-            assert bits(got) == bits(lone_bisection(pbar, w, rate))
-
-    @settings(max_examples=200, deadline=None)
-    @given(pool=pools(), seed=st.sampled_from([None, "hi", 1e-300, 0.0]))
-    def test_threshold_is_the_last_filling_price(self, pool, seed):
-        pbar, w, rate = (part[pool[2] > 0] for part in pool)
-        if not rate.size:
-            return
-        offset = w / rate
-        ratio = pbar * rate / w
-        hi = float(np.max(ratio)) * 2.0 + 1.0
-        start = (scheduler._clearing_price if seed is None else far_seed(seed))(
-            pbar.tolist(), ratio.tolist(), offset.tolist()
-        )
-        threshold = scheduler._filling_threshold(pbar.tolist(), offset.tolist(), hi, start)
-
-        def fills(price):
-            # the member-order sum, the rounding the search follows
-            with np.errstate(over="ignore"):
-                shares = np.minimum(np.maximum(pbar / price - offset, 0.0), 1.0)
-            return running_sum(shares) >= 1.0
-
-        assert 0.0 <= threshold < hi
-        assert threshold == 0.0 or fills(threshold)
-        assert not fills(np.nextafter(threshold, math.inf))
-
-    @pytest.mark.parametrize("seed", [None, 0.0])
-    def test_a_member_whose_offset_overflows_takes_no_time(self, seed):
+    def test_a_member_whose_offset_overflows_takes_no_time(self):
         pbar, w, rate = np.array([0.9, 0.8]), np.array([30.0, 35.0]), np.array([5e-324, 60.0])
-        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        with warnings.catch_warnings():
             # Python floats overflow w/rate to inf without a warning
             warnings.simplefilter("error", RuntimeWarning)
-            if seed is not None:
-                patch.setattr(scheduler, "_clearing_price", far_seed(seed))
             [got] = pool_shares((pbar, w, rate))
         with np.errstate(over="ignore"):
             want = lone_bisection(pbar, w, rate)
@@ -700,7 +650,7 @@ class TestBatchedPriceIteration:
         for gi in gis:
             bisected.clear()
             refilled.clear()
-            solve_rows(prob, [gi], max_iters=150)
+            solve_rows(prob, [gi], step=0.01, phi=1e-6, max_iters=150)
             [keys] = pool_keys(prob, refilled)
             assert sum(bisected) == len(keys) <= sum(keys.values())
             shared += len(keys) < sum(keys.values())
@@ -730,7 +680,7 @@ class TestBatchedPriceIteration:
         monkeypatch.setattr(scheduler, "_Responder", CountingResponder)
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
         gis = [[0.0, 0.0], [0.5, 1.0], [2.5, 0.2], [3.0, 3.0]]
-        solved = solve_rows(prob, gis, max_iters=150)
+        solved = solve_rows(prob, gis, step=0.01, phi=1e-6, max_iters=150)
         # the rows stop at different iterations, each solve iterating its
         # one row on the lanes of its own responder
         assert len({sol.iterations for sol in solved}) > 1
@@ -751,13 +701,13 @@ class TestBatchedPriceIteration:
         monkeypatch.setattr(scheduler._Responder, "__call__", counting_call)
         prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
         gis = [[0.0, 0.0], [0.5, 1.0], [2.5, 0.2], [3.0, 3.0]]
-        solve_rows(prob, gis, max_iters=150)
+        solve_rows(prob, gis, step=0.01, phi=1e-6, max_iters=150)
         assert calls == []
         # AllocationValue values patterns in closed form and refills them
         value = AllocationValue(prob)
         value.improvements(gis)
         assert calls == []
-        solve_noninterfering(prob, max_iters=150, record_trace=True)
+        solve_noninterfering(prob, step=0.01, phi=1e-6, max_iters=150, record_trace=True)
         assert calls
 
     @pytest.mark.parametrize("calls", ["one call", "two calls", "reverse order"])
@@ -902,8 +852,10 @@ class TestBatchedPriceIteration:
         # the runner traces only the first seed of a list, so a seed's rows
         # would otherwise depend on its place in the list
         prob = random_slot_problem(make_rng(seed), n_users, n_fbs)
-        traced = solve_noninterfering(prob, max_iters=max_iters, record_trace=True)
-        untraced = solve_noninterfering(prob, max_iters=max_iters)
+        traced = solve_noninterfering(
+            prob, step=0.01, phi=1e-6, max_iters=max_iters, record_trace=True
+        )
+        untraced = solve_noninterfering(prob, step=0.01, phi=1e-6, max_iters=max_iters)
         assert len(traced.trace) == traced.iterations
         assert_same_solution(dataclasses.replace(traced, trace=None), untraced)
 
@@ -911,12 +863,16 @@ class TestBatchedPriceIteration:
         prob = random_problem(make_rng(42, 97), n_fbs=2)
         for prices in ([1.0, -1.0, 1.0], [1.0, 1.0], [1.0, math.nan, 1.0], [1.0, math.inf, 1.0]):
             with pytest.raises(ValueError, match="prices_init must be a nonnegative finite price"):
-                solve_noninterfering(prob, prices_init=prices)
+                solve_noninterfering(
+                    prob, prices_init=prices, step=0.01, phi=1e-6, max_iters=10_000
+                )
         # a channel vector fails as the problem is built, before any solve
         lone = random_problem(make_rng(42, 98), n_users=2, n_fbs=1)
         for row in ([math.nan], [-1.0], [math.inf]):
             with pytest.raises(ValueError, match="expected channel counts must be nonnegative"):
-                solve_noninterfering(lone.for_slot(lone.w_minus, row))
+                solve_noninterfering(
+                    lone.for_slot(lone.w_minus, row), step=0.01, phi=1e-6, max_iters=10_000
+                )
 
 
 class TestEnumerationCorners:
@@ -1396,7 +1352,12 @@ class TestRecurrence:
         per_row = [sum(restarts[r :: len(gis)]) for r in range(len(gis))]
         assert sum(per_row) > horizon and all(per_row)
         traced = solve_noninterfering(
-            SWITCHING_SLOT, prices_init=start, max_iters=horizon, record_trace=True
+            SWITCHING_SLOT,
+            prices_init=start,
+            step=0.01,
+            phi=1e-6,
+            max_iters=horizon,
+            record_trace=True,
         )
         prices, iterations, _, dual = plain[0][0][-1]
         assert [it for it, _, _ in traced.trace] == list(range(1, iterations + 1))
@@ -1426,7 +1387,14 @@ class TestRecurrence:
             for gi in gis
         ]
         for cap in range(1, horizon + 1):
-            solved = solve_rows(TWO_FEMTO_SWITCHING_SLOT, gis, prices_init=start, max_iters=cap)
+            solved = solve_rows(
+                TWO_FEMTO_SWITCHING_SLOT,
+                gis,
+                prices_init=start,
+                step=0.01,
+                phi=1e-6,
+                max_iters=cap,
+            )
             assert_matches_plain(solved, plain, cap)
         assert any(kept) and all(started)
 
