@@ -442,10 +442,10 @@ def running_sum(values):
     return total
 
 
-def lone_bisection(pbar, w, rate, total=running_sum):
+def lone_bisection(pbar, w, rate, total=running_sum, steps=None):
     """Reference for the pool waterfill: one pool, scalar prices, and the
     renormalisation of shares that overfill the slot, each sum taken by
-    total."""
+    total, over steps bisection steps (the scheduler's count by default)."""
     shares = np.zeros_like(w)
     pos = rate > 0
     if not np.any(pos):
@@ -454,7 +454,7 @@ def lone_bisection(pbar, w, rate, total=running_sum):
     offset = wa / ra
     hi = float(np.max(pb * ra / wa)) * 2.0 + 1.0
     lo = 0.0
-    for _ in range(scheduler._POOL_BISECTIONS):
+    for _ in range(scheduler._POOL_BISECTIONS if steps is None else steps):
         mid = 0.5 * (lo + hi)
         if total(np.minimum(np.maximum(pb / mid - offset, 0.0), 1.0)) >= 1.0:
             lo = mid
@@ -511,6 +511,26 @@ class TestWaterfillPool:
         [got] = pool_shares(pool)
         assert bits(got) == bits(lone_bisection(*pool))
         assert bits(got) != bits(lone_bisection(*pool, total=np.sum))
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=pool_stacks(), scale=st.sampled_from([1e-300, 1e-30, 1e30, 1e300]))
+    def test_pools_far_from_the_workload_scale_match_the_lone_bisection(self, stack, scale):
+        # each pool's bracket starts at its own top price, so rates far
+        # above or below any workload's are bisected the same way
+        stack = [(pbar, w, rate * scale) for pbar, w, rate in stack]
+        for (pbar, w, rate), got in zip(stack, pool_shares(*stack)):
+            assert bits(got) == bits(lone_bisection(pbar, w, rate))
+
+    def test_the_price_is_bisected_exactly_sixty_times(self):
+        # a price near 1e-3 against a bracket that starts near 1 has not
+        # narrowed to one float by step 62, so each step count gives other
+        # shares
+        pool = np.array([0.02, 0.03]), np.array([40.0, 45.0]), np.array([1.0, 2.0])
+        [got] = pool_shares(pool)
+        assert scheduler._POOL_BISECTIONS == 60
+        assert bits(got) == bits(lone_bisection(*pool))
+        for steps in (59, 61):
+            assert bits(got) != bits(lone_bisection(*pool, steps=steps))
 
     def test_a_member_whose_offset_overflows_takes_no_time(self):
         pbar, w, rate = np.array([0.9, 0.8]), np.array([30.0, 35.0]), np.array([5e-324, 60.0])
