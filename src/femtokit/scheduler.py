@@ -164,33 +164,6 @@ def _lane_values(pbar, w, rate, offset, unpaid, price):
     return rho, pbar * np.log(w + rho * rate) - price * rho
 
 
-class _Slot:
-    """What every solve of one slot problem shares: the lanes' constants
-    that do not depend on the channel counts, and a pool-share memo.
-
-    Lanes run macro first, then femto, one per user on each side. The memo
-    maps a pool, keyed by its transmitter, its members' positions and their
-    rates, to its waterfilled shares. With pbar and w fixed by the problem,
-    they are a pure function of those rates, so no pool is waterfilled
-    twice while the object lives:
-    solve_noninterfering builds one per call, AllocationValue one per
-    greedy slot, and nothing is shared across slots.
-    """
-
-    def __init__(self, problem: SlotProblem):
-        self.problem = problem
-        k = self.k = problem.num_users
-        self.n1 = problem.n_fbs + 1
-        self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
-        self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
-        self.w = np.concatenate([problem.w_minus, problem.w_minus])
-        # the same constants as Python values, for the Python loops
-        self.assoc = problem.assoc.tolist()
-        self.lane_pbar, self.lane_w = self.pbar.tolist(), self.w.tolist()
-        self.rate_mbs = problem.rate_mbs.tolist()
-        self.pools = {}
-
-
 class _Responder:
     """Every user's best response to a stack of price rows, for fixed
     per-user expected channel counts g_user with one row per price row.
@@ -214,12 +187,14 @@ class _Responder:
     then once per block of its iterates.
     """
 
-    def __init__(self, slot: _Slot, g_user):
-        problem = slot.problem
-        self.slot = slot
-        k = self.k = slot.k
-        self.n1 = slot.n1
-        self.price_index, self.pbar, self.w = slot.price_index, slot.pbar, slot.w
+    def __init__(self, problem: SlotProblem, g_user):
+        k = self.k = problem.num_users
+        self.n1 = problem.n_fbs + 1
+        self.price_index = np.concatenate([np.zeros(k, dtype=int), problem.assoc])
+        self.pbar = np.concatenate([problem.pbar_mbs, problem.pbar_fbs])
+        self.w = np.concatenate([problem.w_minus, problem.w_minus])
+        # as Python values, for _follow's loop
+        self.assoc = problem.assoc.tolist()
         self.rate = np.empty((len(g_user), 2 * k))
         self.rate[:, :k] = problem.rate_mbs
         np.multiply(problem.rate_fbs, g_user, out=self.rate[:, k:])
@@ -305,33 +280,26 @@ def _pool_shares(pbar, w, rate) -> list:
     return shares
 
 
-def _refill_patterns(slot: _Slot, g_user, patterns):
+def _refill_patterns(problem: SlotProblem, g_user, patterns):
     """Best feasible shares for each row of a (N, K) stack of branch
     patterns, the pattern in row n under the channel counts in row n of
-    g_user: waterfill each transmitter's pool independently. Each pool is
-    looked up in slot's memo, keyed by transmitter, members and their rates
-    (a 0.0 and a -0.0 rate share a key, and both take nothing), so patterns,
-    channel vectors and solves of the slot that share a pool fill it once.
-    Returns the macro and femto shares."""
-    memo, assoc, k = slot.pools, slot.assoc, slot.k
-    pbar, w = slot.lane_pbar, slot.lane_w
-    rate_fbs = (slot.problem.rate_fbs * g_user).tolist()
+    g_user: each transmitter's pool is waterfilled on its own
+    (_pool_shares). Returns the macro and femto shares."""
+    assoc, w = problem.assoc.tolist(), problem.w_minus.tolist()
+    pbar_mbs, rate_mbs = problem.pbar_mbs.tolist(), problem.rate_mbs.tolist()
+    pbar_fbs, rate_fbs = problem.pbar_fbs.tolist(), (problem.rate_fbs * g_user).tolist()
     rho = []
     for row, rf in zip(patterns.tolist(), rate_fbs):
-        members = [[] for _ in range(slot.n1)]
+        members = [[] for _ in range(problem.n_fbs + 1)]
         for j, macro in enumerate(row):
             members[0 if macro else assoc[j]].append(j)
-        shares = [0.0] * k
+        shares = [0.0] * len(row)
         for s, users in enumerate(members):
             if users:
-                rate = rf if s else slot.rate_mbs
-                key = (s, tuple(users), tuple([rate[j] for j in users]))
-                pool = memo.get(key)
-                if pool is None:
-                    lanes = [(s > 0) * k + j for j in users]
-                    pool = memo[key] = _pool_shares(
-                        [pbar[i] for i in lanes], [w[i] for i in lanes], key[2]
-                    )
+                pbar, rate = (pbar_fbs, rf) if s else (pbar_mbs, rate_mbs)
+                pool = _pool_shares(
+                    [pbar[j] for j in users], [w[j] for j in users], [rate[j] for j in users]
+                )
                 for j, x in zip(users, pool):
                     shares[j] = x
         rho.append(shares)
@@ -433,7 +401,7 @@ class _Orbit:
             p = q
 
 
-def _follow(slot: _Slot, paid, connect, held, prices, t) -> list:
+def _follow(respond: _Responder, paid, connect, held, prices, t) -> list:
     """Per transmitter, the (orbit, base) pair of a row that takes the
     branch pattern connect, a list of bools, from iterate t on, where its
     input prices are prices; iterate i sits at position base + i of the
@@ -442,10 +410,10 @@ def _follow(slot: _Slot, paid, connect, held, prices, t) -> list:
     at its start: a transmitter whose paid members stay keeps its pair, and
     the others start new orbits at their prices. A row restarts here after
     a branch switch."""
-    k, members = slot.k, [[] for _ in range(slot.n1)]
+    k, members = respond.k, [[] for _ in range(respond.n1)]
     for j, macro in enumerate(connect):
         if paid[j if macro else k + j] is not None:
-            members[0 if macro else slot.assoc[j]].append(j)
+            members[0 if macro else respond.assoc[j]].append(j)
     pairs = []
     for s, users in enumerate(members):
         users = tuple(users)
@@ -493,16 +461,16 @@ def _iterate(respond: _Responder, start, step, phi, max_iters, keep_iterates):
     that cycle and reads its last prices, those after max_iters, at their
     place in the cycle.
     """
-    slot, k = respond.slot, respond.k
+    k, price_index = respond.k, respond.price_index
     lanes = (respond.pbar, respond.w, respond.rate[0], respond.offset[0], respond.unpaid[0])
-    value = _lane_values(*lanes, start.take(slot.price_index))[1]
+    value = _lane_values(*lanes, start.take(price_index))[1]
     connect = (value[:k] >= value[k:]).tolist()
     step = float(step)
     paid = [
         None if unpaid else (pbar, offset)
-        for pbar, offset, unpaid in zip(slot.lane_pbar, lanes[3].tolist(), lanes[4].tolist())
+        for pbar, offset, unpaid in zip(respond.pbar.tolist(), lanes[3].tolist(), lanes[4].tolist())
     ]
-    held = _follow(slot, paid, connect, None, start.tolist(), 1)
+    held = _follow(respond, paid, connect, None, start.tolist(), 1)
     code = bytes(connect)
     seen, trail = {code: None}, []
     # the next iterate, the first under the current pattern, and the blocks
@@ -526,7 +494,7 @@ def _iterate(respond: _Responder, start, step, phi, max_iters, keep_iterates):
         # the block's prices and those after its last iterate, in C order,
         # so every sum below runs along a contiguous row as a lone row's does
         prices = np.array([orbit.window(base + t, base + end) for orbit, base in held]).T.copy()
-        value = _lane_values(*lanes, prices.take(slot.price_index, axis=1))[1]
+        value = _lane_values(*lanes, prices.take(price_index, axis=1))[1]
         macro, femto = value[:, :k], value[:, k:]
         branches = macro >= femto
         dual = np.add.reduce(np.where(branches, macro, femto), axis=1)
@@ -554,7 +522,7 @@ def _iterate(respond: _Responder, start, step, phi, max_iters, keep_iterates):
             connect = branches[m].tolist()
             code = bytes(connect)
             seen.setdefault(code)
-            held = _follow(slot, paid, connect, held, prices[m].tolist(), t)
+            held = _follow(respond, paid, connect, held, prices[m].tolist(), t)
             t0, blocks, length = t, [], 1
             continue
         lowest = min(lowest, float(dual[:n].min()))
@@ -576,15 +544,14 @@ def _iterate(respond: _Responder, start, step, phi, max_iters, keep_iterates):
         lowest,
         dual[last - a],
         seen,
-        np.concatenate(trail) if trail else np.zeros((0, slot.n1)),
+        np.concatenate(trail) if trail else np.zeros((0, respond.n1)),
     )
 
 
-def _repaired_iterates(slot: _Slot, g_user, iterate_prices):
+def _repaired_iterates(problem: SlotProblem, g_user, iterate_prices):
     """Objectives of the repaired iterates at the rows of iterate_prices,
     under one row of per-user channel counts."""
-    problem = slot.problem
-    replay = _Responder(slot, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
+    replay = _Responder(problem, np.broadcast_to(g_user, (len(iterate_prices), len(g_user))))
     connect, rho0, rhof, _ = replay(iterate_prices)
     rho0, rhof = _repaired(rho0, rhof, replay.load(rho0, rhof), problem.assoc)
     return _objective(problem, g_user, connect, rho0, rhof)
@@ -607,11 +574,11 @@ def solve_noninterfering(
     phi; a solve that hits max_iters is flagged converged=False. step, phi
     and max_iters have no defaults here: StreamConfig holds the only ones.
     The returned schedule is the best feasible point known: every visited
-    branch pattern refilled exactly, and the two heuristics. A traced
-    solve records the repaired iterates' objectives in its trace but never
-    picks from them, so tracing leaves the schedule, and every later slot,
-    as it is. The solve runs on a fresh _Slot, so its pool-share memo
-    lives for this call.
+    branch pattern refilled exactly (_refill_patterns, each pool by
+    _pool_shares's bisection), and the two heuristics. A traced solve
+    records the repaired iterates' objectives in its trace but never picks
+    from them, so tracing leaves the schedule, and every later slot, as it
+    is.
     """
     # written so that NaN fails each check
     if not 0 < step < math.inf:
@@ -623,18 +590,17 @@ def solve_noninterfering(
     start = init_prices(problem) if prices_init is None else np.array(prices_init, dtype=float)
     if start.shape != (problem.n_fbs + 1,) or not (start.min() >= 0 and start.max() < math.inf):
         raise ValueError("prices_init must be a nonnegative finite price per transmitter")
-    slot = _Slot(problem)
     g_user = problem.fbs_gi[None, problem.assoc - 1]
     iterations, converged, prices, lowest, last_dual, seen, iterates = _iterate(
-        _Responder(slot, g_user), start, step, phi, max_iters, record_trace
+        _Responder(problem, g_user), start, step, phi, max_iters, record_trace
     )
     dual = float(np.minimum(lowest, last_dual))
 
     # primal recovery: the dual iteration fixes each visited branch pattern,
     # and the continuous inner problem for a fixed pattern splits into
     # independent per-transmitter waterfilling problems solved exactly
-    patterns = np.frombuffer(b"".join(seen), dtype=bool).reshape(-1, slot.k)
-    refill = _refill_patterns(slot, np.broadcast_to(g_user, patterns.shape), patterns)
+    patterns = np.frombuffer(b"".join(seen), dtype=bool).reshape(-1, problem.num_users)
+    refill = _refill_patterns(problem, np.broadcast_to(g_user, patterns.shape), patterns)
     # primal polish: the returned point is the best feasible point known,
     # so a finite stopping tolerance never leaves it below a baseline
     stack = [(patterns, *refill), _equal_split(problem, g_user), _best_link(problem, g_user)]
@@ -646,7 +612,7 @@ def solve_noninterfering(
     objective = float(scores[best])
     trace = None
     if record_trace:
-        traced = _repaired_iterates(slot, g_user[0], iterates)
+        traced = _repaired_iterates(problem, g_user[0], iterates)
         trace = [(i, p.copy(), float(obj)) for i, (p, obj) in enumerate(zip(iterates, traced), 1)]
     return ScheduleSolution(
         connect_mbs=connect[best].copy(),
@@ -945,12 +911,10 @@ class AllocationValue:
     (_paid_lanes): the macro pool's for every pattern once, in numpy,
     since it does not depend on the channels, and each femto's for every
     subset of its users per channel count, in Python floats (memoized).
-    The first best pattern in itertools.product order is refilled through
-    a _Slot built here, whose memo waterfills each pool once for the life
-    of this object (one greedy slot), and its objective is the row's
-    value. Problems above ENUMERATION_MAX_USERS users are refused. A
-    custom solver callable (problem, gi) -> objective replaces the
-    enumeration and is called once per fresh vector.
+    A row's value is its best pattern's. Problems above
+    ENUMERATION_MAX_USERS users are refused. A custom solver callable
+    (problem, gi) -> objective replaces the enumeration and is called once
+    per fresh vector.
     """
 
     def __init__(self, problem: SlotProblem, solver=None):
@@ -961,8 +925,7 @@ class AllocationValue:
             )
         self.problem = problem
         self._solver = solver
-        self._slot = _Slot(problem)
-        subsets = self._subsets = _subsets(problem.num_users)
+        subsets = _subsets(problem.num_users)
         self._macro = _macro_values(problem, subsets)
         # per femto: each pattern's subset of its users on the femto, as a
         # column of their _subsets, those subsets' pool steps, and their
@@ -993,11 +956,7 @@ class AllocationValue:
                     table = tables[g] = _femto_table(steps, g)
                 rows.append(table)
             value = value + np.array(rows)[:, index]
-        # argmax keeps the first of equal values, in itertools.product order
-        patterns = self._subsets[:, np.argmax(value, axis=1)].T
-        g_user = np.take(gis, problem.assoc - 1, axis=1)
-        rho_mbs, rho_fbs = _refill_patterns(self._slot, g_user, patterns)
-        return _objective(problem, g_user, patterns, rho_mbs, rho_fbs).tolist()
+        return value.max(axis=1).tolist()
 
     def improvements(self, gis) -> list:
         """Improvement of each expected-channel vector in gis; the vectors
@@ -1024,9 +983,11 @@ def greedy_alloc(
     as value measures it.
 
     After each pick the chosen pair and its graph neighbors on the same
-    channel leave the candidate set, so edges never share a channel. Ties
-    break to the lowest (femto, channel position). Returns the allocation
-    and the step trace.
+    channel leave the candidate set, so edges never share a channel. Values
+    equal bit for bit break to the lowest (femto, channel position); two
+    candidates that tie only up to rounding, such as grants to femtos with
+    identical links, go to whichever value rounds higher. Returns the
+    allocation and the step trace.
     """
     p_idle = np.asarray(p_idle, dtype=float)
     channels = tuple(channels)
