@@ -811,6 +811,25 @@ class TestBatchedPriceIteration:
             with pytest.raises(ValueError, match=message):
                 AllocationValue(big, solver=solver)
 
+    def test_slots_share_no_table(self):
+        # two slots whose problems differ only in the current quality have
+        # the same users and links but not the same pool values, so each
+        # values its rows from its own femto tables: a slot's values are
+        # the same bits whether or not another slot was valued before it
+        prob = random_problem(make_rng(40, 95), n_users=6, n_fbs=2)
+        other = dataclasses.replace(prob, w_minus=prob.w_minus + 3.0)
+        gis = [[0.5, 1.0], [0.5, 2.0], [1.5, 1.0]]
+        alone = AllocationValue(other).improvements(gis)
+        first = AllocationValue(prob)
+        second = AllocationValue(other)
+        got = second.improvements(gis)
+        assert [bits(v) for v in got] == [bits(v) for v in alone]
+        assert all(bits(a) != bits(b) for a, b in zip(first.improvements(gis), got))
+        for problem, value in ((prob, first), (other, second)):
+            for gi, improvement in zip(gis, value.improvements(gis)):
+                exact = exact_schedule(problem, np.array(gi))[3]
+                assert improvement + value.baseline == pytest.approx(exact, rel=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1662,6 +1681,25 @@ class TestGreedyAllocation:
         )
         assert trace == expected
         assert np.array_equal(alloc.assigned, assigned)
+
+    @pytest.mark.parametrize(
+        "lift, femto", [(False, 1), (True, 2)], ids=["equal bits", "one ulp apart"]
+    )
+    def test_ties_break_by_the_bits_of_the_values(self, lift, femto):
+        # every candidate's value is the sum of its channel counts, so the
+        # two femtos tie; equal bits break to the lowest (femto, channel
+        # position), and lifting femto 2's values by one ulp, as rounding
+        # may, hands it every grant
+        def solver(problem, gi):
+            total = float(gi[0] + gi[1])
+            return float(np.nextafter(total, math.inf)) if lift and gi[1] > gi[0] else total
+
+        prob = self.make_problem(make_rng(35, 99), 2, 3)
+        graph = InterferenceGraph(2, ((1, 2),))
+        value = AllocationValue(prob, solver=solver)
+        alloc, trace = greedy_alloc(prob, (10, 11), [0.5, 0.5], graph, value=value)
+        assert [(s.fbs, s.channel) for s in trace.steps] == [(femto, 10), (femto, 11)]
+        assert alloc.assigned.tolist() == [[femto == 1] * 2, [femto == 2] * 2]
 
     def test_exhaustive_search_refuses_oversized_grids(self):
         rng = make_rng(30, 91)
